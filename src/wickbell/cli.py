@@ -44,7 +44,8 @@ from .evolution import (
 )
 from .epr import (
     CorrelationWidth,
-    condition_on_momentum_window,
+    _conditional,
+    _pearson,
     epr_initial_pair,
     evolve_pair,
     joint_momentum_distribution,
@@ -69,6 +70,7 @@ from .bell import (
 )
 
 OUTDIR_ENV = "WICKBELL_OUTDIR"
+DEFAULT_OUTDIR = "wickbell-out"
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,8 @@ class ExperimentConfig:
 
 def _positive(name: str):
     def check(v):
-        if not (v > 0):
-            return f"{name} must be positive, got {v}"
+        if not (0 < v < np.inf):
+            return f"{name} must be positive and finite, got {v}"
         return None
 
     return check
@@ -247,11 +249,10 @@ def _run_epr(p: dict, outdir: str) -> list:
     keep = prob_m > 1e-12 * prob_m.max()
     ratio_err = float(np.max(np.abs(prob_e[keep] / prob_m[keep] - predicted[keep])))
 
+    # both metrics renormalize, so the raw-weight prob_m serves as it is
     window_center = p["condition_momentum"]
     half = 2.0 * pgrid.dx
-    cond_grid, cond = condition_on_momentum_window(
-        evolved_m.normalized(), window_center - half, window_center + half
-    )
+    cond_grid, cond = _conditional(pgrid, prob_m, window_center - half, window_center + half)
     peak = float(cond_grid.x[int(np.argmax(cond))])
 
     out_main = os.path.join(outdir, "epr_momentum.csv")
@@ -267,7 +268,7 @@ def _run_epr(p: dict, outdir: str) -> list:
         ("quantity", "value"),
         [
             ("pearson_initial", momentum_anticorrelation(pair)),
-            ("pearson_minkowski", momentum_anticorrelation(evolved_m.normalized())),
+            ("pearson_minkowski", _pearson(pgrid, prob_m)),
             ("ratio_max_abs_error", ratio_err),
             ("conditional_peak", peak),
             ("conditional_peak_offset", abs(peak + window_center)),
@@ -595,7 +596,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     runp.add_argument(
         "--out",
-        help=f"output directory (default: ${OUTDIR_ENV} or current directory)",
+        help=f"output directory (default: ${OUTDIR_ENV}, else ./{DEFAULT_OUTDIR})",
     )
 
     listp = sub.add_parser("list-experiments", help="show the experiment catalog")
@@ -621,7 +622,7 @@ def entry(argv=None) -> int:
                 raise ConfigError(f"--set needs a parameter name, got {item!r}")
             raw[key] = value
         config = build_config(args.experiment, raw)
-        outdir = args.out or os.environ.get(OUTDIR_ENV) or "."
+        outdir = args.out or os.environ.get(OUTDIR_ENV) or DEFAULT_OUTDIR
         written = run(config, outdir)
         for path in written:
             print(path)

@@ -22,14 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridEscapeError
-from .grids import (
-    EUCLIDEAN,
-    MINKOWSKI,
-    Grid1D,
-    PhysParams,
-    dft_matrix,
-)
-from .kernels import free_kernel_euclidean, free_kernel_minkowski
+from .grids import Grid1D, PhysParams, _momentum_fft
+from .kernels import free_kernel_row
 
 # relative border amplitude above which an evolved pair is considered to
 # have run off the grid
@@ -110,28 +104,37 @@ def _border_escape(amps: np.ndarray) -> float:
     return border / peak
 
 
+def _toeplitz_apply(row: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """amps @ T along the last axis for the symmetric Toeplitz T with first
+    row `row`, by circulant embedding: lags -(n-1) .. n-1 wrap onto a circle
+    of 2n points, and the zero-padded FFT convolution is the exact product
+    (Golub & Van Loan, Matrix Computations, section 4.7)."""
+    n = row.shape[0]
+    padded = np.fft.fft(amps, 2 * n, axis=-1)
+    padded *= np.fft.fft(np.concatenate((row, [0.0], row[:0:-1])))
+    return np.fft.ifft(padded, axis=-1)[..., :n]
+
+
 def evolve_pair(pair: PairWaveFunction, time_extent: float, regime: str) -> PairWaveFunction:
     """Free evolution applied independently along each tensor index.
 
-    The two-particle kernel factorizes, so this is one matrix product per
-    index with the single-particle kernel. Euclidean output keeps its damped
-    raw weight (callers normalize when they need probabilities).
+    The two-particle kernel factorizes, and the single-particle kernel is
+    Toeplitz, so each index takes one O(n^2 log n) FFT convolution with the
+    kernel's lag row; the n x n kernel is never built. Euclidean output keeps
+    its damped raw weight (callers normalize when they need probabilities).
 
     Real-time caution: the sampled chirp aliases into state copies displaced
-    by 2 pi hbar T/(m dx) (see the kernels module note). Keep that shift
-    larger than the box so the copies land outside; the border-amplitude
-    guard below catches the contamination when it does not.
+    by 2 pi hbar T/(m dx) (see the kernels module note); the convolution is
+    the same linear map as the dense product. Keep that shift larger than the
+    box so the copies land outside; the border-amplitude guard below catches
+    the contamination when it does not.
     """
-    if regime == MINKOWSKI:
-        k = free_kernel_minkowski(pair.grid, time_extent, pair.params)
-    elif regime == EUCLIDEAN:
-        k = free_kernel_euclidean(pair.grid, time_extent, pair.params)
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
+    row = free_kernel_row(pair.grid, time_extent, pair.params, regime)
     dx = pair.grid.dx
-    # kernel is symmetric in (x_f, x_i); acting on the second index needs no
-    # transpose
-    out = dx * dx * (k.entries @ pair.amplitudes @ k.entries)
+    # K A K = ((A K)^T K)^T: both passes run along rows, where the FFT is
+    # fastest; the result goes back to C order for the float64 finiteness view
+    half = np.ascontiguousarray(_toeplitz_apply(row, pair.amplitudes).T)
+    out = np.multiply(dx * dx, _toeplitz_apply(row, half).T, order="C")
     escape = _border_escape(out)
     if escape > _ESCAPE_THRESHOLD:
         raise GridEscapeError(
@@ -143,9 +146,10 @@ def evolve_pair(pair: PairWaveFunction, time_extent: float, regime: str) -> Pair
 
 
 def joint_momentum_distribution(pair: PairWaveFunction) -> tuple[Grid1D, np.ndarray]:
-    """|phi(p_x, p_y)|^2 on the dual grid, carrying the pair's raw weight."""
-    pgrid, fwd = dft_matrix(pair.grid, pair.params)
-    phi = fwd @ pair.amplitudes @ fwd.T
+    """|phi(p_x, p_y)|^2 on the dual grid, carrying the pair's raw weight;
+    the FFT of momentum_representation acts on each index in turn."""
+    _, phi = _momentum_fft(pair.amplitudes, pair.grid, pair.params, axis=0)
+    pgrid, phi = _momentum_fft(phi, pair.grid, pair.params, axis=1)
     return pgrid, np.abs(phi) ** 2
 
 
@@ -153,7 +157,10 @@ def momentum_anticorrelation(pair: PairWaveFunction) -> float:
     """Pearson correlation of (p_x, p_y) under the joint momentum distribution."""
     if abs(pair.norm_squared() - 1.0) > 1e-8:
         raise ValueError("momentum_anticorrelation expects a normalized pair")
-    pgrid, prob = joint_momentum_distribution(pair)
+    return _pearson(*joint_momentum_distribution(pair))
+
+
+def _pearson(pgrid: Grid1D, prob: np.ndarray) -> float:
     total = float(np.sum(prob))
     if total <= 0.0:
         raise ValueError("momentum distribution vanishes")
@@ -178,7 +185,10 @@ def condition_on_momentum_window(
     conditional momentum distribution of particle 2."""
     if not (p_hi > p_lo):
         raise ValueError(f"empty momentum window [{p_lo}, {p_hi}]")
-    pgrid, prob = joint_momentum_distribution(pair)
+    return _conditional(*joint_momentum_distribution(pair), p_lo, p_hi)
+
+
+def _conditional(pgrid: Grid1D, prob: np.ndarray, p_lo: float, p_hi: float) -> tuple:
     mask = (pgrid.x >= p_lo) & (pgrid.x <= p_hi)
     if not np.any(mask):
         raise ValueError(

@@ -122,18 +122,23 @@ class Kernel:
         n = self.grid.n_points
         if ent.shape != (n, n):
             raise ValueError(f"kernel shape {ent.shape} does not match grid ({n}, {n})")
-        if not np.all(np.isfinite(ent.view(np.float64))):
-            raise ValueError("kernel entries must be finite")
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
+        _check_kernel_values(ent, self.regime)
         if not (self.time_extent >= 0.0):
             raise ValueError(f"time_extent must be >= 0, got {self.time_extent}")
-        if self.regime == EUCLIDEAN:
-            if np.any(ent.imag != 0.0):
-                raise ValueError("euclidean kernel entries must be real")
-            if np.any(ent.real < 0.0):
-                raise ValueError("euclidean kernel entries must be non-negative")
         object.__setattr__(self, "entries", ent)
+
+
+def _check_kernel_values(values: np.ndarray, regime: str) -> None:
+    """Entry checks shared by dense kernels and free-kernel lag rows."""
+    if not np.all(np.isfinite(values.view(np.float64))):
+        raise ValueError("kernel entries must be finite")
+    if regime not in REGIMES:
+        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+    if regime == EUCLIDEAN:
+        if np.any(values.imag != 0.0):
+            raise ValueError("euclidean kernel entries must be real")
+        if np.any(values.real < 0.0):
+            raise ValueError("euclidean kernel entries must be non-negative")
 
 
 def gaussian_wavepacket(
@@ -213,17 +218,23 @@ def momentum_representation(psi: WaveFunction) -> WaveFunction:
     """
     if abs(psi.norm_squared() - 1.0) > 1e-8:
         raise ValueError("momentum_representation expects a normalized wavefunction")
-    grid, params = psi.grid, psi.params
+    pgrid, amps = _momentum_fft(psi.amplitudes, psi.grid, psi.params)
+    return WaveFunction(pgrid, amps, psi.params)
+
+
+def _momentum_fft(amps: np.ndarray, grid: Grid1D, params: PhysParams, axis: int = -1) -> tuple:
+    """The dft_matrix map applied along one axis of `amps`, in O(n log n)."""
     n = grid.n_points
     pgrid = dual_grid(grid, params)
-    m = n // 2
-    # shift so that FFT bin k corresponds to p_k = (k - m) dp
-    pre = psi.amplitudes * np.exp(2j * np.pi * m * np.arange(n) / n)
-    raw = np.fft.fft(pre)
-    amps = grid.dx / np.sqrt(2.0 * np.pi * params.hbar) * np.exp(
+    shape = [1] * amps.ndim
+    shape[axis] = n
+    # shift so that FFT bin k corresponds to p_k = (k - n//2) dp
+    pre = np.exp(2j * np.pi * (n // 2) * np.arange(n) / n).reshape(shape)
+    raw = np.fft.fft(amps * pre, axis=axis)
+    post = grid.dx / np.sqrt(2.0 * np.pi * params.hbar) * np.exp(
         -1j * pgrid.x * grid.x_min / params.hbar
-    ) * raw
-    return WaveFunction(pgrid, amps, params)
+    )
+    return pgrid, post.reshape(shape) * raw
 
 
 def wavefunction_to_csv(psi: WaveFunction, path) -> None:

@@ -37,6 +37,7 @@ from .grids import (
     Kernel,
     PhysParams,
     WaveFunction,
+    _check_kernel_values,
     gaussian_wavepacket,
 )
 
@@ -87,25 +88,38 @@ class SlicingPlan:
         return self.total_time / self.n_slices
 
 
-def free_kernel_minkowski(grid: Grid1D, time_extent: float, params: PhysParams) -> Kernel:
-    """Analytic real-time free kernel on the grid."""
+def free_kernel_row(grid: Grid1D, time_extent: float, params: PhysParams, regime: str) -> np.ndarray:
+    """Free kernel at the lags k dx, k = 0 .. n-1: the dense kernel is the
+    symmetric Toeplitz matrix K[f, i] = row[|f - i|], and the row passes the
+    same entry checks as a dense Kernel of that regime."""
     if not (time_extent > 0.0):
         raise ValueError(f"time_extent must be positive, got {time_extent}")
     m, hbar = params.mass, params.hbar
-    diff = grid.x[:, None] - grid.x[None, :]
-    pref = np.sqrt(m / (2.0 * np.pi * hbar * time_extent)) * np.exp(-0.25j * np.pi)
-    entries = pref * np.exp(0.5j * m * diff**2 / (hbar * time_extent))
+    lag = grid.dx * np.arange(grid.n_points)
+    pref = np.sqrt(m / (2.0 * np.pi * hbar * time_extent))
+    if regime == MINKOWSKI:
+        row = pref * np.exp(-0.25j * np.pi) * np.exp(0.5j * m * lag**2 / (hbar * time_extent))
+    else:
+        row = pref * np.exp(-0.5 * m * lag**2 / (hbar * time_extent))
+    _check_kernel_values(row, regime)
+    return row
+
+
+def _free_matrix(grid: Grid1D, time_extent: float, params: PhysParams, regime: str) -> np.ndarray:
+    row = free_kernel_row(grid, time_extent, params, regime)
+    idx = np.arange(grid.n_points)
+    return row[np.abs(idx[:, None] - idx[None, :])]
+
+
+def free_kernel_minkowski(grid: Grid1D, time_extent: float, params: PhysParams) -> Kernel:
+    """Analytic real-time free kernel on the grid."""
+    entries = _free_matrix(grid, time_extent, params, MINKOWSKI)
     return Kernel(grid, entries, time_extent, MINKOWSKI)
 
 
 def free_kernel_euclidean(grid: Grid1D, time_extent: float, params: PhysParams) -> Kernel:
     """Analytic imaginary-time free kernel (the heat kernel) on the grid."""
-    if not (time_extent > 0.0):
-        raise ValueError(f"time_extent must be positive, got {time_extent}")
-    m, hbar = params.mass, params.hbar
-    diff = grid.x[:, None] - grid.x[None, :]
-    pref = np.sqrt(m / (2.0 * np.pi * hbar * time_extent))
-    entries = pref * np.exp(-0.5 * m * diff**2 / (hbar * time_extent))
+    entries = _free_matrix(grid, time_extent, params, EUCLIDEAN)
     return Kernel(grid, entries, time_extent, EUCLIDEAN)
 
 
@@ -132,16 +146,11 @@ def compose_kernels(later: Kernel, earlier: Kernel) -> Kernel:
 def _slice_matrix(
     grid: Grid1D, potential: Potential, eps: float, regime: str, params: PhysParams
 ) -> np.ndarray:
-    m, hbar = params.mass, params.hbar
-    diff = grid.x[:, None] - grid.x[None, :]
-    mid = 0.5 * (grid.x[:, None] + grid.x[None, :])
-    v = potential(mid)
-    kinetic = 0.5 * m * diff**2 / eps
-    if regime == MINKOWSKI:
-        pref = np.sqrt(m / (2.0 * np.pi * hbar * eps)) * np.exp(-0.25j * np.pi)
-        return pref * np.exp(1j * (kinetic - eps * v) / hbar)
-    pref = np.sqrt(m / (2.0 * np.pi * hbar * eps))
-    return pref * np.exp(-(kinetic + eps * v) / hbar)
+    # free slice times the midpoint potential factor exp(-i eps V / hbar),
+    # or exp(-eps V / hbar) in imaginary time
+    v = potential(0.5 * (grid.x[:, None] + grid.x[None, :]))
+    unit = -1j if regime == MINKOWSKI else -1.0
+    return _free_matrix(grid, eps, params, regime) * np.exp(unit * eps * v / params.hbar)
 
 
 def _check_slice_resolution(grid: Grid1D, eps: float, params: PhysParams) -> None:

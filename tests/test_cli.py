@@ -57,6 +57,14 @@ class TestValidation:
         assert "unknown parameter(s) bogus" in err
         assert "valid keys:" in err and "restarts" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_positive_value(self, capsys, tmp_path, value):
+        code = entry(["run", "epr", "--out", str(tmp_path), "--set", f"time={value}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: parameter time:" in err
+        assert "positive and finite" in err
+
     def test_unparsable_value(self, capsys, tmp_path):
         code = entry(["run", "chsh", "--out", str(tmp_path), "--set", "seed=many"])
         assert code == 2
@@ -154,6 +162,15 @@ class TestRunOutputs:
         assert (env_dir / "spin_phases.csv").exists()
         printed = capsys.readouterr().out.strip().splitlines()
         assert all(str(env_dir) in p for p in printed)
+
+    def test_default_outdir(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("WICKBELL_OUTDIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert entry(["run", "spin-phase"]) == 0
+        assert (tmp_path / "wickbell-out" / "spin_phases.csv").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["wickbell-out"]
+        printed = capsys.readouterr().out.strip().splitlines()
+        assert all(p.startswith("wickbell-out") for p in printed)
 
     def test_explicit_out_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WICKBELL_OUTDIR", str(tmp_path / "ignored"))

@@ -19,8 +19,8 @@ from wickbell.epr import (
     momentum_distribution_to_csv,
 )
 from wickbell.errors import GridEscapeError
-from wickbell.grids import gaussian_wavepacket
-from wickbell.kernels import free_kernel_euclidean
+from wickbell.grids import dft_matrix, gaussian_wavepacket
+from wickbell.kernels import free_kernel_euclidean, free_kernel_minkowski
 
 PHYS = PhysParams()
 
@@ -73,6 +73,16 @@ class TestInitialPair:
         px, py = pgrid.x[:, None], pgrid.x[None, :]
         ref = np.exp(-(s**2) * (px - py) ** 2 / 2.0 - 2.0 * env**2 * (px + py) ** 2)
         assert np.max(np.abs(prob / prob.max() - ref / ref.max())) < 1e-10
+
+    def test_joint_momentum_matches_dense_dft_on_odd_grid(self):
+        grid = Grid1D(-6.0, 7.0, 63)
+        rng = np.random.default_rng(11)
+        amps = rng.normal(size=(63, 63)) + 1j * rng.normal(size=(63, 63))
+        pgrid, prob = joint_momentum_distribution(PairWaveFunction(grid, amps, PHYS))
+        ref_grid, fwd = dft_matrix(grid, PHYS)
+        ref = np.abs(fwd @ amps @ fwd.T) ** 2
+        assert pgrid == ref_grid
+        assert np.max(np.abs(prob - ref)) < 1e-12 * ref.max()
 
     def test_amplitudes_symmetric_under_exchange(self):
         grid = Grid1D(-11.5, 11.5, 256)
@@ -155,6 +165,22 @@ class TestEvolvePair:
         pair = epr_initial_pair(grid, CorrelationWidth(0.5), 1.2, PHYS)
         out = evolve_pair(pair, 0.1, EUCLIDEAN)
         k = free_kernel_euclidean(grid, 0.1, PHYS).entries
+        manual = grid.dx**2 * (k @ pair.amplitudes @ k)
+        assert np.max(np.abs(out.amplitudes - manual)) < 1e-12
+
+    @pytest.mark.parametrize("n_points", [64, 65])
+    @pytest.mark.parametrize(
+        "regime, builder, t",
+        # real time: alias shift 2 pi hbar T/(m dx) ~ 20 clears the 16-wide box
+        [(MINKOWSKI, free_kernel_minkowski, 0.8), (EUCLIDEAN, free_kernel_euclidean, 0.1)],
+    )
+    def test_fft_application_matches_dense_kernels(self, n_points, regime, builder, t):
+        grid = Grid1D(-8.0, 8.0, n_points)
+        a = gaussian_wavepacket(grid, PHYS, center=-0.5, width=0.8, momentum=0.6)
+        b = gaussian_wavepacket(grid, PHYS, center=0.7, width=1.1, momentum=-0.9)
+        pair = PairWaveFunction(grid, np.outer(a.amplitudes, b.amplitudes), PHYS)
+        out = evolve_pair(pair, t, regime)
+        k = builder(grid, t, PHYS).entries
         manual = grid.dx**2 * (k @ pair.amplitudes @ k)
         assert np.max(np.abs(out.amplitudes - manual)) < 1e-12
 

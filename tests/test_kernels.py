@@ -24,6 +24,7 @@ from wickbell.kernels import (
     compose_kernels,
     free_kernel_euclidean,
     free_kernel_minkowski,
+    free_kernel_row,
     free_potential,
     harmonic_potential,
     identity_kernel,
@@ -89,6 +90,31 @@ class TestFreeKernels:
         for builder in (free_kernel_minkowski, free_kernel_euclidean):
             with pytest.raises(ValueError, match="time_extent"):
                 builder(g, 0.0, PHYS)
+
+    @pytest.mark.parametrize("n_points", [128, 129])
+    def test_dense_kernels_are_toeplitz_in_the_lag_row(self, n_points):
+        g = Grid1D(-8.0, 8.0, n_points)
+        idx = np.arange(n_points)
+        lags = np.abs(idx[:, None] - idx[None, :])
+        for regime, builder in (
+            (MINKOWSKI, free_kernel_minkowski),
+            (EUCLIDEAN, free_kernel_euclidean),
+        ):
+            row = free_kernel_row(g, 0.45, PHYS, regime)
+            assert row.shape == (n_points,)
+            assert np.array_equal(builder(g, 0.45, PHYS).entries, row[lags])
+
+    def test_lag_row_runs_the_kernel_entry_checks(self):
+        g = Grid1D(-8.0, 8.0, 128)
+        heavy = PhysParams(mass=1e308)  # prefactor sqrt(m / 2 pi hbar T) overflows
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+            free_kernel_row(g, 1e-10, heavy, EUCLIDEAN)
+        with pytest.raises(ValueError, match="regime"):
+            free_kernel_row(g, 0.5, PHYS, "thermal")
+        with pytest.raises(ValueError, match="time_extent"):
+            free_kernel_row(g, 0.0, PHYS, EUCLIDEAN)
+        row = free_kernel_row(g, 0.5, PHYS, EUCLIDEAN)
+        assert row.dtype == np.float64 and np.all(row >= 0.0)
 
     def test_euclidean_kernel_type_rejects_negative_entries(self):
         g = Grid1D(-1.0, 1.0, 8)
