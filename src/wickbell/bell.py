@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grids import _check_schedule
 from .spin_geometry import PAULI, UnitVector
 
 
@@ -34,7 +35,7 @@ class TwoQubitState:
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         if amps.shape != (4,):
             raise ValueError(f"need 4 amplitudes, got shape {np.shape(self.amplitudes)}")
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > 1e-12:
@@ -212,15 +213,25 @@ def _diagonal_energies(h) -> np.ndarray:
     return arr
 
 
-def _check_taus(tau_samples) -> np.ndarray:
-    taus = np.asarray(tau_samples, dtype=np.float64)
-    if taus.ndim != 1 or taus.size == 0:
-        raise ValueError("tau_samples must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(taus)) or np.any(taus < 0.0):
-        raise ValueError("tau_samples must be finite and >= 0")
-    if np.any(np.diff(taus) <= 0.0):
-        raise ValueError("tau_samples must be strictly increasing")
-    return taus
+def _decay_curve(
+    state0: TwoQubitState, h, tau_samples, hbar: float, restarts: int, seed: int, damped: bool
+) -> list[DecayPoint]:
+    """Apply the diagonal kernel at each sample, then re-optimize CHSH."""
+    energies = _diagonal_energies(h)
+    taus = _check_schedule(tau_samples, nonnegative=True)
+    amps0 = state0.amplitudes
+    floor = float(energies[np.abs(amps0) > 0.0].min())
+    points: list[DecayPoint] = []
+    for tau in taus:
+        if damped:
+            amps = amps0 * np.exp(-(energies - floor) * tau / hbar)
+            state = TwoQubitState(amps / float(np.linalg.norm(amps)))
+        else:
+            state = TwoQubitState(amps0 * np.exp(-1j * energies * tau / hbar))
+        _, s = chsh_maximize(state, restarts=restarts, seed=seed)
+        fidelity = float(np.abs(np.vdot(amps0, state.amplitudes)) ** 2)
+        points.append(DecayPoint(float(tau), abs(s), fidelity))
+    return points
 
 
 def euclidean_chsh_decay(
@@ -238,20 +249,7 @@ def euclidean_chsh_decay(
     cancels in the renormalization. A state supported only on degenerate
     levels is simply constant along the trajectory.
     """
-    energies = _diagonal_energies(h)
-    taus = _check_taus(tau_samples)
-    amps0 = state0.amplitudes
-    support = np.abs(amps0) > 0.0
-    floor = float(energies[support].min())
-    points: list[DecayPoint] = []
-    for tau in taus:
-        damped = amps0 * np.exp(-(energies - floor) * tau / hbar)
-        norm = float(np.linalg.norm(damped))
-        state = TwoQubitState(damped / norm)
-        _, s = chsh_maximize(state, restarts=restarts, seed=seed)
-        fidelity = float(np.abs(np.vdot(amps0, state.amplitudes)) ** 2)
-        points.append(DecayPoint(float(tau), abs(s), fidelity))
-    return points
+    return _decay_curve(state0, h, tau_samples, hbar, restarts, seed, damped=True)
 
 
 def minkowski_chsh_control(
@@ -263,16 +261,7 @@ def minkowski_chsh_control(
     seed: int = 0,
 ) -> list[DecayPoint]:
     """Same schedule under the unitary exp(-iHt/hbar): pure phases, no decay."""
-    energies = _diagonal_energies(h)
-    taus = _check_taus(t_samples)
-    amps0 = state0.amplitudes
-    points: list[DecayPoint] = []
-    for t in taus:
-        state = TwoQubitState(amps0 * np.exp(-1j * energies * t / hbar))
-        _, s = chsh_maximize(state, restarts=restarts, seed=seed)
-        fidelity = float(np.abs(np.vdot(amps0, state.amplitudes)) ** 2)
-        points.append(DecayPoint(float(t), abs(s), fidelity))
-    return points
+    return _decay_curve(state0, h, t_samples, hbar, restarts, seed, damped=False)
 
 
 def decay_to_csv(points, path) -> None:

@@ -114,24 +114,24 @@ def _choice(name: str, options: tuple):
     return check
 
 
-_GRID_PARAMS = {
-    "n_points": ParamSpec("int", 256, "grid sample count", _at_least("n_points", 8)),
-    "x_min": ParamSpec("float", -16.0, "left grid edge"),
-    "x_max": ParamSpec("float", 16.0, "right grid edge"),
-}
+def _grid_params(n_points: int = 256, x_min: float = -16.0, x_max: float = 16.0) -> dict:
+    return {
+        "n_points": ParamSpec("int", n_points, "grid sample count", _at_least("n_points", 8)),
+        "x_min": ParamSpec("float", x_min, "left grid edge"),
+        "x_max": ParamSpec("float", x_max, "right grid edge"),
+    }
 
-_STATE_PARAMS = {
-    "state": ParamSpec(
-        "str",
-        "cat-odd",
-        "initial state kind",
-        _choice("state", ("gaussian", "cat-odd", "cat-even")),
-    ),
-    "width": ParamSpec("float", 1.0, "Gaussian width", _positive("width")),
-    "center": ParamSpec("float", 0.0, "packet center (gaussian only)"),
-    "momentum": ParamSpec("float", 0.0, "packet momentum (gaussian only)"),
-    "separation": ParamSpec("float", 3.0, "cat branch offset", _positive("separation")),
-}
+
+def _state_params(state: str = "cat-odd", state_help: str = "initial state kind") -> dict:
+    return {
+        "state": ParamSpec(
+            "str", state, state_help, _choice("state", ("gaussian", "cat-odd", "cat-even"))
+        ),
+        "width": ParamSpec("float", 1.0, "Gaussian width", _positive("width")),
+        "center": ParamSpec("float", 0.0, "packet center (gaussian only)"),
+        "momentum": ParamSpec("float", 0.0, "packet momentum (gaussian only)"),
+        "separation": ParamSpec("float", 3.0, "cat branch offset", _positive("separation")),
+    }
 
 
 def _make_grid(p: dict) -> Grid1D:
@@ -280,15 +280,14 @@ def _run_epr(p: dict, outdir: str) -> list:
 def _run_negativity_decay(p: dict, outdir: str) -> list:
     grid = _make_grid(p)
     phys = PhysParams()
+    psi = _make_state(grid, phys, p)
     out = os.path.join(outdir, "negativity_decay.csv")
     if p["regime"] == "euclidean":
-        psi = _make_state(grid, phys, p)
         rho = density_from_wavefunction(psi)
         h = hamiltonian(grid, phys, harmonic_potential(p["omega"], phys))
         taus = np.linspace(0.0, p["tau_max"], p["n_samples"])
         points = negativity_trajectory(rho, h, taus, EUCLIDEAN, SYMMETRIC)
     else:  # minkowski-shear
-        psi = _make_state(grid, phys, p)
         wig = wigner_transform(psi)
         # commensurate times: each step shifts every row by a whole cell count
         t_star = phys.mass * grid.n_points * grid.dx**2 / (2.0 * np.pi * phys.hbar)
@@ -370,15 +369,13 @@ class Experiment:
 EXPERIMENTS = {
     "wigner": Experiment(
         "Wigner function of a chosen 1-D state with negativity metrics",
-        {**_GRID_PARAMS, **_STATE_PARAMS},
+        {**_grid_params(), **_state_params()},
         _run_wigner,
     ),
     "kernel-check": Experiment(
         "sliced imaginary-time kernel against the closed form as slices double",
         {
-            "n_points": ParamSpec("int", 512, "grid sample count", _at_least("n_points", 8)),
-            "x_min": ParamSpec("float", -16.0, "left grid edge"),
-            "x_max": ParamSpec("float", 16.0, "right grid edge"),
+            **_grid_params(512, -16.0, 16.0),
             "total_time": ParamSpec("float", 1.0, "total propagation time", _positive("total_time")),
             "slice_counts": ParamSpec("ints", (16, 32, 64, 128), "slice counts to compare"),
             "margin": ParamSpec(
@@ -390,9 +387,7 @@ EXPERIMENTS = {
     "commutator": Experiment(
         "position-momentum twist expectation on sliced free paths in both regimes",
         {
-            "n_points": ParamSpec("int", 512, "grid sample count", _at_least("n_points", 8)),
-            "x_min": ParamSpec("float", -16.0, "left grid edge"),
-            "x_max": ParamSpec("float", 16.0, "right grid edge"),
+            **_grid_params(512, -16.0, 16.0),
             "n_slices": ParamSpec("int", 8, "number of time slices", _at_least("n_slices", 2)),
             "total_time": ParamSpec("float", 1.0, "total time", _positive("total_time")),
             "slice_indices": ParamSpec("ints", (2, 5), "interior slice indices to probe"),
@@ -408,9 +403,7 @@ EXPERIMENTS = {
             # needs artifacts below ~1e-13 of peak for a clean weight ratio:
             # envelope tail exp(-x_max^2/4E^2) ~ 1e-15 at the border, and the
             # chirp alias shift 2 pi hbar T/(m dx) = 25 clears the whole box
-            "n_points": ParamSpec("int", 1536, "grid sample count", _at_least("n_points", 8)),
-            "x_min": ParamSpec("float", -11.5, "left grid edge"),
-            "x_max": ParamSpec("float", 11.5, "right grid edge"),
+            **_grid_params(1536, -11.5, 11.5),
             "s": ParamSpec("float", 0.05, "relative-coordinate width", _positive("s")),
             "envelope": ParamSpec("float", 1.0, "center-of-mass envelope width", _positive("envelope")),
             "time": ParamSpec("float", 0.06, "propagation time", _positive("time")),
@@ -428,15 +421,9 @@ EXPERIMENTS = {
         {
             # wide box: dp = 2 pi hbar / span must resolve the |cos(2 a p)|
             # fringe integral, or the f column picks up aliasing wiggles
-            "n_points": ParamSpec("int", 512, "grid sample count", _at_least("n_points", 8)),
-            "x_min": ParamSpec("float", -48.0, "left grid edge"),
-            "x_max": ParamSpec("float", 48.0, "right grid edge"),
-            **_STATE_PARAMS,
-            "state": ParamSpec(
-                "str",
-                "cat-even",
-                "initial state kind (even parity decays to the nodeless ground state)",
-                _choice("state", ("gaussian", "cat-odd", "cat-even")),
+            **_grid_params(512, -48.0, 48.0),
+            **_state_params(
+                "cat-even", "initial state kind (even parity decays to the nodeless ground state)"
             ),
             "regime": ParamSpec(
                 "str",
@@ -558,7 +545,10 @@ def build_config(experiment: str, raw_values: dict) -> ExperimentConfig:
 def run(config: ExperimentConfig, outdir: str) -> list:
     """Execute one experiment; returns the list of files written."""
     exp = EXPERIMENTS[config.experiment]
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {outdir!r}: {exc}") from None
     written = exp.runner(config.parameters, outdir)
     written.append(_manifest(outdir, config.experiment, config.parameters))
     return written

@@ -54,7 +54,7 @@ class PairWaveFunction:
         n = self.grid.n_points
         if amps.shape != (n, n):
             raise ValueError(f"amplitude shape {amps.shape} does not match grid ({n}, {n})")
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -131,8 +131,8 @@ def evolve_pair(pair: PairWaveFunction, time_extent: float, regime: str) -> Pair
     """
     row = free_kernel_row(pair.grid, time_extent, pair.params, regime)
     dx = pair.grid.dx
-    # K A K = ((A K)^T K)^T: both passes run along rows, where the FFT is
-    # fastest; the result goes back to C order for the float64 finiteness view
+    # K A K = ((A K)^T K)^T: both passes run along contiguous rows, where the
+    # FFT is fastest, and the result is returned in C order
     half = np.ascontiguousarray(_toeplitz_apply(row, pair.amplitudes).T)
     out = np.multiply(dx * dx, _toeplitz_apply(row, half).T, order="C")
     escape = _border_escape(out)

@@ -10,8 +10,9 @@ purity are preserved. Imaginary time comes in two conventions:
   stationary on anything commuting with H, but not Hermiticity-preserving,
   so its output skips the density-matrix validity checks (flagged strict=False).
 
-All exponentials go through one Hermitian eigendecomposition of H; grids in
-this package are small enough (<= 512) that dense eigh is the fast path.
+All exponentials go through one spectral step on one Hermitian
+eigendecomposition of H per call or per trajectory; grids in this package
+are small enough (<= 512) that dense eigh is the fast path.
 """
 
 from __future__ import annotations
@@ -21,16 +22,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridEscapeError, NumericalGuardError, TraceCollapseError
-from .grids import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams, WaveFunction, dft_matrix
+from .grids import (
+    EUCLIDEAN,
+    MINKOWSKI,
+    Grid1D,
+    PhysParams,
+    WaveFunction,
+    _check_schedule,
+    dft_matrix,
+)
 from .kernels import Potential
 from .phase_space import WignerGrid, wigner_of_density, negativity_ratio
 
 SIMILARITY = "similarity"
 SYMMETRIC = "symmetric"
 CONVENTIONS = (SIMILARITY, SYMMETRIC)
-
-_LOG_TRACE_FLOOR = np.log(1e-300)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -51,7 +57,7 @@ class DensityMatrix:
         n = self.grid.n_points
         if ent.shape != (n, n):
             raise ValueError(f"density shape {ent.shape} does not match grid ({n}, {n})")
-        if not np.all(np.isfinite(ent.view(np.float64))):
+        if not np.all(np.isfinite(ent)):
             raise ValueError("density entries must be finite")
         if self.strict:
             scale = max(float(np.max(np.abs(ent))), 1e-300)
@@ -95,7 +101,7 @@ class Hamiltonian:
         n = self.grid.n_points
         if ent.shape != (n, n):
             raise ValueError(f"Hamiltonian shape {ent.shape} does not match grid")
-        if not np.all(np.isfinite(ent.view(np.float64))):
+        if not np.all(np.isfinite(ent)):
             raise ValueError("Hamiltonian entries must be finite")
         scale = max(float(np.max(np.abs(ent))), 1e-300)
         herm = float(np.max(np.abs(ent - ent.conj().T)))
@@ -120,74 +126,68 @@ def hamiltonian(grid: Grid1D, params: PhysParams, potential: Potential | None = 
     return Hamiltonian(grid, ent, params)
 
 
-def _eigensystem(h: Hamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    return np.linalg.eigh(h.entries)
+def _check_operands(rho: DensityMatrix, h: Hamiltonian, convention: str) -> None:
+    if rho.grid != h.grid:
+        raise ValueError("density and Hamiltonian live on different grids")
+    if convention not in CONVENTIONS:
+        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+
+
+def _spectral_step(w, v, rho_eig, t, regime, convention, hbar, dx) -> tuple[np.ndarray, float]:
+    """Evolve rho_eig = V^H rho V, where H = V diag(w) V^H, by the time t.
+
+    Returns the grid entries and the log raw trace (0 unless damped). The
+    damping is shifted by w.min(), so the normalized state stays exact at
+    late times even where the reported raw trace underflows.
+    """
+    if regime == MINKOWSKI:
+        phase = np.exp(-1j * w * t / hbar)
+        ent = v @ (phase[:, None] * rho_eig * phase.conj()[None, :]) @ v.conj().T
+        return 0.5 * (ent + ent.conj().T), 0.0
+    if convention == SIMILARITY:
+        # exponent differences can overflow long before trace issues
+        spread = float(w.max() - w.min()) * t / hbar
+        if spread > 700.0:
+            raise NumericalGuardError(
+                f"similarity factors reach exp({spread:.1f}); exceeds float range"
+            )
+        factor = np.exp(-(w[:, None] - w[None, :]) * t / hbar)
+        return v @ (rho_eig * factor) @ v.conj().T, 0.0
+    decay = np.exp(-(w - w.min()) * t / hbar)
+    damped = decay[:, None] * rho_eig * decay[None, :]
+    shifted_trace = float(np.real(np.trace(damped)) * dx)
+    if shifted_trace <= 0.0:
+        raise TraceCollapseError("imaginary-time damping left no representable trace")
+    ent = v @ (damped / shifted_trace) @ v.conj().T
+    log_raw = np.log(shifted_trace) - 2.0 * w.min() * t / hbar
+    return 0.5 * (ent + ent.conj().T), float(log_raw)
+
+
+def _evolve(rho, h, t, regime, convention, strict) -> DensityMatrix:
+    """One evolution to time t: operand checks, one eigh of H, one spectral step."""
+    _check_operands(rho, h, convention)
+    if t == 0.0:
+        return rho
+    w, v = np.linalg.eigh(h.entries)
+    ent, _ = _spectral_step(
+        w, v, v.conj().T @ rho.entries @ v, t, regime, convention, rho.params.hbar, rho.grid.dx
+    )
+    return DensityMatrix(rho.grid, ent, rho.params, strict=strict)
 
 
 def evolve_density_minkowski(rho: DensityMatrix, h: Hamiltonian, t: float) -> DensityMatrix:
     """rho(t) = exp(-iHt/hbar) rho exp(+iHt/hbar). Reversible, spectrum-preserving."""
-    if rho.grid != h.grid:
-        raise ValueError("density and Hamiltonian live on different grids")
     if not np.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
-    if t == 0.0:
-        return rho
-    w, v = _eigensystem(h)
-    rho_eig = v.conj().T @ rho.entries @ v
-    phase = np.exp(-1j * w * t / rho.params.hbar)
-    evolved = v @ (phase[:, None] * rho_eig * phase.conj()[None, :]) @ v.conj().T
-    evolved = 0.5 * (evolved + evolved.conj().T)
-    return DensityMatrix(rho.grid, evolved, rho.params, strict=rho.strict)
-
-
-def _symmetric_step(
-    rho_eig: np.ndarray, w: np.ndarray, tau: float, hbar: float, dx: float
-) -> tuple[np.ndarray, float]:
-    """Damp in the H eigenbasis; returns (normalized rho_eig, log raw trace)."""
-    w0 = w - w.min()
-    decay = np.exp(-w0 * tau / hbar)
-    damped = decay[:, None] * rho_eig * decay[None, :]
-    shifted_trace = float(np.real(np.trace(damped)) * dx)
-    if shifted_trace <= 0.0:
-        raise TraceCollapseError(
-            "imaginary-time damping left no representable trace"
-        )
-    log_raw = np.log(shifted_trace) - 2.0 * w.min() * tau / hbar
-    if log_raw < _LOG_TRACE_FLOOR:
-        raise TraceCollapseError(
-            f"raw trace e^{log_raw:.1f} fell below 1e-300 at tau = {tau}"
-        )
-    return damped / shifted_trace, float(log_raw)
+    return _evolve(rho, h, t, MINKOWSKI, SYMMETRIC, rho.strict)
 
 
 def evolve_density_euclidean(
     rho: DensityMatrix, h: Hamiltonian, tau: float, convention: str = SYMMETRIC
 ) -> DensityMatrix:
-    if rho.grid != h.grid:
-        raise ValueError("density and Hamiltonian live on different grids")
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     if not (tau >= 0.0) or not np.isfinite(tau):
         raise ValueError(f"imaginary time must be >= 0, got {tau}")
-    if tau == 0.0:
-        return rho
-    hbar = rho.params.hbar
-    w, v = _eigensystem(h)
-    rho_eig = v.conj().T @ rho.entries @ v
-    if convention == SYMMETRIC:
-        normed, _ = _symmetric_step(rho_eig, w, tau, hbar, rho.grid.dx)
-        out = v @ normed @ v.conj().T
-        out = 0.5 * (out + out.conj().T)
-        return DensityMatrix(rho.grid, out, rho.params)
-    # similarity: exponent differences can overflow long before trace issues
-    spread = float(w.max() - w.min()) * tau / hbar
-    if spread > 700.0:
-        raise NumericalGuardError(
-            f"similarity factors reach exp({spread:.1f}); exceeds float range"
-        )
-    factor = np.exp(-(w[:, None] - w[None, :]) * tau / hbar)
-    out = v @ (rho_eig * factor) @ v.conj().T
-    return DensityMatrix(rho.grid, out, rho.params, strict=False)
+    return _evolve(rho, h, tau, EUCLIDEAN, convention, convention == SYMMETRIC)
 
 
 def free_wigner_shear(w: WignerGrid, t: float, params: PhysParams) -> WignerGrid:
@@ -226,17 +226,6 @@ class TrajectoryPoint:
     trace_raw: float
 
 
-def _check_schedule(tau_samples) -> np.ndarray:
-    taus = np.asarray(tau_samples, dtype=np.float64)
-    if taus.ndim != 1 or taus.size == 0:
-        raise ValueError("tau_samples must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(taus)):
-        raise ValueError("tau_samples must be finite")
-    if np.any(np.diff(taus) <= 0.0):
-        raise ValueError("tau_samples must be strictly increasing")
-    return taus
-
-
 def negativity_trajectory(
     rho0: DensityMatrix,
     h: Hamiltonian,
@@ -247,33 +236,19 @@ def negativity_trajectory(
     """Evolve, Wigner-transform and score the negativity ratio at each sample."""
     if regime not in (MINKOWSKI, EUCLIDEAN):
         raise ValueError(f"unknown regime {regime!r}")
-    if rho0.grid != h.grid:
-        raise ValueError("density and Hamiltonian live on different grids")
-    taus = _check_schedule(tau_samples)
-    if regime == EUCLIDEAN and np.any(taus < 0.0):
-        raise ValueError("imaginary-time samples must be >= 0")
+    _check_operands(rho0, h, convention)
+    taus = _check_schedule(tau_samples, nonnegative=regime == EUCLIDEAN)
     hbar = rho0.params.hbar
     dx = rho0.grid.dx
-    w, v = _eigensystem(h)
+    w, v = np.linalg.eigh(h.entries)
     rho_eig = v.conj().T @ rho0.entries @ v
     points: list[TrajectoryPoint] = []
     for tau in taus:
         if tau == 0.0:
             ent, log_raw = rho0.entries, 0.0
-        elif regime == MINKOWSKI:
-            phase = np.exp(-1j * w * tau / hbar)
-            ent = v @ (phase[:, None] * rho_eig * phase.conj()[None, :]) @ v.conj().T
-            ent = 0.5 * (ent + ent.conj().T)
-            log_raw = 0.0
-        elif convention == SYMMETRIC:
-            normed, log_raw = _symmetric_step(rho_eig, w, float(tau), hbar, dx)
-            ent = v @ normed @ v.conj().T
-            ent = 0.5 * (ent + ent.conj().T)
         else:
-            # similarity output may be non-Hermitian; wigner_of_density will
-            # reject it rather than this loop papering over the difference
-            evolved = evolve_density_euclidean(rho0, h, float(tau), SIMILARITY)
-            ent, log_raw = evolved.entries, 0.0
+            ent, log_raw = _spectral_step(w, v, rho_eig, float(tau), regime, convention, hbar, dx)
+        # similarity output may be non-Hermitian; wigner_of_density rejects it
         wig = wigner_of_density(ent, rho0.grid, rho0.params)
         points.append(
             TrajectoryPoint(

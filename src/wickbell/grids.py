@@ -90,7 +90,7 @@ class WaveFunction:
             raise ValueError(
                 f"amplitude shape {amps.shape} does not match grid ({self.grid.n_points},)"
             )
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -130,7 +130,7 @@ class Kernel:
 
 def _check_kernel_values(values: np.ndarray, regime: str) -> None:
     """Entry checks shared by dense kernels and free-kernel lag rows."""
-    if not np.all(np.isfinite(values.view(np.float64))):
+    if not np.all(np.isfinite(values)):
         raise ValueError("kernel entries must be finite")
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
@@ -139,6 +139,20 @@ def _check_kernel_values(values: np.ndarray, regime: str) -> None:
             raise ValueError("euclidean kernel entries must be real")
         if np.any(values.real < 0.0):
             raise ValueError("euclidean kernel entries must be non-negative")
+
+
+def _check_schedule(samples, nonnegative: bool = False) -> np.ndarray:
+    """Time samples: non-empty, finite, strictly increasing, optionally >= 0."""
+    taus = np.asarray(samples, dtype=np.float64)
+    if taus.ndim != 1 or taus.size == 0:
+        raise ValueError("tau_samples must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(taus)):
+        raise ValueError("tau_samples must be finite")
+    if nonnegative and np.any(taus < 0.0):
+        raise ValueError("tau_samples must be >= 0")
+    if np.any(np.diff(taus) <= 0.0):
+        raise ValueError("tau_samples must be strictly increasing")
+    return taus
 
 
 def gaussian_wavepacket(

@@ -76,6 +76,14 @@ class TestStateTypes:
         with pytest.raises(ValueError, match="4"):
             TwoQubitState(np.array([1.0, 0.0, 0.0]))
 
+    def test_strided_amplitudes_checked(self):
+        amps = np.zeros(8, dtype=complex)
+        amps[2], amps[4] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
+        assert np.array_equal(TwoQubitState(amps[::2]).amplitudes, singlet().amplitudes)
+        amps[6] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            TwoQubitState(amps[::2])
+
     def test_measurement_setting_angles(self):
         theta, phi = MeasurementSetting.of(1.0, 0.0, 0.0).angles
         assert theta == pytest.approx(np.pi / 2.0)

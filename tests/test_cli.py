@@ -217,6 +217,37 @@ class TestRunOutputs:
         assert np.all(np.diff(f) <= 1e-9)
         assert f[0] > 1.5 and f[-1] < 1.1
 
+    def test_negativity_decay_late_tau(self, capsys, tmp_path):
+        # the reported raw trace underflows to 0 long before the renormalized
+        # state stops being exact; the run must finish at the ground state
+        code = entry(
+            [
+                "run",
+                "negativity-decay",
+                "--out",
+                str(tmp_path),
+                "--set",
+                "tau_max=2000",
+                "--set",
+                "n_samples=4",
+            ]
+        )
+        assert code == 0
+        rows = read_csv(tmp_path / "negativity_decay.csv", ("tau", "f", "purity", "trace_raw"))
+        f = np.array([float(r[1]) for r in rows])
+        raw = np.array([float(r[3]) for r in rows])
+        assert np.all(np.diff(raw) <= 0.0)
+        assert raw[-1] == 0.0
+        assert abs(f[-1] - 1.0) < 1e-4
+
+    def test_out_naming_a_file(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.write_text("not a directory\n")
+        assert entry(["run", "chsh", "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "output directory" in err and str(target) in err
+        assert target.read_text() == "not a directory\n"
+
     def test_guard_exit_code(self, capsys, tmp_path):
         code = entry(
             [

@@ -205,6 +205,16 @@ class TestValidationAndCsv:
         with pytest.raises(ValueError, match="normalized"):
             momentum_anticorrelation(scaled)
 
+    def test_fortran_ordered_amplitudes_checked(self):
+        grid = Grid1D(-8.0, 8.0, 64)
+        pair = epr_initial_pair(grid, CorrelationWidth(0.5), 1.2, PHYS)
+        swapped = PairWaveFunction(grid, pair.amplitudes.T, PHYS)
+        assert np.array_equal(swapped.amplitudes, pair.amplitudes.T)
+        bad = pair.amplitudes.copy()
+        bad[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            PairWaveFunction(grid, bad.T, PHYS)
+
     def test_empty_window_rejected(self):
         grid = Grid1D(-8.0, 8.0, 64)
         pair = epr_initial_pair(grid, CorrelationWidth(0.5), 1.2, PHYS)

@@ -24,7 +24,7 @@ from wickbell.evolution import (
 from wickbell.grids import cat_state, gaussian_wavepacket
 from wickbell.kernels import free_kernel_minkowski, harmonic_potential
 from wickbell.grids import apply_kernel
-from wickbell.phase_space import negativity_ratio, wigner_transform
+from wickbell.phase_space import negativity_ratio, wigner_of_density, wigner_transform
 
 PHYS = PhysParams()
 
@@ -42,6 +42,13 @@ def ground_state_vector(h: Hamiltonian) -> np.ndarray:
     w, v = np.linalg.eigh(h.entries)
     vec = v[:, 0] / np.sqrt(h.grid.dx)
     return vec * np.exp(-1j * np.angle(vec[np.argmax(np.abs(vec))]))
+
+
+def commuting_mixture(h: Hamiltonian) -> DensityMatrix:
+    """0.7/0.3 mixture of the two lowest eigenprojectors of h."""
+    _, v = np.linalg.eigh(h.entries)
+    ent = 0.7 * np.outer(v[:, 0], v[:, 0].conj()) + 0.3 * np.outer(v[:, 1], v[:, 1].conj())
+    return DensityMatrix(h.grid, ent / h.grid.dx, h.params)
 
 
 def fidelity(rho: DensityMatrix, vec: np.ndarray) -> float:
@@ -71,6 +78,14 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match="shape"):
             Hamiltonian(GRID, np.eye(8), PHYS)
 
+    def test_transposed_entries_checked(self):
+        swapped = Hamiltonian(GRID, HARMONIC.entries.T, PHYS)
+        assert np.array_equal(swapped.entries, HARMONIC.entries.T)
+        bad = HARMONIC.entries.copy()
+        bad[4, 4] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            Hamiltonian(GRID, bad.T, PHYS)
+
 
 class TestDensityMatrix:
     def test_pure_state_trace_and_purity(self):
@@ -89,6 +104,15 @@ class TestDensityMatrix:
         rho = density_from_wavefunction(gaussian_wavepacket(GRID, PHYS))
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(GRID, 2.0 * rho.entries, PHYS)
+
+    def test_fortran_ordered_entries_checked(self):
+        rho = density_from_wavefunction(cat_state(GRID, PHYS, 3.0, 1.0, "even"))
+        swapped = DensityMatrix(GRID, np.asfortranarray(rho.entries), PHYS)
+        assert swapped.trace() == pytest.approx(1.0, abs=1e-12)
+        bad = np.asfortranarray(rho.entries)
+        bad[7, 7] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(GRID, bad, PHYS)
 
     def test_rejects_indefinite(self):
         w, v = np.linalg.eigh(HARMONIC.entries)
@@ -176,10 +200,27 @@ class TestEuclideanEvolution:
         with pytest.raises(NumericalGuardError, match="exp"):
             evolve_density_euclidean(rho, HARMONIC, 2.0, SIMILARITY)
 
-    def test_trace_collapse_guard(self):
+    def test_late_tau_reaches_ground_state(self):
+        # the raw trace e^{-E_0 2 tau} underflows here, but the shifted and
+        # renormalized evolution is exact and must not be rejected
         rho = density_from_wavefunction(gaussian_wavepacket(GRID, PHYS))
+        out = evolve_density_euclidean(rho, HARMONIC, 800.0, SYMMETRIC)
+        assert fidelity(out, ground_state_vector(HARMONIC)) > 1.0 - 1e-6
+        assert out.trace() == pytest.approx(1.0, abs=1e-10)
+
+    def test_trace_collapse_guard(self):
+        # diagonal H: eigh returns the identity basis, so a density living on
+        # level 5 alone has no ground-state weight and its shifted weight
+        # e^{-2 * 5 * 400} underflows to exactly zero
+        n = GRID.n_points
+        h = Hamiltonian(GRID, np.diag(np.arange(n, dtype=np.float64)), PHYS)
+        w, v = np.linalg.eigh(h.entries)
+        assert np.array_equal(v, np.eye(n))
+        ent = np.zeros((n, n))
+        ent[5, 5] = 1.0 / GRID.dx
+        rho = DensityMatrix(GRID, ent, PHYS)
         with pytest.raises(TraceCollapseError):
-            evolve_density_euclidean(rho, HARMONIC, 800.0, SYMMETRIC)
+            evolve_density_euclidean(rho, h, 400.0, SYMMETRIC)
 
     def test_rejects_negative_tau(self):
         rho = density_from_wavefunction(gaussian_wavepacket(GRID, PHYS))
@@ -266,6 +307,69 @@ class TestTrajectories:
             assert p.negativity == pytest.approx(1.0, abs=1e-12)
             assert abs(p.trace_raw - 1.0) < 1e-6
             assert 0.9 < p.purity <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize(
+        "regime, convention, taus",
+        [
+            (MINKOWSKI, SYMMETRIC, [-0.7, 0.0, 0.4, 1.9]),
+            (EUCLIDEAN, SYMMETRIC, [0.0, 0.3, 1.2, 5.0]),
+        ],
+    )
+    def test_samples_match_single_shot_evolution(self, monkeypatch, regime, convention, taus):
+        # every sample the trajectory scores must be the state the one-off
+        # evolution returns at the same time
+        import wickbell.evolution as evolution
+
+        seen = []
+
+        def capture(ent, grid, params):
+            seen.append(np.array(ent))
+            return wigner_of_density(ent, grid, params)
+
+        monkeypatch.setattr(evolution, "wigner_of_density", capture)
+        rho0 = density_from_wavefunction(cat_state(GRID, PHYS, 3.0, 1.0, "even"))
+        pts = negativity_trajectory(rho0, HARMONIC, taus, regime, convention)
+        assert len(seen) == len(taus)
+        for tau, ent, p in zip(taus, seen, pts):
+            if regime == MINKOWSKI:
+                single = evolve_density_minkowski(rho0, HARMONIC, tau)
+            else:
+                single = evolve_density_euclidean(rho0, HARMONIC, tau, convention)
+            assert np.max(np.abs(ent - single.entries)) < 1e-12
+            assert p.purity == pytest.approx(single.purity(), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "regime, convention",
+        [(MINKOWSKI, SYMMETRIC), (EUCLIDEAN, SYMMETRIC), (EUCLIDEAN, SIMILARITY)],
+    )
+    def test_one_eigendecomposition_per_trajectory(self, monkeypatch, regime, convention):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        rho0 = commuting_mixture(HARMONIC)
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        negativity_trajectory(rho0, HARMONIC, [0.0, 0.005, 0.01, 0.02], regime, convention)
+        assert calls == [HARMONIC.entries.shape]
+
+    def test_similarity_trajectory_fixes_commuting_density(self):
+        # same reason as test_similarity_fixes_commuting_density: a mixture of
+        # eigenprojectors commutes with H, so f and purity stay put (tau small
+        # because projector rounding is amplified by exp((E_max - E_min) tau))
+        rho0 = commuting_mixture(HARMONIC)
+        pts = negativity_trajectory(rho0, HARMONIC, [0.0, 0.005, 0.01, 0.02], EUCLIDEAN, SIMILARITY)
+        for p in pts[1:]:
+            assert p.negativity == pytest.approx(pts[0].negativity, abs=1e-8)
+            assert p.purity == pytest.approx(pts[0].purity, abs=1e-10)
+            assert p.trace_raw == 1.0
+
+    def test_similarity_trajectory_rejects_non_hermitian_output(self):
+        rho0 = density_from_wavefunction(cat_state(GRID, PHYS, 3.0, 1.0, "even"))
+        with pytest.raises(ValueError, match="Hermitian"):
+            negativity_trajectory(rho0, HARMONIC, [0.0, 0.01], EUCLIDEAN, SIMILARITY)
 
     def test_schedule_validation(self):
         rho0 = density_from_wavefunction(gaussian_wavepacket(GRID, PHYS))

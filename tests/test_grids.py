@@ -18,6 +18,7 @@ from oracles import (
 )
 from wickbell import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams, WaveFunction
 from wickbell.grids import (
+    Kernel,
     apply_kernel,
     cat_state,
     dft_matrix,
@@ -112,6 +113,16 @@ class TestWaveFunction:
             cat_state(g, PHYS, separation=3.0, parity="mixed")
 
 
+    def test_strided_amplitudes_checked(self):
+        # the finiteness check must not depend on memory layout
+        g = Grid1D(-1.0, 1.0, 16)
+        amps = np.ones(32, dtype=complex)
+        assert np.array_equal(WaveFunction(g, amps[::2]).amplitudes, amps[::2])
+        amps[4] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            WaveFunction(g, amps[::2])
+
+
 class TestInnerProduct:
     def test_self_inner_product_is_norm(self):
         g = Grid1D(-12.0, 12.0, 512)
@@ -147,6 +158,15 @@ class TestApplyKernel:
         psi = gaussian_wavepacket(g, PHYS, center=0.3, width=1.1, momentum=0.9)
         out = apply_kernel(identity_kernel(g), psi)
         assert np.max(np.abs(out.amplitudes - psi.amplitudes)) < 1e-12
+
+    def test_transposed_entries_checked(self):
+        g = Grid1D(-10.0, 10.0, 64)
+        k = free_kernel_minkowski(g, 0.5, PHYS)
+        assert np.array_equal(Kernel(g, k.entries.T, 0.5).entries, k.entries.T)
+        bad = free_kernel_euclidean(g, 0.5, PHYS).entries.copy()
+        bad[2, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            Kernel(g, bad.T, 0.5, EUCLIDEAN)
 
     def test_minkowski_matches_quadrature_oracle(self):
         g = Grid1D(-16.0, 16.0, 1024)
