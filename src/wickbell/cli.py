@@ -28,7 +28,6 @@ from .kernels import (
     SlicingPlan,
     commutator_expectation,
     free_kernel_euclidean,
-    free_kernel_minkowski,
     free_potential,
     harmonic_potential,
     sliced_kernel,
@@ -96,6 +95,15 @@ def _positive(name: str):
     return check
 
 
+def _finite(name: str):
+    def check(v):
+        if not np.isfinite(v):
+            return f"{name} must be finite, got {v}"
+        return None
+
+    return check
+
+
 def _at_least(name: str, bound: int):
     def check(v):
         if v < bound:
@@ -117,8 +125,8 @@ def _choice(name: str, options: tuple):
 def _grid_params(n_points: int = 256, x_min: float = -16.0, x_max: float = 16.0) -> dict:
     return {
         "n_points": ParamSpec("int", n_points, "grid sample count", _at_least("n_points", 8)),
-        "x_min": ParamSpec("float", x_min, "left grid edge"),
-        "x_max": ParamSpec("float", x_max, "right grid edge"),
+        "x_min": ParamSpec("float", x_min, "left grid edge", _finite("x_min")),
+        "x_max": ParamSpec("float", x_max, "right grid edge", _finite("x_max")),
     }
 
 
@@ -128,8 +136,8 @@ def _state_params(state: str = "cat-odd", state_help: str = "initial state kind"
             "str", state, state_help, _choice("state", ("gaussian", "cat-odd", "cat-even"))
         ),
         "width": ParamSpec("float", 1.0, "Gaussian width", _positive("width")),
-        "center": ParamSpec("float", 0.0, "packet center (gaussian only)"),
-        "momentum": ParamSpec("float", 0.0, "packet momentum (gaussian only)"),
+        "center": ParamSpec("float", 0.0, "packet center (gaussian only)", _finite("center")),
+        "momentum": ParamSpec("float", 0.0, "packet momentum (gaussian only)", _finite("momentum")),
         "separation": ParamSpec("float", 3.0, "cat branch offset", _positive("separation")),
     }
 
@@ -142,10 +150,14 @@ def _make_grid(p: dict) -> Grid1D:
 
 def _make_state(grid: Grid1D, phys: PhysParams, p: dict):
     kind = p["state"]
-    if kind == "gaussian":
-        return gaussian_wavepacket(grid, phys, p["center"], p["width"], p["momentum"])
-    parity = "odd" if kind == "cat-odd" else "even"
-    return cat_state(grid, phys, p["separation"], p["width"], parity)
+    keys = ("center", "width", "momentum") if kind == "gaussian" else ("separation", "width")
+    try:
+        if kind == "gaussian":
+            return gaussian_wavepacket(grid, phys, *(p[key] for key in keys))
+        return cat_state(grid, phys, *(p[key] for key in keys), kind.removeprefix("cat-"))
+    except ValueError as exc:
+        given = ", ".join(f"{key}={_canonical(p[key])}" for key in keys)
+        raise ConfigError(f"state {kind} ({given}) on {grid}: {exc}") from None
 
 
 def _manifest(outdir: str, experiment: str, p: dict) -> str:
@@ -455,7 +467,7 @@ EXPERIMENTS = {
     "chsh": Experiment(
         "optimized CHSH for the singlet and the CNOT-generated Bell state",
         {
-            "seed": ParamSpec("int", 0, "optimizer seed"),
+            "seed": ParamSpec("int", 0, "optimizer seed", _at_least("seed", 0)),
             "restarts": ParamSpec("int", 16, "optimizer restarts", _at_least("restarts", 1)),
         },
         _run_chsh,
@@ -463,7 +475,7 @@ EXPERIMENTS = {
     "chsh-decay": Experiment(
         "CHSH under a positive diagonal kernel, with the unitary control run",
         {
-            "seed": ParamSpec("int", 0, "optimizer seed"),
+            "seed": ParamSpec("int", 0, "optimizer seed", _at_least("seed", 0)),
             "restarts": ParamSpec("int", 16, "optimizer restarts", _at_least("restarts", 1)),
             "tau_max": ParamSpec("float", 8.0, "final (imaginary) time", _positive("tau_max")),
             "n_samples": ParamSpec("int", 33, "number of schedule samples", _at_least("n_samples", 2)),

@@ -29,7 +29,8 @@ from .grids import (
     PhysParams,
     WaveFunction,
     _check_schedule,
-    dft_matrix,
+    _toeplitz,
+    dual_grid,
 )
 from .kernels import Potential
 from .phase_space import WignerGrid, wigner_of_density, negativity_ratio
@@ -113,16 +114,16 @@ class Hamiltonian:
 def hamiltonian(grid: Grid1D, params: PhysParams, potential: Potential | None = None) -> Hamiltonian:
     """p^2/2m built spectrally on the dual grid, plus an optional diagonal V.
 
-    The spectral kinetic term keeps eigenvalue errors at rounding level
-    instead of the O(dx^2) of finite differences.
+    The kinetic operator is the circulant whose lag row is the inverse FFT of
+    p_k^2/2m taken in FFT order, ifft(ifftshift(p^2/2m)). That row is real
+    and even (row[d] = row[n - d]), so the circulant is the exactly symmetric
+    Toeplitz matrix row[|f - i|]. The spectral kinetic term keeps eigenvalue
+    errors at rounding level instead of the O(dx^2) of finite differences.
     """
-    pgrid, fwd = dft_matrix(grid, params)
-    kin_diag = pgrid.x**2 / (2.0 * params.mass)
-    scale = pgrid.dx / grid.dx
-    kin = scale * (fwd.conj().T @ (kin_diag[:, None] * fwd))
-    ent = 0.5 * (kin + kin.conj().T)
+    kin = np.fft.ifftshift(dual_grid(grid, params).x ** 2 / (2.0 * params.mass))
+    ent = _toeplitz(np.fft.ifft(kin).real)
     if potential is not None:
-        ent = ent + np.diag(potential(grid.x)).astype(np.complex128)
+        ent = ent + np.diag(potential(grid.x))
     return Hamiltonian(grid, ent, params)
 
 

@@ -141,6 +141,12 @@ def _check_kernel_values(values: np.ndarray, regime: str) -> None:
             raise ValueError("euclidean kernel entries must be non-negative")
 
 
+def _toeplitz(row: np.ndarray) -> np.ndarray:
+    """Symmetric Toeplitz matrix T[f, i] = row[|f - i|] from its lag row."""
+    idx = np.arange(len(row))
+    return row[np.abs(idx[:, None] - idx[None, :])]
+
+
 def _check_schedule(samples, nonnegative: bool = False) -> np.ndarray:
     """Time samples: non-empty, finite, strictly increasing, optionally >= 0."""
     taus = np.asarray(samples, dtype=np.float64)
@@ -218,6 +224,9 @@ def dft_matrix(grid: Grid1D, params: PhysParams) -> tuple[Grid1D, np.ndarray]:
 
     M[k, j] = dx / sqrt(2 pi hbar) * exp(-i p_k x_j / hbar). Preserves the
     physical norm: sum |phi|^2 dp == sum |psi|^2 dx exactly.
+
+    Reference only: the package applies this map by FFT (`_momentum_fft`).
+    Kept as the dense oracle of the tests; the benchmark trace wraps it by name.
     """
     pgrid = dual_grid(grid, params)
     phase = np.exp(-1j * np.outer(pgrid.x, grid.x) / params.hbar)
@@ -238,13 +247,10 @@ def momentum_representation(psi: WaveFunction) -> WaveFunction:
 
 def _momentum_fft(amps: np.ndarray, grid: Grid1D, params: PhysParams, axis: int = -1) -> tuple:
     """The dft_matrix map applied along one axis of `amps`, in O(n log n)."""
-    n = grid.n_points
     pgrid = dual_grid(grid, params)
     shape = [1] * amps.ndim
-    shape[axis] = n
-    # shift so that FFT bin k corresponds to p_k = (k - n//2) dp
-    pre = np.exp(2j * np.pi * (n // 2) * np.arange(n) / n).reshape(shape)
-    raw = np.fft.fft(amps * pre, axis=axis)
+    shape[axis] = grid.n_points
+    raw = np.fft.fftshift(np.fft.fft(amps, axis=axis), axes=axis)
     post = grid.dx / np.sqrt(2.0 * np.pi * params.hbar) * np.exp(
         -1j * pgrid.x * grid.x_min / params.hbar
     )

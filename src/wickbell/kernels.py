@@ -36,9 +36,8 @@ from .grids import (
     Grid1D,
     Kernel,
     PhysParams,
-    WaveFunction,
     _check_kernel_values,
-    gaussian_wavepacket,
+    _toeplitz,
 )
 
 
@@ -105,21 +104,15 @@ def free_kernel_row(grid: Grid1D, time_extent: float, params: PhysParams, regime
     return row
 
 
-def _free_matrix(grid: Grid1D, time_extent: float, params: PhysParams, regime: str) -> np.ndarray:
-    row = free_kernel_row(grid, time_extent, params, regime)
-    idx = np.arange(grid.n_points)
-    return row[np.abs(idx[:, None] - idx[None, :])]
-
-
 def free_kernel_minkowski(grid: Grid1D, time_extent: float, params: PhysParams) -> Kernel:
     """Analytic real-time free kernel on the grid."""
-    entries = _free_matrix(grid, time_extent, params, MINKOWSKI)
+    entries = _toeplitz(free_kernel_row(grid, time_extent, params, MINKOWSKI))
     return Kernel(grid, entries, time_extent, MINKOWSKI)
 
 
 def free_kernel_euclidean(grid: Grid1D, time_extent: float, params: PhysParams) -> Kernel:
     """Analytic imaginary-time free kernel (the heat kernel) on the grid."""
-    entries = _free_matrix(grid, time_extent, params, EUCLIDEAN)
+    entries = _toeplitz(free_kernel_row(grid, time_extent, params, EUCLIDEAN))
     return Kernel(grid, entries, time_extent, EUCLIDEAN)
 
 
@@ -150,7 +143,8 @@ def _slice_matrix(
     # or exp(-eps V / hbar) in imaginary time
     v = potential(0.5 * (grid.x[:, None] + grid.x[None, :]))
     unit = -1j if regime == MINKOWSKI else -1.0
-    return _free_matrix(grid, eps, params, regime) * np.exp(unit * eps * v / params.hbar)
+    free = _toeplitz(free_kernel_row(grid, eps, params, regime))
+    return free * np.exp(unit * eps * v / params.hbar)
 
 
 def _check_slice_resolution(grid: Grid1D, eps: float, params: PhysParams) -> None:

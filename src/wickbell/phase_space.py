@@ -6,12 +6,15 @@ The transform evaluated here is
 
 with the prefactor fixed so that the double integral of W is exactly the
 squared norm of the state. The y integral needs psi at half-grid points;
-those come from an exact factor-2 FFT interpolation (zero padding with the
-Nyquist bin split symmetrically), which reproduces the original samples at
-even indices identically. Consequence: the p-marginal of the returned W
-equals |psi(x_j)|^2 to machine rounding, not merely to quadrature accuracy.
+those come from an exact factor-2 FFT interpolation (zero padding, with the
+Nyquist bin split symmetrically when n is even), which reproduces the
+original samples at even indices identically. Consequence: the p-marginal of
+the returned W equals |psi(x_j)|^2 to machine rounding, not merely to
+quadrature accuracy.
 
-The momentum axis is the Nyquist-complete dual grid of the position axis.
+The momentum axis is the Nyquist-complete dual grid of the position axis, on
+which exp(i p y / hbar) repeats every n lags: lags m and m - n fold onto one
+column, and the lag sum is one inverse FFT of the folded correlation.
 """
 
 from __future__ import annotations
@@ -68,33 +71,39 @@ class PhaseSpaceObservable:
 def _upsample2(amps: np.ndarray) -> np.ndarray:
     """Exact FFT interpolation onto the half-spacing grid (length doubles).
 
-    Splitting the Nyquist coefficient across +-n/2 keeps real inputs real and
-    makes the even-index samples equal the originals to rounding.
+    Splitting the Nyquist coefficient (even n only) across +-n/2 keeps real
+    inputs real; the even-index samples equal the originals to rounding.
     """
     n = amps.shape[-1]
     spec = np.fft.fft(amps, axis=-1)
-    shape = list(amps.shape)
-    shape[-1] = 2 * n
-    out = np.zeros(shape, dtype=np.complex128)
+    out = np.zeros(amps.shape[:-1] + (2 * n,), dtype=np.complex128)
     h = n // 2
-    out[..., :h] = spec[..., :h]
-    out[..., h] = 0.5 * spec[..., h]
-    out[..., 2 * n - h] = 0.5 * spec[..., h]
-    out[..., 2 * n - h + 1 :] = spec[..., h + 1 :]
+    out[..., : h + 1] = spec[..., : h + 1]
+    out[..., h + 1 - n :] = spec[..., h + 1 :]
+    if n % 2 == 0:
+        out[..., h] *= 0.5
+        out[..., -h] = out[..., h]
     return np.fft.ifft(out, axis=-1) * 2.0
 
 
-def _wigner_from_half_grid(
-    corr: np.ndarray, grid: Grid1D, params: PhysParams
-) -> "WignerGrid":
-    """Finish the transform given corr[j, l] = conj(psi)(x_j + y_l/2) psi(x_j - y_l/2)."""
+def _folded_lags(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half-grid indices of x_j + y/2 and x_j - y/2 for the lags y = m dx and
+    (m - n) dx, shape (2, n, n). A lag longer than the half-cell distance from
+    x_j to the nearer edge leaves the box: both indices then point at -1,
+    where the caller appends a zero sample."""
+    centre = 2 * np.arange(n)[:, None]
+    lags = np.arange(n) - np.array([0, n])[:, None, None]
+    outside = np.abs(lags) > np.minimum(centre, 2 * n - 1 - centre)
+    return np.where(outside, -1, centre + lags), np.where(outside, -1, centre - lags)
+
+
+def _wigner_from_folded(corr: np.ndarray, grid: Grid1D, params: PhysParams) -> "WignerGrid":
+    """Finish the transform given the lag-folded corr[j, m] of
+    conj(psi)(x_j + y/2) psi(x_j - y/2)."""
     n = grid.n_points
-    pgrid = dual_grid(grid, params)
-    ls = np.arange(-(n - 1), n)
-    ks = np.arange(n) - n // 2
-    # exp(i p_k y_l / hbar) collapses to a pure DFT phase on this dual grid
-    phases = np.exp(2j * np.pi * np.outer(ls, ks) / n)
-    w = (grid.dx / (2.0 * np.pi * params.hbar)) * (corr @ phases)
+    w = (grid.dx * n / (2.0 * np.pi * params.hbar)) * np.fft.fftshift(
+        np.fft.ifft(corr, axis=1), axes=1
+    )
     residue = float(np.max(np.abs(w.imag)))
     scale = float(np.max(np.abs(w.real))) or 1.0
     if residue > 1e-10 * max(scale, 1.0):
@@ -102,21 +111,18 @@ def _wigner_from_half_grid(
             f"Wigner transform produced imaginary residue {residue:.3g}; "
             "input is not a valid state or density"
         )
-    return WignerGrid(grid, pgrid, np.ascontiguousarray(w.real), params)
+    return WignerGrid(grid, dual_grid(grid, params), np.ascontiguousarray(w.real), params)
 
 
 def wigner_transform(psi: WaveFunction) -> WignerGrid:
     """Wigner function of a normalized pure state."""
     if abs(psi.norm_squared() - 1.0) > 1e-8:
         raise ValueError("wigner_transform expects a normalized wavefunction")
-    n = psi.grid.n_points
-    half = _upsample2(psi.amplitudes)
-    padded = np.zeros(4 * n, dtype=np.complex128)
-    padded[n : 3 * n] = half
-    idx = 2 * np.arange(n)[:, None] + n
-    ls = np.arange(-(n - 1), n)[None, :]
-    corr = np.conj(padded[idx + ls]) * padded[idx - ls]
-    return _wigner_from_half_grid(corr, psi.grid, psi.params)
+    half = np.append(_upsample2(psi.amplitudes), 0.0)
+    plus, minus = _folded_lags(psi.grid.n_points)
+    conj = np.conj(half)
+    corr = conj[plus[0]] * half[minus[0]] + conj[plus[1]] * half[minus[1]]
+    return _wigner_from_folded(corr, psi.grid, psi.params)
 
 
 def wigner_of_density(rho_entries: np.ndarray, grid: Grid1D, params: PhysParams) -> WignerGrid:
@@ -131,13 +137,11 @@ def wigner_of_density(rho_entries: np.ndarray, grid: Grid1D, params: PhysParams)
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     if herm > 1e-8 * max(float(np.max(np.abs(rho))), 1e-300):
         raise ValueError("density matrix must be Hermitian for a real Wigner function")
-    half = _upsample2(_upsample2(rho).T).T  # both indices onto the half grid
-    padded = np.zeros((4 * n, 4 * n), dtype=np.complex128)
-    padded[n : 3 * n, n : 3 * n] = half
-    idx = 2 * np.arange(n)[:, None] + n
-    ls = np.arange(-(n - 1), n)[None, :]
-    corr = padded[idx - ls, idx + ls]
-    return _wigner_from_half_grid(corr, grid, params)
+    # both indices onto the half grid, plus one zero row and column at -1
+    half = np.pad(_upsample2(_upsample2(rho).T).T, ((0, 1), (0, 1)))
+    plus, minus = _folded_lags(n)
+    corr = half[minus[0], plus[0]] + half[minus[1], plus[1]]
+    return _wigner_from_folded(corr, grid, params)
 
 
 def expectation_phase_space(w: WignerGrid, obs: PhaseSpaceObservable) -> float:

@@ -256,6 +256,33 @@ def excited_state_negativity(hbar=1.0) -> float:
     return float(num / den)
 
 
+def dense_wigner_of_density(rho, dx, hbar=1.0) -> np.ndarray:
+    """W[j, k] of density samples rho[a, b] by the dense lag sum.
+
+    Half-grid samples come from a dense trigonometric interpolation matrix
+    (the Nyquist term, present for even n only, as the cosine it splits
+    into), the lag sum over y_l = l dx, l = -(n-1) .. n-1, is the
+    (n x 2n-1)(2n-1 x n) product with the dual-grid phases
+    exp(i p_k y_l / hbar) = exp(2 pi i l (k - n//2) / n). No FFT and no
+    folding of the lag axis. Returns the complex W.
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    n = rho.shape[0]
+    offset = np.arange(2 * n)[:, None] / 2.0 - np.arange(n)[None, :]
+    freqs = np.arange(-((n - 1) // 2), (n - 1) // 2 + 1)
+    interp = np.sum(np.exp(2j * np.pi * offset[..., None] * freqs / n), axis=-1) / n
+    if n % 2 == 0:
+        interp += np.cos(np.pi * offset) / n
+    half = interp @ rho @ interp.T
+    j = np.arange(n)[:, None]
+    lags = np.arange(-(n - 1), n)
+    minus, plus = 2 * j - lags, 2 * j + lags
+    inside = (np.minimum(minus, plus) >= 0) & (np.maximum(minus, plus) < 2 * n)
+    corr = np.where(inside, half[np.clip(minus, 0, 2 * n - 1), np.clip(plus, 0, 2 * n - 1)], 0.0)
+    phases = np.exp(2j * np.pi * np.outer(lags, np.arange(n) - n // 2) / n)
+    return (dx / (2.0 * np.pi * hbar)) * (corr @ phases)
+
+
 # ---------------------------------------------------------------------------
 # EPR pair moments (pure Gaussian algebra)
 # ---------------------------------------------------------------------------

@@ -65,6 +65,31 @@ class TestValidation:
         assert "config error: parameter time:" in err
         assert "positive and finite" in err
 
+    @pytest.mark.parametrize(
+        "key, value", [("x_min", "-inf"), ("x_max", "nan"), ("center", "nan"), ("momentum", "inf")]
+    )
+    def test_non_finite_grid_or_state_value(self, capsys, tmp_path, key, value):
+        code = entry(["run", "wigner", "--out", str(tmp_path), "--set", f"{key}={value}"])
+        assert code == 2
+        assert f"config error: parameter {key}: {key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["chsh", "chsh-decay"])
+    def test_negative_seed(self, capsys, tmp_path, experiment):
+        code = entry(["run", experiment, "--out", str(tmp_path), "--set", "seed=-1"])
+        assert code == 2
+        assert "config error: parameter seed: seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["center=100", "width=0.001"])
+    def test_state_vanishing_on_grid(self, capsys, tmp_path, override):
+        code = entry(
+            ["run", "wigner", "--out", str(tmp_path)]
+            + ["--set", "state=gaussian", "--set", override]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: state gaussian (center=" in err
+        assert override in err and "Grid1D(x_min=-16.0, x_max=16.0, n_points=256)" in err
+
     def test_unparsable_value(self, capsys, tmp_path):
         code = entry(["run", "chsh", "--out", str(tmp_path), "--set", "seed=many"])
         assert code == 2
@@ -239,6 +264,25 @@ class TestRunOutputs:
         assert np.all(np.diff(raw) <= 0.0)
         assert raw[-1] == 0.0
         assert abs(f[-1] - 1.0) < 1e-4
+
+    @pytest.mark.parametrize(
+        "experiment, overrides",
+        [
+            ("wigner", ["n_points=255"]),
+            ("negativity-decay", ["n_points=65", "x_min=-12", "x_max=12"]),
+            (
+                "negativity-decay",
+                ["n_points=65", "x_min=-12", "x_max=12"]
+                + ["regime=minkowski-shear", "n_samples=3"],
+            ),
+        ],
+    )
+    def test_odd_grid(self, capsys, tmp_path, experiment, overrides):
+        argv = ["run", experiment, "--out", str(tmp_path)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert entry(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_out_naming_a_file(self, capsys, tmp_path):
         target = tmp_path / "taken"

@@ -21,7 +21,7 @@ from wickbell.evolution import (
     shear_negativity_trajectory,
     trajectory_to_csv,
 )
-from wickbell.grids import cat_state, gaussian_wavepacket
+from wickbell.grids import cat_state, dft_matrix, gaussian_wavepacket
 from wickbell.kernels import free_kernel_minkowski, harmonic_potential
 from wickbell.grids import apply_kernel
 from wickbell.phase_space import negativity_ratio, wigner_of_density, wigner_transform
@@ -67,6 +67,16 @@ class TestHamiltonian:
         psi = gaussian_wavepacket(GRID, PHYS, width=1.0)
         val = np.real(psi.amplitudes.conj() @ h.entries @ psi.amplitudes) * GRID.dx
         assert val == pytest.approx(0.25, abs=1e-6)  # <p^2>/2m = hbar^2/(4 m w^2)
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_matches_dense_dft_product(self, n):
+        # kinetic term against (dp/dx) F^H diag(p^2/2m) F with the dense DFT
+        g = Grid1D(-8.0, 8.0, n)
+        pgrid, fwd = dft_matrix(g, PHYS)
+        kin = (pgrid.dx / g.dx) * (fwd.conj().T @ ((pgrid.x**2 / 2.0)[:, None] * fwd))
+        h = hamiltonian(g, PHYS, harmonic_potential(1.0, PHYS))
+        dense = kin + np.diag(0.5 * g.x**2)
+        assert np.max(np.abs(h.entries - dense)) < 1e-12 * np.max(np.abs(h.entries))
 
     def test_rejects_non_hermitian(self):
         ent = np.diag(np.arange(GRID.n_points, dtype=float)).astype(complex)

@@ -283,13 +283,14 @@ class TestMomentumRepresentation:
             momentum_representation(scaled)
 
     def test_dense_dft_agrees_with_fft_path(self):
-        g = Grid1D(-12.0, 12.0, 256)
-        psi = gaussian_wavepacket(g, PHYS, center=0.4, width=1.1, momentum=-0.9)
-        pgrid, fwd = dft_matrix(g, PHYS)
-        dense = fwd @ psi.amplitudes
-        fft = momentum_representation(psi)
-        assert fft.grid == pgrid
-        assert np.max(np.abs(dense - fft.amplitudes)) < 1e-10
+        for n in (256, 255):
+            g = Grid1D(-12.0, 12.0, n)
+            psi = gaussian_wavepacket(g, PHYS, center=0.4, width=1.1, momentum=-0.9)
+            pgrid, fwd = dft_matrix(g, PHYS)
+            dense = fwd @ psi.amplitudes
+            fft = momentum_representation(psi)
+            assert fft.grid == pgrid
+            assert np.max(np.abs(dense - fft.amplitudes)) < 1e-10
 
 
 class TestCsv:

@@ -5,6 +5,8 @@ Grids here are offset so that x = 0 and p = 0 are exact sample points
 be compared without interpolation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from oracles import (
     cat_negativity_exact,
     cat_wigner_point,
+    dense_wigner_of_density,
     excited_state_negativity,
     gaussian_wigner_point,
 )
@@ -245,6 +248,68 @@ class TestDensityRoute:
         g = offset_grid(6.0, 64)
         with pytest.raises(ValueError, match="shape"):
             wigner_of_density(np.eye(32), g, PHYS)
+
+
+class TestOddGrids:
+    # odd n has no Nyquist bin; the half-grid interpolation must not split one
+    @pytest.mark.parametrize("n, half_span", [(65, 12.0), (255, 24.0)])
+    def test_matches_closed_forms(self, n, half_span):
+        g = Grid1D(-half_span, half_span, n)
+        cases = [
+            (
+                gaussian_wavepacket(g, PHYS, center=0.4, width=1.2, momentum=-0.7),
+                lambda x, p: gaussian_wigner_point(x, p, 1.2, 0.4, -0.7),
+            )
+        ]
+        for parity in ("odd", "even"):
+            cases.append(
+                (
+                    cat_state(g, PHYS, separation=3.0, width=1.0, parity=parity),
+                    lambda x, p, parity=parity: cat_wigner_point(x, p, 3.0, 1.0, parity),
+                )
+            )
+        for psi, exact in cases:
+            w = wigner_transform(psi)
+            ref = exact(w.x_axis.x[:, None], w.p_axis.x[None, :])
+            assert np.max(np.abs(w.values - ref)) < 1e-10
+            rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+            wd = wigner_of_density(rho, g, PHYS)
+            assert np.max(np.abs(wd.values - w.values)) < 1e-10
+            p_marginal = np.sum(w.values, axis=1) * w.p_axis.dx
+            assert np.max(np.abs(p_marginal - np.abs(psi.amplitudes) ** 2)) < 1e-10
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_both_transforms_match_dense_lag_sum(self, n):
+        g = Grid1D(-6.0, 6.0, n)
+        rng = np.random.default_rng(n)
+        raw = (rng.normal(size=n) + 1j * rng.normal(size=n)) * np.exp(-0.15 * g.x**2)
+        psi = WaveFunction(g, raw, PHYS).normalized()
+        pure = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        ref = dense_wigner_of_density(pure, g.dx, PHYS.hbar)
+        peak = np.max(np.abs(ref))
+        assert np.max(np.abs(wigner_transform(psi).values - ref)) < 1e-13 * peak
+        assert np.max(np.abs(wigner_of_density(pure, g, PHYS).values - ref)) < 1e-13 * peak
+        boosted = gaussian_wavepacket(g, PHYS, center=0.5, width=0.8, momentum=1.0)
+        mixed = 0.6 * pure + 0.4 * np.outer(boosted.amplitudes, boosted.amplitudes.conj())
+        ref = dense_wigner_of_density(mixed, g.dx, PHYS.hbar)
+        peak = np.max(np.abs(ref))
+        assert np.max(np.abs(wigner_of_density(mixed, g, PHYS).values - ref)) < 1e-13 * peak
+
+    def test_density_transform_memory_is_bounded(self):
+        # the half-grid density (2n x 2n) and its FFTs dominate: 16 n^2 bytes
+        # per complex 2n x 2n array, 4 MiB at n = 256
+        g = offset_grid(12.0, 256)
+        psi = gaussian_wavepacket(g, PHYS)
+        rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        tracemalloc.start()
+        try:
+            wigner_of_density(rho, g, PHYS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestCsv:
