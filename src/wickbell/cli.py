@@ -34,8 +34,6 @@ from .kernels import (
 )
 from .phase_space import negativity_ratio, wigner_to_csv, wigner_transform
 from .evolution import (
-    SYMMETRIC,
-    density_from_wavefunction,
     hamiltonian,
     negativity_trajectory,
     shear_negativity_trajectory,
@@ -148,16 +146,30 @@ def _make_grid(p: dict) -> Grid1D:
     return Grid1D(p["x_min"], p["x_max"], p["n_points"])
 
 
+def _guarded(label: str, p: dict, keys: tuple, grid: Grid1D, build: Callable):
+    """build() with numpy overflow, division by zero and invalid values raised;
+    an arithmetic or value error is a ConfigError naming the parameters in
+    `keys`. Underflow stays silent: Gaussian tails underflow on every valid
+    grid."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return build()
+    except (ValueError, ArithmeticError) as exc:
+        given = ", ".join(f"{key}={_canonical(p[key])}" for key in keys)
+        raise ConfigError(f"{label} ({given}) on {grid}: {exc}") from None
+
+
 def _make_state(grid: Grid1D, phys: PhysParams, p: dict):
     kind = p["state"]
     keys = ("center", "width", "momentum") if kind == "gaussian" else ("separation", "width")
-    try:
+    args = [p[key] for key in keys]
+
+    def build():
         if kind == "gaussian":
-            return gaussian_wavepacket(grid, phys, *(p[key] for key in keys))
-        return cat_state(grid, phys, *(p[key] for key in keys), kind.removeprefix("cat-"))
-    except ValueError as exc:
-        given = ", ".join(f"{key}={_canonical(p[key])}" for key in keys)
-        raise ConfigError(f"state {kind} ({given}) on {grid}: {exc}") from None
+            return gaussian_wavepacket(grid, phys, *args)
+        return cat_state(grid, phys, *args, kind.removeprefix("cat-"))
+
+    return _guarded(f"state {kind}", p, keys, grid, build)
 
 
 def _manifest(outdir: str, experiment: str, p: dict) -> str:
@@ -247,7 +259,13 @@ def _run_commutator(p: dict, outdir: str) -> list:
 def _run_epr(p: dict, outdir: str) -> list:
     grid = _make_grid(p)
     phys = PhysParams()
-    pair = epr_initial_pair(grid, CorrelationWidth(p["s"]), p["envelope"], phys)
+    pair = _guarded(
+        "pair",
+        p,
+        ("s", "envelope"),
+        grid,
+        lambda: epr_initial_pair(grid, CorrelationWidth(p["s"]), p["envelope"], phys),
+    )
     t = p["time"]
     evolved_m = evolve_pair(pair, t, MINKOWSKI)
     evolved_e = evolve_pair(pair, t, EUCLIDEAN)
@@ -295,10 +313,15 @@ def _run_negativity_decay(p: dict, outdir: str) -> list:
     psi = _make_state(grid, phys, p)
     out = os.path.join(outdir, "negativity_decay.csv")
     if p["regime"] == "euclidean":
-        rho = density_from_wavefunction(psi)
-        h = hamiltonian(grid, phys, harmonic_potential(p["omega"], phys))
+        h = _guarded(
+            "trap",
+            p,
+            ("omega",),
+            grid,
+            lambda: hamiltonian(grid, phys, harmonic_potential(p["omega"], phys)),
+        )
         taus = np.linspace(0.0, p["tau_max"], p["n_samples"])
-        points = negativity_trajectory(rho, h, taus, EUCLIDEAN, SYMMETRIC)
+        points = negativity_trajectory(psi, h, taus, EUCLIDEAN)
     else:  # minkowski-shear
         wig = wigner_transform(psi)
         # commensurate times: each step shifts every row by a whole cell count

@@ -1,18 +1,19 @@
-"""Density-matrix evolution in real and imaginary time, and the free shear.
+"""Density-matrix and wavefunction evolution in real and imaginary time, and
+the free shear.
 
 Real time conjugates by the unitary exp(-i H t / hbar); spectrum, trace and
-purity are preserved. Imaginary time comes in two conventions:
+purity are preserved. Imaginary time is the symmetric damping
+exp(-H tau/hbar) rho exp(-H tau/hbar), renormalized: the semigroup that
+projects onto the ground state and drives the negativity ratio down.
 
-* "symmetric": exp(-H tau/hbar) rho exp(-H tau/hbar), renormalized. This is
-  the damping semigroup that projects onto the ground state and drives the
-  negativity ratio down; all experiments use it.
-* "similarity": exp(-H tau/hbar) rho exp(+H tau/hbar). Trace-preserving and
-  stationary on anything commuting with H, but not Hermiticity-preserving,
-  so its output skips the density-matrix validity checks (flagged strict=False).
-
-All exponentials go through one spectral step on one Hermitian
-eigendecomposition of H per call or per trajectory; grids in this package
-are small enough (<= 512) that dense eigh is the fast path.
+All exponentials go through one spectral step, which turns the eigenvalues
+of one Hermitian eigendecomposition of H per call or per trajectory into
+per-level factors; grids in this package are small enough (<= 512) that
+dense eigh is the fast path. Negativity trajectories evolve the pure state
+itself, psi(tau) = V (f * V^H psi0), renormalized: after the one eigh each
+sample costs one O(n^2) matvec and one pure-state Wigner transform. The
+damped density of a pure state is the projector onto this psi, so nothing
+is lost against evolving rho.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridEscapeError, NumericalGuardError, TraceCollapseError
+from .errors import GridEscapeError, TraceCollapseError
 from .grids import (
     EUCLIDEAN,
     MINKOWSKI,
@@ -33,25 +34,16 @@ from .grids import (
     dual_grid,
 )
 from .kernels import Potential
-from .phase_space import WignerGrid, wigner_of_density, negativity_ratio
+from .phase_space import WignerGrid, negativity_ratio, wigner_transform
 
-SIMILARITY = "similarity"
-SYMMETRIC = "symmetric"
-CONVENTIONS = (SIMILARITY, SYMMETRIC)
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """rho(x, x') on a grid; physical trace is sum(diag) * dx.
-
-    strict=False marks outputs of the similarity convention, which are
-    legitimate intermediate objects but not valid states; only finiteness
-    is enforced for them.
-    """
+    """rho(x, x') on a grid; physical trace is sum(diag) * dx."""
 
     grid: Grid1D
     entries: np.ndarray = field(repr=False, compare=False)
     params: PhysParams = PhysParams()
-    strict: bool = True
 
     def __post_init__(self):
         ent = np.asarray(self.entries, dtype=np.complex128)
@@ -60,20 +52,19 @@ class DensityMatrix:
             raise ValueError(f"density shape {ent.shape} does not match grid ({n}, {n})")
         if not np.all(np.isfinite(ent)):
             raise ValueError("density entries must be finite")
-        if self.strict:
-            scale = max(float(np.max(np.abs(ent))), 1e-300)
-            herm = float(np.max(np.abs(ent - ent.conj().T)))
-            if herm > 1e-10 * scale:
-                raise ValueError(f"density matrix not Hermitian (residue {herm:.3g})")
-            tr = self.trace_of(ent)
-            if abs(tr - 1.0) > 1e-10:
-                raise ValueError(f"density trace {tr!r} is not 1")
-            lam = np.linalg.eigvalsh(0.5 * (ent + ent.conj().T))
-            if float(lam.min()) * self.grid.dx < -1e-8:
-                raise ValueError(
-                    f"density matrix not positive semidefinite (min eigenvalue "
-                    f"{float(lam.min()) * self.grid.dx:.3g})"
-                )
+        scale = max(float(np.max(np.abs(ent))), 1e-300)
+        herm = float(np.max(np.abs(ent - ent.conj().T)))
+        if herm > 1e-10 * scale:
+            raise ValueError(f"density matrix not Hermitian (residue {herm:.3g})")
+        tr = self.trace_of(ent)
+        if abs(tr - 1.0) > 1e-10:
+            raise ValueError(f"density trace {tr!r} is not 1")
+        lam = np.linalg.eigvalsh(0.5 * (ent + ent.conj().T))
+        if float(lam.min()) * self.grid.dx < -1e-8:
+            raise ValueError(
+                f"density matrix not positive semidefinite (min eigenvalue "
+                f"{float(lam.min()) * self.grid.dx:.3g})"
+            )
         object.__setattr__(self, "entries", ent)
 
     def trace_of(self, ent: np.ndarray) -> float:
@@ -127,68 +118,54 @@ def hamiltonian(grid: Grid1D, params: PhysParams, potential: Potential | None = 
     return Hamiltonian(grid, ent, params)
 
 
-def _check_operands(rho: DensityMatrix, h: Hamiltonian, convention: str) -> None:
-    if rho.grid != h.grid:
-        raise ValueError("density and Hamiltonian live on different grids")
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+def _check_operands(state, h: Hamiltonian) -> None:
+    if state.grid != h.grid:
+        raise ValueError("state and Hamiltonian live on different grids")
 
 
-def _spectral_step(w, v, rho_eig, t, regime, convention, hbar, dx) -> tuple[np.ndarray, float]:
-    """Evolve rho_eig = V^H rho V, where H = V diag(w) V^H, by the time t.
+def _spectral_step(w, populations, t, regime, hbar, dx) -> tuple[np.ndarray, float, float]:
+    """Per-level factors f of exp(-iHt/hbar) or exp(-Ht/hbar), H = V diag(w) V^H.
 
-    Returns the grid entries and the log raw trace (0 unless damped). The
-    damping is shifted by w.min(), so the normalized state stays exact at
-    late times even where the reported raw trace underflows.
+    Returns f, the trace the factors leave from the eigenbasis populations
+    (1 in real time) and the log raw trace (0 in real time). The damping is
+    shifted by w.min(), so the normalized state stays exact at late times
+    even where the reported raw trace underflows.
     """
     if regime == MINKOWSKI:
-        phase = np.exp(-1j * w * t / hbar)
-        ent = v @ (phase[:, None] * rho_eig * phase.conj()[None, :]) @ v.conj().T
-        return 0.5 * (ent + ent.conj().T), 0.0
-    if convention == SIMILARITY:
-        # exponent differences can overflow long before trace issues
-        spread = float(w.max() - w.min()) * t / hbar
-        if spread > 700.0:
-            raise NumericalGuardError(
-                f"similarity factors reach exp({spread:.1f}); exceeds float range"
-            )
-        factor = np.exp(-(w[:, None] - w[None, :]) * t / hbar)
-        return v @ (rho_eig * factor) @ v.conj().T, 0.0
-    decay = np.exp(-(w - w.min()) * t / hbar)
-    damped = decay[:, None] * rho_eig * decay[None, :]
-    shifted_trace = float(np.real(np.trace(damped)) * dx)
+        return np.exp(-1j * w * t / hbar), 1.0, 0.0
+    f = np.exp(-(w - w.min()) * t / hbar)
+    shifted_trace = float(np.sum(f**2 * populations) * dx)
     if shifted_trace <= 0.0:
         raise TraceCollapseError("imaginary-time damping left no representable trace")
-    ent = v @ (damped / shifted_trace) @ v.conj().T
-    log_raw = np.log(shifted_trace) - 2.0 * w.min() * t / hbar
-    return 0.5 * (ent + ent.conj().T), float(log_raw)
+    return f, shifted_trace, float(np.log(shifted_trace) - 2.0 * w.min() * t / hbar)
 
 
-def _evolve(rho, h, t, regime, convention, strict) -> DensityMatrix:
+def _evolve(rho, h, t, regime) -> DensityMatrix:
     """One evolution to time t: operand checks, one eigh of H, one spectral step."""
-    _check_operands(rho, h, convention)
+    _check_operands(rho, h)
     if t == 0.0:
         return rho
     w, v = np.linalg.eigh(h.entries)
-    ent, _ = _spectral_step(
-        w, v, v.conj().T @ rho.entries @ v, t, regime, convention, rho.params.hbar, rho.grid.dx
+    rho_eig = v.conj().T @ rho.entries @ v
+    f, trace, _ = _spectral_step(
+        w, np.real(np.diag(rho_eig)), t, regime, rho.params.hbar, rho.grid.dx
     )
-    return DensityMatrix(rho.grid, ent, rho.params, strict=strict)
+    ent = v @ (f[:, None] * rho_eig * f.conj()[None, :] / trace) @ v.conj().T
+    return DensityMatrix(rho.grid, 0.5 * (ent + ent.conj().T), rho.params)
 
 
 def evolve_density_minkowski(rho: DensityMatrix, h: Hamiltonian, t: float) -> DensityMatrix:
     """rho(t) = exp(-iHt/hbar) rho exp(+iHt/hbar). Reversible, spectrum-preserving."""
     if not np.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
-    return _evolve(rho, h, t, MINKOWSKI, SYMMETRIC, rho.strict)
+    return _evolve(rho, h, t, MINKOWSKI)
 
 
-def evolve_density_euclidean(
-    rho: DensityMatrix, h: Hamiltonian, tau: float, convention: str = SYMMETRIC
-) -> DensityMatrix:
+def evolve_density_euclidean(rho: DensityMatrix, h: Hamiltonian, tau: float) -> DensityMatrix:
+    """rho(tau) = exp(-H tau/hbar) rho exp(-H tau/hbar), renormalized to trace 1."""
     if not (tau >= 0.0) or not np.isfinite(tau):
         raise ValueError(f"imaginary time must be >= 0, got {tau}")
-    return _evolve(rho, h, tau, EUCLIDEAN, convention, convention == SYMMETRIC)
+    return _evolve(rho, h, tau, EUCLIDEAN)
 
 
 def free_wigner_shear(w: WignerGrid, t: float, params: PhysParams) -> WignerGrid:
@@ -228,34 +205,34 @@ class TrajectoryPoint:
 
 
 def negativity_trajectory(
-    rho0: DensityMatrix,
-    h: Hamiltonian,
-    tau_samples,
-    regime: str = EUCLIDEAN,
-    convention: str = SYMMETRIC,
+    psi0: WaveFunction, h: Hamiltonian, tau_samples, regime: str = EUCLIDEAN
 ) -> list[TrajectoryPoint]:
-    """Evolve, Wigner-transform and score the negativity ratio at each sample."""
+    """Evolve psi0, Wigner-transform and score the negativity ratio at each sample.
+
+    One eigh of H; per sample psi(tau) = V (f * c) / sqrt(trace) with
+    c = V^H psi0, so the state stays pure and its purity is ||psi||^4.
+    """
     if regime not in (MINKOWSKI, EUCLIDEAN):
         raise ValueError(f"unknown regime {regime!r}")
-    _check_operands(rho0, h, convention)
+    _check_operands(psi0, h)
     taus = _check_schedule(tau_samples, nonnegative=regime == EUCLIDEAN)
-    hbar = rho0.params.hbar
-    dx = rho0.grid.dx
+    psi0 = psi0.normalized()
     w, v = np.linalg.eigh(h.entries)
-    rho_eig = v.conj().T @ rho0.entries @ v
+    c = v.conj().T @ psi0.amplitudes
+    populations = np.abs(c) ** 2
     points: list[TrajectoryPoint] = []
     for tau in taus:
-        if tau == 0.0:
-            ent, log_raw = rho0.entries, 0.0
-        else:
-            ent, log_raw = _spectral_step(w, v, rho_eig, float(tau), regime, convention, hbar, dx)
-        # similarity output may be non-Hermitian; wigner_of_density rejects it
-        wig = wigner_of_density(ent, rho0.grid, rho0.params)
+        psi, log_raw = psi0, 0.0
+        if tau != 0.0:
+            f, trace, log_raw = _spectral_step(
+                w, populations, float(tau), regime, psi0.params.hbar, psi0.grid.dx
+            )
+            psi = WaveFunction(psi0.grid, v @ (f * c) / np.sqrt(trace), psi0.params)
         points.append(
             TrajectoryPoint(
                 tau=float(tau),
-                negativity=negativity_ratio(wig),
-                purity=float(np.sum(np.abs(ent) ** 2) * dx**2),
+                negativity=negativity_ratio(wigner_transform(psi)),
+                purity=psi.norm_squared() ** 2,
                 trace_raw=float(np.exp(log_raw)),
             )
         )

@@ -49,8 +49,13 @@ class Grid1D:
     def __post_init__(self):
         if self.n_points < 8:
             raise ValueError(f"n_points must be >= 8, got {self.n_points}")
+        for name in ("x_min", "x_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.x_max > self.x_min):
             raise ValueError(f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]")
+        if not np.isfinite(self.extent):
+            raise ValueError(f"x_max - x_min overflows, got [{self.x_min}, {self.x_max}]")
         object.__setattr__(
             self, "x", self.x_min + np.arange(self.n_points) * self.dx
         )
@@ -255,26 +260,3 @@ def _momentum_fft(amps: np.ndarray, grid: Grid1D, params: PhysParams, axis: int 
         -1j * pgrid.x * grid.x_min / params.hbar
     )
     return pgrid, post.reshape(shape) * raw
-
-
-def wavefunction_to_csv(psi: WaveFunction, path) -> None:
-    from .csvio import write_csv
-
-    write_csv(
-        path,
-        ("x", "re", "im"),
-        zip(psi.grid.x, psi.amplitudes.real, psi.amplitudes.imag),
-    )
-
-
-def wavefunction_from_csv(path, params: PhysParams = PhysParams()) -> WaveFunction:
-    from .csvio import read_csv
-
-    rows = read_csv(path, ("x", "re", "im"))
-    data = np.array([[float(c) for c in row] for row in rows])
-    x = data[:, 0]
-    dxs = np.diff(x)
-    if len(x) < 8 or np.max(np.abs(dxs - dxs[0])) > 1e-9 * max(abs(dxs[0]), 1e-300):
-        raise ValueError(f"{path}: x column is not a uniform grid")
-    grid = Grid1D(float(x[0]), float(x[-1]), len(x))
-    return WaveFunction(grid, data[:, 1] + 1j * data[:, 2], params)

@@ -62,8 +62,13 @@ def free_potential() -> Potential:
 def harmonic_potential(omega: float, params: PhysParams) -> Potential:
     if omega <= 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    m = params.mass
-    return Potential(lambda x: 0.5 * m * omega**2 * x**2, f"harmonic(omega={omega})")
+    try:
+        stiffness = 0.5 * params.mass * omega**2
+    except OverflowError:
+        stiffness = np.inf
+    if not np.isfinite(stiffness):
+        raise ValueError(f"omega = {omega} overflows the stiffness m omega^2 / 2")
+    return Potential(lambda x: stiffness * x**2, f"harmonic(omega={omega})")
 
 
 @dataclass(frozen=True)
@@ -245,16 +250,3 @@ def commutator_expectation(
         mu = np.linalg.solve(a, b)
         second += mu[j] * (2.0 * mu[j] - mu[j - 1] - mu[j + 1])
     return complex(m / eps * second)
-
-
-def kernel_to_csv(kernel: Kernel, path) -> None:
-    from .csvio import write_csv
-
-    x = kernel.grid.x
-    n = kernel.grid.n_points
-    rows = (
-        (x[f], x[i], kernel.entries[f, i].real, kernel.entries[f, i].imag)
-        for f in range(n)
-        for i in range(n)
-    )
-    write_csv(path, ("x_f", "x_i", "re", "im"), rows)

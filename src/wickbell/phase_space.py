@@ -170,24 +170,3 @@ def wigner_to_csv(w: WignerGrid, path) -> None:
         for k in range(npts)
     )
     write_csv(path, ("x", "p", "w"), rows)
-
-
-def wigner_from_csv(path, params: PhysParams = PhysParams()) -> WignerGrid:
-    from .csvio import read_csv
-
-    rows = read_csv(path, ("x", "p", "w"))
-    data = np.array([[float(c) for c in row] for row in rows])
-    p0 = data[0, 1]
-    npts = 1
-    while npts < len(data) and data[npts, 1] != p0:
-        npts += 1
-    if len(data) % npts:
-        raise ValueError(f"{path}: ragged phase-space block (period {npts})")
-    nx = len(data) // npts
-    x = data[::npts, 0]
-    p = data[:npts, 1]
-    x_axis = Grid1D(float(x[0]), float(x[-1]), nx)
-    p_axis = Grid1D(float(p[0]), float(p[-1]), npts)
-    if np.max(np.abs(x_axis.x - x)) > 1e-9 or np.max(np.abs(p_axis.x - p)) > 1e-9:
-        raise ValueError(f"{path}: axes are not uniform grids")
-    return WignerGrid(x_axis, p_axis, data[:, 2].reshape(nx, npts), params)

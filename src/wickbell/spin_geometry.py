@@ -291,14 +291,6 @@ def resolution_of_identity_residual(n_samples: int = 1_000_000) -> float:
     return float(np.max(np.abs(accumulated - np.eye(2))))
 
 
-def path_from_csv(path_file) -> SphericalPath:
-    from .csvio import read_csv
-
-    rows = read_csv(path_file, ("n_x", "n_y", "n_z"))
-    verts = tuple(UnitVector.of(float(a), float(b), float(c)) for a, b, c in rows)
-    return SphericalPath(verts, closed=True)
-
-
 def phases_to_csv(records, path) -> None:
     """records: iterable of (loop_id, solid_angle, wz_phase)."""
     from .csvio import write_csv

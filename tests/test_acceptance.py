@@ -34,8 +34,6 @@ from wickbell.epr import (
     momentum_anticorrelation,
 )
 from wickbell.evolution import (
-    SYMMETRIC,
-    density_from_wavefunction,
     free_wigner_shear,
     hamiltonian,
     negativity_trajectory,
@@ -169,9 +167,9 @@ def test_acceptance_04_negativity_survives_unitary_dies_under_damping():
     """
     g = offset_grid(48.0, 512)
     h = hamiltonian(g, PHYS, harmonic_potential(1.0, PHYS))
-    rho0 = density_from_wavefunction(cat_state(g, PHYS, 3.0, 1.0, "even"))
+    psi0 = cat_state(g, PHYS, 3.0, 1.0, "even")
     taus = np.linspace(0.0, 6.0, 32)
-    pts = negativity_trajectory(rho0, h, taus, EUCLIDEAN, SYMMETRIC)
+    pts = negativity_trajectory(psi0, h, taus, EUCLIDEAN)
     f = np.array([p.negativity for p in pts])
     assert np.all(np.diff(f) <= 1e-6)
     assert f[0] > 1.5

@@ -90,6 +90,30 @@ class TestValidation:
         assert "config error: state gaussian (center=" in err
         assert override in err and "Grid1D(x_min=-16.0, x_max=16.0, n_points=256)" in err
 
+    @pytest.mark.parametrize(
+        "experiment, overrides, named",
+        [
+            ("wigner", ["separation=1e308"], "separation=1e+308"),
+            ("wigner", ["state=gaussian", "center=1e308"], "center=1e+308"),
+            ("wigner", ["state=gaussian", "momentum=1e308"], "momentum=1e+308"),
+            ("wigner", ["width=1e-200"], "width=9.9999999999999998e-201"),
+            ("epr", ["s=1e-200"], "s=9.9999999999999998e-201, envelope=1"),
+            ("epr", ["envelope=1e308"], "s=0.050000000000000003, envelope=1e+308"),
+            ("negativity-decay", ["omega=1e200"], "omega=9.9999999999999997e+199"),
+            ("negativity-decay", ["omega=1e153"], "omega=1e+153"),
+        ],
+    )
+    def test_float_error_in_build(self, capsys, tmp_path, experiment, overrides, named):
+        # overflow, division and invalid results while building the state or
+        # the trap are raised, not printed, and reported as configuration
+        # errors naming the parameters
+        args = ["run", experiment, "--out", str(tmp_path)]
+        for item in overrides:
+            args += ["--set", item]
+        assert entry(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+
     def test_unparsable_value(self, capsys, tmp_path):
         code = entry(["run", "chsh", "--out", str(tmp_path), "--set", "seed=many"])
         assert code == 2

@@ -5,11 +5,9 @@ phase-space shear for free real-time motion.
 import numpy as np
 import pytest
 
-from wickbell import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams
-from wickbell.errors import GridEscapeError, NumericalGuardError, TraceCollapseError
+from wickbell import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams, WaveFunction
+from wickbell.errors import GridEscapeError, TraceCollapseError
 from wickbell.evolution import (
-    SIMILARITY,
-    SYMMETRIC,
     DensityMatrix,
     Hamiltonian,
     density_from_wavefunction,
@@ -24,7 +22,7 @@ from wickbell.evolution import (
 from wickbell.grids import cat_state, dft_matrix, gaussian_wavepacket
 from wickbell.kernels import free_kernel_minkowski, harmonic_potential
 from wickbell.grids import apply_kernel
-from wickbell.phase_space import negativity_ratio, wigner_of_density, wigner_transform
+from wickbell.phase_space import negativity_ratio, wigner_transform
 
 PHYS = PhysParams()
 
@@ -42,13 +40,6 @@ def ground_state_vector(h: Hamiltonian) -> np.ndarray:
     w, v = np.linalg.eigh(h.entries)
     vec = v[:, 0] / np.sqrt(h.grid.dx)
     return vec * np.exp(-1j * np.angle(vec[np.argmax(np.abs(vec))]))
-
-
-def commuting_mixture(h: Hamiltonian) -> DensityMatrix:
-    """0.7/0.3 mixture of the two lowest eigenprojectors of h."""
-    _, v = np.linalg.eigh(h.entries)
-    ent = 0.7 * np.outer(v[:, 0], v[:, 0].conj()) + 0.3 * np.outer(v[:, 1], v[:, 1].conj())
-    return DensityMatrix(h.grid, ent / h.grid.dx, h.params)
 
 
 def fidelity(rho: DensityMatrix, vec: np.ndarray) -> float:
@@ -179,7 +170,7 @@ class TestEuclideanEvolution:
 
     def test_symmetric_projects_onto_ground_state(self):
         rho = density_from_wavefunction(cat_state(GRID, PHYS, 3.0, 1.0, "even"))
-        out = evolve_density_euclidean(rho, HARMONIC, 20.0, SYMMETRIC)
+        out = evolve_density_euclidean(rho, HARMONIC, 20.0)
         vec = ground_state_vector(HARMONIC)
         assert fidelity(out, vec) > 1.0 - 1e-6
         assert out.purity() > 1.0 - 1e-6
@@ -188,33 +179,14 @@ class TestEuclideanEvolution:
     def test_eigenprojector_is_stationary(self):
         vec = ground_state_vector(HARMONIC)
         rho = DensityMatrix(GRID, np.outer(vec, vec.conj()), PHYS)
-        out = evolve_density_euclidean(rho, HARMONIC, 1.5, SYMMETRIC)
+        out = evolve_density_euclidean(rho, HARMONIC, 1.5)
         assert np.max(np.abs(out.entries - rho.entries)) < 1e-10
-
-    def test_similarity_fixes_commuting_density(self):
-        # a mixture of eigenprojectors commutes with H, so the similarity
-        # conjugation must return it untouched (trace included); tau is kept
-        # small because the off-diagonal rounding of the projectors is
-        # amplified by exp((E_max - E_min) tau / hbar)
-        w, v = np.linalg.eigh(HARMONIC.entries)
-        dx = GRID.dx
-        ent = (0.7 * np.outer(v[:, 0], v[:, 0].conj()) + 0.3 * np.outer(v[:, 1], v[:, 1].conj())) / dx
-        rho = DensityMatrix(GRID, ent, PHYS)
-        out = evolve_density_euclidean(rho, HARMONIC, 0.02, SIMILARITY)
-        assert out.strict is False
-        assert np.max(np.abs(out.entries - rho.entries)) < 1e-10
-        assert out.trace() == pytest.approx(1.0, abs=1e-8)
-
-    def test_similarity_overflow_guard(self):
-        rho = density_from_wavefunction(gaussian_wavepacket(GRID, PHYS))
-        with pytest.raises(NumericalGuardError, match="exp"):
-            evolve_density_euclidean(rho, HARMONIC, 2.0, SIMILARITY)
 
     def test_late_tau_reaches_ground_state(self):
         # the raw trace e^{-E_0 2 tau} underflows here, but the shifted and
         # renormalized evolution is exact and must not be rejected
         rho = density_from_wavefunction(gaussian_wavepacket(GRID, PHYS))
-        out = evolve_density_euclidean(rho, HARMONIC, 800.0, SYMMETRIC)
+        out = evolve_density_euclidean(rho, HARMONIC, 800.0)
         assert fidelity(out, ground_state_vector(HARMONIC)) > 1.0 - 1e-6
         assert out.trace() == pytest.approx(1.0, abs=1e-10)
 
@@ -230,17 +202,12 @@ class TestEuclideanEvolution:
         ent[5, 5] = 1.0 / GRID.dx
         rho = DensityMatrix(GRID, ent, PHYS)
         with pytest.raises(TraceCollapseError):
-            evolve_density_euclidean(rho, h, 400.0, SYMMETRIC)
+            evolve_density_euclidean(rho, h, 400.0)
 
     def test_rejects_negative_tau(self):
         rho = density_from_wavefunction(gaussian_wavepacket(GRID, PHYS))
         with pytest.raises(ValueError, match=">= 0"):
             evolve_density_euclidean(rho, HARMONIC, -0.5)
-
-    def test_rejects_unknown_convention(self):
-        rho = density_from_wavefunction(gaussian_wavepacket(GRID, PHYS))
-        with pytest.raises(ValueError, match="convention"):
-            evolve_density_euclidean(rho, HARMONIC, 0.5, "antisymmetric")
 
 
 class TestFreeWignerShear:
@@ -283,9 +250,9 @@ class TestTrajectories:
     def test_euclidean_negativity_decays_monotonically(self):
         g = offset_grid(48.0, 512)
         h = hamiltonian(g, PHYS, harmonic_potential(1.0, PHYS))
-        rho0 = density_from_wavefunction(cat_state(g, PHYS, 3.0, 1.0, "even"))
+        psi0 = cat_state(g, PHYS, 3.0, 1.0, "even")
         taus = np.linspace(0.2, 3.0, 8)
-        pts = negativity_trajectory(rho0, h, taus, EUCLIDEAN, SYMMETRIC)
+        pts = negativity_trajectory(psi0, h, taus, EUCLIDEAN)
         f = np.array([p.negativity for p in pts])
         assert np.all(np.diff(f) <= 1e-9)
         assert f[-1] < f[0]
@@ -295,8 +262,8 @@ class TestTrajectories:
     def test_minkowski_trajectory_keeps_negativity(self):
         g = offset_grid(48.0, 512)
         h = hamiltonian(g, PHYS, harmonic_potential(1.0, PHYS))
-        rho0 = density_from_wavefunction(cat_state(g, PHYS, 3.0, 1.0, "odd"))
-        pts = negativity_trajectory(rho0, h, np.linspace(0.5, 2.0, 4), MINKOWSKI)
+        psi0 = cat_state(g, PHYS, 3.0, 1.0, "odd")
+        pts = negativity_trajectory(psi0, h, np.linspace(0.5, 2.0, 4), MINKOWSKI)
         for p in pts:
             assert p.negativity > 1.2
             assert p.purity == pytest.approx(1.0, abs=1e-8)
@@ -319,40 +286,38 @@ class TestTrajectories:
             assert 0.9 < p.purity <= 1.0 + 1e-9
 
     @pytest.mark.parametrize(
-        "regime, convention, taus",
-        [
-            (MINKOWSKI, SYMMETRIC, [-0.7, 0.0, 0.4, 1.9]),
-            (EUCLIDEAN, SYMMETRIC, [0.0, 0.3, 1.2, 5.0]),
-        ],
+        "regime, taus",
+        [(MINKOWSKI, [-0.7, 0.0, 0.4, 1.9]), (EUCLIDEAN, [0.0, 0.3, 1.2, 5.0])],
+        ids=["minkowski-symmetric-taus0", "euclidean-symmetric-taus1"],
     )
-    def test_samples_match_single_shot_evolution(self, monkeypatch, regime, convention, taus):
-        # every sample the trajectory scores must be the state the one-off
-        # evolution returns at the same time
+    def test_samples_match_single_shot_evolution(self, monkeypatch, regime, taus):
+        # every state the trajectory scores must be the pure state whose
+        # projector the one-off density evolution returns at the same time
         import wickbell.evolution as evolution
 
         seen = []
 
-        def capture(ent, grid, params):
-            seen.append(np.array(ent))
-            return wigner_of_density(ent, grid, params)
+        def capture(psi):
+            seen.append(psi.amplitudes.copy())
+            return wigner_transform(psi)
 
-        monkeypatch.setattr(evolution, "wigner_of_density", capture)
-        rho0 = density_from_wavefunction(cat_state(GRID, PHYS, 3.0, 1.0, "even"))
-        pts = negativity_trajectory(rho0, HARMONIC, taus, regime, convention)
+        monkeypatch.setattr(evolution, "wigner_transform", capture)
+        psi0 = cat_state(GRID, PHYS, 3.0, 1.0, "even")
+        rho0 = density_from_wavefunction(psi0)
+        pts = negativity_trajectory(psi0, HARMONIC, taus, regime)
         assert len(seen) == len(taus)
-        for tau, ent, p in zip(taus, seen, pts):
+        for tau, amps, p in zip(taus, seen, pts):
             if regime == MINKOWSKI:
                 single = evolve_density_minkowski(rho0, HARMONIC, tau)
             else:
-                single = evolve_density_euclidean(rho0, HARMONIC, tau, convention)
-            assert np.max(np.abs(ent - single.entries)) < 1e-12
+                single = evolve_density_euclidean(rho0, HARMONIC, tau)
+            assert np.max(np.abs(np.outer(amps, amps.conj()) - single.entries)) < 1e-12
             assert p.purity == pytest.approx(single.purity(), abs=1e-12)
 
     @pytest.mark.parametrize(
-        "regime, convention",
-        [(MINKOWSKI, SYMMETRIC), (EUCLIDEAN, SYMMETRIC), (EUCLIDEAN, SIMILARITY)],
+        "regime", [MINKOWSKI, EUCLIDEAN], ids=["minkowski-symmetric", "euclidean-symmetric"]
     )
-    def test_one_eigendecomposition_per_trajectory(self, monkeypatch, regime, convention):
+    def test_one_eigendecomposition_per_trajectory(self, monkeypatch, regime):
         calls = []
         eigh = np.linalg.eigh
 
@@ -360,39 +325,34 @@ class TestTrajectories:
             calls.append(a.shape)
             return eigh(a, *args, **kwargs)
 
-        rho0 = commuting_mixture(HARMONIC)
+        psi0 = cat_state(GRID, PHYS, 3.0, 1.0, "even")
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        negativity_trajectory(rho0, HARMONIC, [0.0, 0.005, 0.01, 0.02], regime, convention)
+        negativity_trajectory(psi0, HARMONIC, [0.0, 0.005, 0.01, 0.02], regime)
         assert calls == [HARMONIC.entries.shape]
 
-    def test_similarity_trajectory_fixes_commuting_density(self):
-        # same reason as test_similarity_fixes_commuting_density: a mixture of
-        # eigenprojectors commutes with H, so f and purity stay put (tau small
-        # because projector rounding is amplified by exp((E_max - E_min) tau))
-        rho0 = commuting_mixture(HARMONIC)
-        pts = negativity_trajectory(rho0, HARMONIC, [0.0, 0.005, 0.01, 0.02], EUCLIDEAN, SIMILARITY)
-        for p in pts[1:]:
-            assert p.negativity == pytest.approx(pts[0].negativity, abs=1e-8)
-            assert p.purity == pytest.approx(pts[0].purity, abs=1e-10)
-            assert p.trace_raw == 1.0
-
-    def test_similarity_trajectory_rejects_non_hermitian_output(self):
-        rho0 = density_from_wavefunction(cat_state(GRID, PHYS, 3.0, 1.0, "even"))
-        with pytest.raises(ValueError, match="Hermitian"):
-            negativity_trajectory(rho0, HARMONIC, [0.0, 0.01], EUCLIDEAN, SIMILARITY)
+    def test_trace_collapse_guard(self):
+        # as TestEuclideanEvolution.test_trace_collapse_guard: a state on
+        # level 5 alone of a diagonal H has its shifted weight e^{-2 * 5 * 400}
+        # underflow to exactly zero
+        n = GRID.n_points
+        h = Hamiltonian(GRID, np.diag(np.arange(n, dtype=np.float64)), PHYS)
+        amps = np.zeros(n)
+        amps[5] = 1.0 / np.sqrt(GRID.dx)
+        with pytest.raises(TraceCollapseError):
+            negativity_trajectory(WaveFunction(GRID, amps, PHYS), h, [400.0])
 
     def test_schedule_validation(self):
-        rho0 = density_from_wavefunction(gaussian_wavepacket(GRID, PHYS))
+        psi0 = gaussian_wavepacket(GRID, PHYS)
         with pytest.raises(ValueError, match="non-empty"):
-            negativity_trajectory(rho0, HARMONIC, [], EUCLIDEAN)
+            negativity_trajectory(psi0, HARMONIC, [], EUCLIDEAN)
         with pytest.raises(ValueError, match="increasing"):
-            negativity_trajectory(rho0, HARMONIC, [0.5, 0.5], EUCLIDEAN)
+            negativity_trajectory(psi0, HARMONIC, [0.5, 0.5], EUCLIDEAN)
         with pytest.raises(ValueError, match=">= 0"):
-            negativity_trajectory(rho0, HARMONIC, [-1.0, 1.0], EUCLIDEAN)
+            negativity_trajectory(psi0, HARMONIC, [-1.0, 1.0], EUCLIDEAN)
         with pytest.raises(ValueError, match="finite"):
-            negativity_trajectory(rho0, HARMONIC, [0.5, np.inf], EUCLIDEAN)
+            negativity_trajectory(psi0, HARMONIC, [0.5, np.inf], EUCLIDEAN)
         with pytest.raises(ValueError, match="regime"):
-            negativity_trajectory(rho0, HARMONIC, [0.5], "thermal")
+            negativity_trajectory(psi0, HARMONIC, [0.5], "thermal")
 
     def test_csv_header(self, tmp_path):
         from wickbell.csvio import read_csv

@@ -26,8 +26,6 @@ from wickbell.grids import (
     gaussian_wavepacket,
     inner_product,
     momentum_representation,
-    wavefunction_from_csv,
-    wavefunction_to_csv,
 )
 from wickbell.kernels import (
     free_kernel_euclidean,
@@ -60,6 +58,19 @@ class TestGrid:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError, match="x_max"):
             Grid1D(2.0, -2.0, 64)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ((-np.inf, 1.0), "x_min must be finite"),
+            ((0.0, np.inf), "x_max must be finite"),
+            ((-1e308, 1e308), "x_max - x_min overflows"),
+        ],
+    )
+    def test_rejects_non_finite_edge(self, edges, message):
+        # checked before x is built, so no inf spacing or nan samples appear
+        with pytest.raises(ValueError, match=message):
+            Grid1D(*edges, 8)
 
     def test_dual_grid_spacing_and_origin(self):
         g = Grid1D(-10.0, 10.0, 256)
@@ -291,28 +302,3 @@ class TestMomentumRepresentation:
             fft = momentum_representation(psi)
             assert fft.grid == pgrid
             assert np.max(np.abs(dense - fft.amplitudes)) < 1e-10
-
-
-class TestCsv:
-    def test_roundtrip_exact(self, tmp_path):
-        g = Grid1D(-8.0, 8.0, 128)
-        psi = gaussian_wavepacket(g, PHYS, center=0.3, width=1.1, momentum=2.2)
-        path = tmp_path / "psi.csv"
-        wavefunction_to_csv(psi, path)
-        back = wavefunction_from_csv(path)
-        assert back.grid == psi.grid
-        assert np.array_equal(back.amplitudes, psi.amplitudes)
-
-    def test_rejects_nonuniform_grid(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        xs = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.5]
-        lines = ["x,re,im"] + [f"{x},1.0,0.0" for x in xs]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="uniform"):
-            wavefunction_from_csv(path)
-
-    def test_rejects_wrong_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="header"):
-            wavefunction_from_csv(path)

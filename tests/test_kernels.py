@@ -28,7 +28,6 @@ from wickbell.kernels import (
     free_potential,
     harmonic_potential,
     identity_kernel,
-    kernel_to_csv,
     sliced_kernel,
 )
 
@@ -335,16 +334,3 @@ class TestTwistExpectation:
         g = Grid1D(-16.0, 16.0, 64)
         with pytest.raises(ValueError, match="width"):
             commutator_expectation(SlicingPlan(4, 1.0, EUCLIDEAN), g, PHYS, 2, boundary_width=0.0)
-
-
-class TestKernelCsv:
-    def test_header_and_cells(self, tmp_path):
-        from wickbell.csvio import read_csv
-
-        g = Grid1D(-1.0, 1.0, 8)
-        k = free_kernel_euclidean(g, 0.5, PHYS)
-        path = tmp_path / "k.csv"
-        kernel_to_csv(k, path)
-        rows = read_csv(path, ("x_f", "x_i", "re", "im"))
-        assert len(rows) == 64
-        assert float(rows[0][2]) == pytest.approx(k.entries[0, 0].real)

@@ -20,6 +20,7 @@ from oracles import (
     gaussian_wigner_point,
 )
 from wickbell import Grid1D, PhysParams
+from wickbell.csvio import read_csv
 from wickbell.grids import (
     WaveFunction,
     cat_state,
@@ -31,7 +32,6 @@ from wickbell.phase_space import (
     WignerGrid,
     expectation_phase_space,
     negativity_ratio,
-    wigner_from_csv,
     wigner_of_density,
     wigner_to_csv,
     wigner_transform,
@@ -318,24 +318,14 @@ class TestCsv:
         w = wigner_transform(gaussian_wavepacket(g, PHYS, center=0.2))
         path = tmp_path / "w.csv"
         wigner_to_csv(w, path)
-        back = wigner_from_csv(path, PHYS)
-        assert back.x_axis == w.x_axis
-        # the momentum axis is reconstructed from its first/last samples,
-        # which rebuilds x_max with ~1e-15 rounding
-        assert back.p_axis.n_points == w.p_axis.n_points
-        assert np.max(np.abs(back.p_axis.x - w.p_axis.x)) < 1e-12
-        assert np.array_equal(back.values, w.values)
-
-    def test_nonuniform_axis_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        lines = ["x,p,w"]
-        xs = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.5]  # uneven final step
-        for x in xs:
-            for p in range(8):
-                lines.append(f"{x},{float(p)},0.0")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="uniform"):
-            wigner_from_csv(path, PHYS)
+        rows = read_csv(path, ("x", "p", "w"))
+        # x-major rows; 17 significant digits parse back to the exact float
+        cells = np.array([[float(c) for c in row] for row in rows])
+        n_x, n_p = w.values.shape
+        assert cells.shape == (n_x * n_p, 3)
+        assert np.array_equal(cells[:, 0], np.repeat(w.x_axis.x, n_p))
+        assert np.array_equal(cells[:, 1], np.tile(w.p_axis.x, n_x))
+        assert np.array_equal(cells[:, 2], w.values.ravel())
 
 
 class TestRandomStates:

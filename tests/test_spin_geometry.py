@@ -27,7 +27,6 @@ from wickbell.spin_geometry import (
     free_spin_kernel_pair,
     latitude_loop,
     octant_loop,
-    path_from_csv,
     path_loop_product,
     phases_to_csv,
     resolution_of_identity_residual,
@@ -331,22 +330,6 @@ class TestIdentityResolution:
 
 
 class TestCsv:
-    def test_path_roundtrip(self, tmp_path):
-        from wickbell.csvio import write_csv
-
-        path = latitude_loop(0.7, 12)
-        file = tmp_path / "path.csv"
-        write_csv(
-            file,
-            ("n_x", "n_y", "n_z"),
-            ((v.n_x, v.n_y, v.n_z) for v in path.vertices),
-        )
-        back = path_from_csv(file)
-        assert back.closed
-        assert len(back.vertices) == 12
-        for got, want in zip(back.vertices, path.vertices):
-            assert got.dot(want) == pytest.approx(1.0, abs=1e-14)
-
     def test_phases_header(self, tmp_path):
         from wickbell.csvio import read_csv
 
