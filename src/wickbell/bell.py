@@ -220,11 +220,15 @@ def _decay_curve(
     energies = _diagonal_energies(h)
     taus = _check_schedule(tau_samples, nonnegative=True)
     amps0 = state0.amplitudes
-    floor = float(energies[np.abs(amps0) > 0.0].min())
+    support = np.abs(amps0) > 0.0
+    floor = float(energies[support].min())
     points: list[DecayPoint] = []
     for tau in taus:
         if damped:
-            amps = amps0 * np.exp(-(energies - floor) * tau / hbar)
+            # only the support is damped: a level below the floor would grow
+            # past the float range, and its amplitude is 0 anyway
+            amps = np.zeros_like(amps0)
+            amps[support] = amps0[support] * np.exp(-(energies[support] - floor) * tau / hbar)
             state = TwoQubitState(amps / float(np.linalg.norm(amps)))
         else:
             state = TwoQubitState(amps0 * np.exp(-1j * energies * tau / hbar))

@@ -380,6 +380,14 @@ def _run_chsh_decay(p: dict, outdir: str) -> list:
     energies = p["energies"]
     if len(energies) != 4:
         raise ConfigError(f"energies needs exactly 4 values, got {len(energies)}")
+    # bounds the decay's exponents (E - floor) tau and the control's phases
+    # E tau; Python floats round an overflow to inf without a warning
+    exponent = 2.0 * float(np.max(np.abs(energies))) * p["tau_max"]
+    if not np.isfinite(exponent):
+        raise ConfigError(
+            f"energies ({_canonical(energies)}) and tau_max ({_canonical(p['tau_max'])}) "
+            f"leave a non-finite kernel exponent: 2 max|E| tau_max = {exponent}"
+        )
     state0 = singlet()
     decay = euclidean_chsh_decay(
         state0, energies, taus, restarts=p["restarts"], seed=p["seed"]

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import _write_grid
 from .errors import GridEscapeError
 from .grids import Grid1D, PhysParams, _momentum_fft
 from .kernels import free_kernel_row
@@ -203,10 +204,4 @@ def _conditional(pgrid: Grid1D, prob: np.ndarray, p_lo: float, p_hi: float) -> t
 
 
 def momentum_distribution_to_csv(pgrid: Grid1D, prob: np.ndarray, path) -> None:
-    from .csvio import write_csv
-
-    n = pgrid.n_points
-    rows = (
-        (pgrid.x[a], pgrid.x[b], prob[a, b]) for a in range(n) for b in range(n)
-    )
-    write_csv(path, ("p_x", "p_y", "probability"), rows)
+    _write_grid(path, ("p_x", "p_y", "probability"), pgrid.x, pgrid.x, prob)

@@ -133,11 +133,15 @@ def _spectral_step(w, populations, t, regime, hbar, dx) -> tuple[np.ndarray, flo
     """
     if regime == MINKOWSKI:
         return np.exp(-1j * w * t / hbar), 1.0, 0.0
-    f = np.exp(-(w - w.min()) * t / hbar)
+    # capping each gap at 1500 hbar / t changes no factor (exp(-1500) is
+    # already 0) and keeps the product finite at any t; as Python floats,
+    # 1500 hbar / t and w_min t round to inf instead of warning
+    t, w_min = float(t), float(w.min())
+    f = np.exp(-np.minimum(w - w_min, 1500.0 * hbar / t) * t / hbar)
     shifted_trace = float(np.sum(f**2 * populations) * dx)
     if shifted_trace <= 0.0:
         raise TraceCollapseError("imaginary-time damping left no representable trace")
-    return f, shifted_trace, float(np.log(shifted_trace) - 2.0 * w.min() * t / hbar)
+    return f, shifted_trace, float(np.log(shifted_trace) - 2.0 * w_min * t / hbar)
 
 
 def _evolve(rho, h, t, regime) -> DensityMatrix:

@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from .csvio import _write_grid
 from .grids import Grid1D, PhysParams, WaveFunction, dual_grid
 
 
@@ -161,12 +162,4 @@ def negativity_ratio(w: WignerGrid) -> float:
 
 
 def wigner_to_csv(w: WignerGrid, path) -> None:
-    from .csvio import write_csv
-
-    nx, npts = w.x_axis.n_points, w.p_axis.n_points
-    rows = (
-        (w.x_axis.x[j], w.p_axis.x[k], w.values[j, k])
-        for j in range(nx)
-        for k in range(npts)
-    )
-    write_csv(path, ("x", "p", "w"), rows)
+    _write_grid(path, ("x", "p", "w"), w.x_axis.x, w.p_axis.x, w.values)

@@ -283,6 +283,20 @@ def dense_wigner_of_density(rho, dx, hbar=1.0) -> np.ndarray:
     return (dx / (2.0 * np.pi * hbar)) * (corr @ phases)
 
 
+def per_cell_grid_csv(header, axis_a, axis_b, values) -> bytes:
+    """The bytes of a grid CSV written one cell at a time: a header line, then
+    the rows (axis_a[j], axis_b[k], values[j, k]), j-major, with every cell
+    looked up and formatted on its own as format(float(x), ".17g")."""
+    rows = (
+        (axis_a[j], axis_b[k], values[j, k])
+        for j in range(len(axis_a))
+        for k in range(len(axis_b))
+    )
+    lines = [",".join(header)]
+    lines += [",".join(format(float(x), ".17g") for x in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # EPR pair moments (pure Gaussian algebra)
 # ---------------------------------------------------------------------------

@@ -114,6 +114,25 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            (["energies=1e308,0,0,0"], "energies (1e+308,0,0,0) and tau_max (8)"),
+            (["tau_max=1e308", "n_samples=3"], "energies (0,1,2,3) and tau_max (1e+308)"),
+        ],
+        ids=["energies", "tau_max"],
+    )
+    def test_chsh_decay_exponent_overflow(self, capsys, tmp_path, overrides, named):
+        # the kernel exponents E tau would overflow: rejected up front, with
+        # no numpy warning, naming both parameters
+        args = ["run", "chsh-decay", "--out", str(tmp_path)]
+        for item in overrides:
+            args += ["--set", item]
+        assert entry(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        assert "non-finite kernel exponent" in err
+
     def test_unparsable_value(self, capsys, tmp_path):
         code = entry(["run", "chsh", "--out", str(tmp_path), "--set", "seed=many"])
         assert code == 2
@@ -288,6 +307,37 @@ class TestRunOutputs:
         assert np.all(np.diff(raw) <= 0.0)
         assert raw[-1] == 0.0
         assert abs(f[-1] - 1.0) < 1e-4
+
+    @pytest.mark.parametrize(
+        "overrides", [["tau_max=1e308"], ["tau_max=1e308", "omega=4"]], ids=["gaps", "ground"]
+    )
+    def test_negativity_decay_tau_past_float_range(self, capsys, tmp_path, overrides):
+        # level gaps times tau, and with omega=4 the ground energy times tau,
+        # pass the float range: the run still ends at the ground state with a
+        # raw trace of 0 and no numpy warning
+        argv = ["run", "negativity-decay", "--out", str(tmp_path), "--set", "n_samples=3"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert entry(argv) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_csv(tmp_path / "negativity_decay.csv", ("tau", "f", "purity", "trace_raw"))
+        assert float(rows[-1][0]) == 1e308
+        assert abs(float(rows[-1][1]) - 1.0) < 1e-9
+        assert float(rows[-1][3]) == 0.0
+
+    def test_chsh_decay_late_tau(self, capsys, tmp_path):
+        # the singlet's damping runs past exp(745) relative to the empty level
+        # below its floor; that level stays 0, the decay ends at a product
+        # state and the unitary control keeps the Tsirelson value
+        argv = ["run", "chsh-decay", "--out", str(tmp_path)]
+        assert entry(argv + ["--set", "tau_max=800", "--set", "n_samples=3"]) == 0
+        assert capsys.readouterr().err == ""
+        header = ("tau", "chsh_max", "fidelity_to_initial")
+        decay = read_csv(tmp_path / "chsh_decay.csv", header)
+        control = read_csv(tmp_path / "chsh_control.csv", header)
+        assert float(decay[-1][1]) == pytest.approx(2.0, abs=1e-6)
+        assert float(decay[-1][2]) == pytest.approx(0.5, abs=1e-12)
+        assert float(control[-1][1]) == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-6)
 
     @pytest.mark.parametrize(
         "experiment, overrides",
