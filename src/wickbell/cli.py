@@ -68,6 +68,9 @@ from .bell import (
 
 OUTDIR_ENV = "WICKBELL_OUTDIR"
 DEFAULT_OUTDIR = "wickbell-out"
+# array bytes an experiment may plan to hold at its peak; a grid schema
+# checks its estimate before anything is allocated
+MEMORY_BUDGET_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -120,9 +123,26 @@ def _choice(name: str, options: tuple):
     return check
 
 
-def _grid_params(n_points: int = 256, x_min: float = -16.0, x_max: float = 16.0) -> dict:
+def _grid_params(
+    n_points: int = 256,
+    x_min: float = -16.0,
+    x_max: float = 16.0,
+    peak_bytes: Callable[[int], int] | None = None,
+) -> dict:
+    """Grid schema; given peak_bytes(n_points), n_points is also held to the
+    memory budget."""
+    at_least = _at_least("n_points", 8)
+
+    def check(n):
+        if peak_bytes is not None and n >= 8 and peak_bytes(n) > MEMORY_BUDGET_BYTES:
+            return (
+                f"{n} points would hold {peak_bytes(n) >> 20} MiB of arrays, "
+                f"over the {MEMORY_BUDGET_BYTES >> 20} MiB budget"
+            )
+        return at_least(n)
+
     return {
-        "n_points": ParamSpec("int", n_points, "grid sample count", _at_least("n_points", 8)),
+        "n_points": ParamSpec("int", n_points, "grid sample count", check),
         "x_min": ParamSpec("float", x_min, "left grid edge", _finite("x_min")),
         "x_max": ParamSpec("float", x_max, "right grid edge", _finite("x_max")),
     }
@@ -256,6 +276,24 @@ def _run_commutator(p: dict, outdir: str) -> list:
     return [out]
 
 
+def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParams) -> float:
+    """Largest deviation of the raw-weight ratio prob_e / prob_m from the
+    analytic damping factor, where prob_m holds more than 1e-12 of its peak."""
+    px = pgrid.x[:, None]
+    py = pgrid.x[None, :]
+    predicted = np.exp(-(px**2 + py**2) * t / (phys.hbar * phys.mass))
+    keep = prob_m > 1e-12 * prob_m.max()
+    return float(np.max(np.abs(prob_e[keep] / prob_m[keep] - predicted[keep])))
+
+
+def _epr_bytes(n: int) -> int:
+    """Array bytes `run epr` holds at its peak on n points: the initial pair,
+    an evolved pair and the momentum transform's intermediate (n^2 complex
+    each) plus two momentum densities (n^2 float each) make 64 B per grid
+    cell; the FFT blocks add about 3 kB per grid row."""
+    return 64 * n * n + 3072 * n
+
+
 def _run_epr(p: dict, outdir: str) -> list:
     grid = _make_grid(p)
     phys = PhysParams()
@@ -266,18 +304,13 @@ def _run_epr(p: dict, outdir: str) -> list:
         grid,
         lambda: epr_initial_pair(grid, CorrelationWidth(p["s"]), p["envelope"], phys),
     )
+    pearson_initial = momentum_anticorrelation(pair)
+    # each evolved pair is dropped as soon as its momentum density exists
     t = p["time"]
-    evolved_m = evolve_pair(pair, t, MINKOWSKI)
-    evolved_e = evolve_pair(pair, t, EUCLIDEAN)
-    pgrid, prob_m = joint_momentum_distribution(evolved_m)
-    _, prob_e = joint_momentum_distribution(evolved_e)
-
-    # raw-weight ratio against the analytic damping factor
-    px = pgrid.x[:, None]
-    py = pgrid.x[None, :]
-    predicted = np.exp(-(px**2 + py**2) * t / (phys.hbar * phys.mass))
-    keep = prob_m > 1e-12 * prob_m.max()
-    ratio_err = float(np.max(np.abs(prob_e[keep] / prob_m[keep] - predicted[keep])))
+    pgrid, prob_m = joint_momentum_distribution(evolve_pair(pair, t, MINKOWSKI))
+    ratio_err = _weight_ratio_error(
+        pgrid, prob_m, joint_momentum_distribution(evolve_pair(pair, t, EUCLIDEAN))[1], t, phys
+    )
 
     # both metrics renormalize, so the raw-weight prob_m serves as it is
     window_center = p["condition_momentum"]
@@ -297,7 +330,7 @@ def _run_epr(p: dict, outdir: str) -> list:
         out_metrics,
         ("quantity", "value"),
         [
-            ("pearson_initial", momentum_anticorrelation(pair)),
+            ("pearson_initial", pearson_initial),
             ("pearson_minkowski", _pearson(pgrid, prob_m)),
             ("ratio_max_abs_error", ratio_err),
             ("conditional_peak", peak),
@@ -446,7 +479,7 @@ EXPERIMENTS = {
             # needs artifacts below ~1e-13 of peak for a clean weight ratio:
             # envelope tail exp(-x_max^2/4E^2) ~ 1e-15 at the border, and the
             # chirp alias shift 2 pi hbar T/(m dx) = 25 clears the whole box
-            **_grid_params(1536, -11.5, 11.5),
+            **_grid_params(1536, -11.5, 11.5, _epr_bytes),
             "s": ParamSpec("float", 0.05, "relative-coordinate width", _positive("s")),
             "envelope": ParamSpec("float", 1.0, "center-of-mass envelope width", _positive("envelope")),
             "time": ParamSpec("float", 0.06, "propagation time", _positive("time")),

@@ -30,6 +30,10 @@ from .kernels import free_kernel_row
 # have run off the grid
 _ESCAPE_THRESHOLD = 1e-4
 
+# rows (or columns) per FFT block: a pass holds one block's transforms
+# besides its n x n input and output, never a whole padded copy
+_BLOCK_ROWS = 32
+
 
 @dataclass(frozen=True)
 class CorrelationWidth:
@@ -105,15 +109,29 @@ def _border_escape(amps: np.ndarray) -> float:
     return border / peak
 
 
-def _toeplitz_apply(row: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """amps @ T along the last axis for the symmetric Toeplitz T with first
-    row `row`, by circulant embedding: lags -(n-1) .. n-1 wrap onto a circle
-    of 2n points, and the zero-padded FFT convolution is the exact product
-    (Golub & Van Loan, Matrix Computations, section 4.7)."""
+def _blocks(n: int):
+    """Slices covering 0 .. n-1 in runs of _BLOCK_ROWS."""
+    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
+
+
+def _toeplitz_apply(row: np.ndarray, amps: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """(amps @ T)^T, times `scale` if given, for the symmetric Toeplitz T with
+    first row `row`, by circulant embedding: lags -(n-1) .. n-1 wrap onto a
+    circle of 2n points, and the zero-padded FFT convolution is the exact
+    product (Golub & Van Loan, Matrix Computations, section 4.7). Each block
+    of rows is transformed on its own and written transposed into the output."""
     n = row.shape[0]
-    padded = np.fft.fft(amps, 2 * n, axis=-1)
-    padded *= np.fft.fft(np.concatenate((row, [0.0], row[:0:-1])))
-    return np.fft.ifft(padded, axis=-1)[..., :n]
+    spectrum = np.fft.fft(np.concatenate((row, [0.0], row[:0:-1])))
+    out = np.empty((n, n), dtype=np.complex128)
+    for rows in _blocks(n):
+        padded = np.fft.fft(amps[rows], 2 * n, axis=-1)
+        padded *= spectrum
+        np.fft.ifft(padded, axis=-1, out=padded)
+        if scale is None:
+            out[:, rows] = padded[:, :n].T
+        else:
+            np.multiply(scale, padded[:, :n].T, out=out[:, rows])
+    return out
 
 
 def evolve_pair(pair: PairWaveFunction, time_extent: float, regime: str) -> PairWaveFunction:
@@ -133,9 +151,8 @@ def evolve_pair(pair: PairWaveFunction, time_extent: float, regime: str) -> Pair
     row = free_kernel_row(pair.grid, time_extent, pair.params, regime)
     dx = pair.grid.dx
     # K A K = ((A K)^T K)^T: both passes run along contiguous rows, where the
-    # FFT is fastest, and the result is returned in C order
-    half = np.ascontiguousarray(_toeplitz_apply(row, pair.amplitudes).T)
-    out = np.multiply(dx * dx, _toeplitz_apply(row, half).T, order="C")
+    # FFT is fastest, and the second transposes the result back to C order
+    out = _toeplitz_apply(row, _toeplitz_apply(row, pair.amplitudes), dx * dx)
     escape = _border_escape(out)
     if escape > _ESCAPE_THRESHOLD:
         raise GridEscapeError(
@@ -148,10 +165,19 @@ def evolve_pair(pair: PairWaveFunction, time_extent: float, regime: str) -> Pair
 
 def joint_momentum_distribution(pair: PairWaveFunction) -> tuple[Grid1D, np.ndarray]:
     """|phi(p_x, p_y)|^2 on the dual grid, carrying the pair's raw weight;
-    the FFT of momentum_representation acts on each index in turn."""
-    _, phi = _momentum_fft(pair.amplitudes, pair.grid, pair.params, axis=0)
-    pgrid, phi = _momentum_fft(phi, pair.grid, pair.params, axis=1)
-    return pgrid, np.abs(phi) ** 2
+    the FFT of momentum_representation acts on each index in turn, over
+    column blocks and then row blocks."""
+    grid, params = pair.grid, pair.params
+    n = grid.n_points
+    half = np.empty((n, n), dtype=np.complex128)
+    for cols in _blocks(n):
+        half[:, cols] = _momentum_fft(pair.amplitudes[:, cols], grid, params, axis=0)[1]
+    prob = np.empty((n, n))
+    for rows in _blocks(n):
+        pgrid, phi = _momentum_fft(half[rows], grid, params, axis=1)
+        block = prob[rows]
+        np.square(np.abs(phi, out=block), out=block)
+    return pgrid, prob
 
 
 def momentum_anticorrelation(pair: PairWaveFunction) -> float:

@@ -132,6 +132,10 @@ def _spectral_step(w, populations, t, regime, hbar, dx) -> tuple[np.ndarray, flo
     even where the reported raw trace underflows.
     """
     if regime == MINKOWSKI:
+        # the largest phase, as Python floats: a product past the float range
+        # rounds to inf here instead of warning inside np.exp
+        if not np.isfinite(float(np.max(np.abs(w))) * abs(float(t)) / hbar):
+            raise ValueError(f"time {t} leaves a non-finite phase max|E| t / hbar")
         return np.exp(-1j * w * t / hbar), 1.0, 0.0
     # capping each gap at 1500 hbar / t changes no factor (exp(-1500) is
     # already 0) and keeps the product finite at any t; as Python floats,

@@ -1,11 +1,12 @@
 """Command-line runner: catalog, validation, determinism, manifests, guards."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from wickbell.cli import entry
+from wickbell.cli import MEMORY_BUDGET_BYTES, _epr_bytes, build_config, entry, run
 from wickbell.csvio import read_csv
 
 ALL_EXPERIMENTS = (
@@ -36,6 +37,39 @@ class TestCatalog:
         assert len(lines) == len(ALL_EXPERIMENTS) + 1
         chsh_row = next(line for line in lines if line.startswith("chsh,"))
         assert "CNOT" in chsh_row
+
+
+class TestMemoryBudget:
+    def test_epr_estimate_bounds_traced_peak(self, tmp_path):
+        # 256 points clear both guards with s = 0.3 resolved by dx = 0.09 and
+        # a real-time alias shift 2 pi hbar T/(m dx) = 28 past the 23-wide box
+        config = build_config("epr", {"n_points": "256", "s": "0.3", "time": "0.4"})
+        estimate = _epr_bytes(256)
+        tracemalloc.start()
+        try:
+            run(config, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.9 * estimate <= peak <= estimate
+
+    def test_readme_example_fits(self):
+        build_config("epr", {"n_points": "2048", "time": "0.12"})
+        assert _epr_bytes(2048) <= MEMORY_BUDGET_BYTES
+
+    def test_epr_over_budget_rejected_before_allocation(self, capsys, tmp_path):
+        # 10^5 points would need 640 GB: the schema rejects the grid unbuilt
+        tracemalloc.start()
+        try:
+            code = entry(["run", "epr", "--out", str(tmp_path), "--set", "n_points=100000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert "config error: parameter n_points: 100000 points" in err
+        assert "budget" in err
 
 
 class TestValidation:

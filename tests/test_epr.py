@@ -3,12 +3,15 @@ regime contrast (unitary evolution preserves the correlation; the real
 non-negative weight reweights the joint momentum distribution pointwise).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import epr_moments, euclidean_weight_ratio
 from wickbell import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams
 from wickbell.epr import (
+    _BLOCK_ROWS,
     CorrelationWidth,
     PairWaveFunction,
     condition_on_momentum_window,
@@ -30,6 +33,49 @@ S_TIGHT = 0.05
 ENVELOPE = 1.0
 T_SHORT = 0.06
 PEARSON_TIGHT = -0.99875078076202373  # (s^2 - 4E^2)/(s^2 + 4E^2)
+
+# grid sizes at the edges of the FFT row blocks: smaller than one block, one
+# block exactly, one row over, and an odd size spanning several blocks
+BLOCK_EDGE_SIZES = [_BLOCK_ROWS - 4, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 5]
+
+# bytes of one n x n complex array at the n of the memory tests
+MEMORY_N = 512
+ARRAY_BYTES = 16 * MEMORY_N**2
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while fn runs, its returned value included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def product_pair(grid: Grid1D, a: dict, b: dict) -> PairWaveFunction:
+    """Unentangled pair of two Gaussian packets; a != b makes it asymmetric."""
+    psi_a = gaussian_wavepacket(grid, PHYS, **a).amplitudes
+    psi_b = gaussian_wavepacket(grid, PHYS, **b).amplitudes
+    return PairWaveFunction(grid, np.outer(psi_a, psi_b), PHYS)
+
+
+def assert_matches_dense_kernels(pair: PairWaveFunction, t: float, regime: str, builder) -> None:
+    out = evolve_pair(pair, t, regime)
+    k = builder(pair.grid, t, PHYS).entries
+    manual = pair.grid.dx**2 * (k @ pair.amplitudes @ k)
+    assert np.max(np.abs(out.amplitudes - manual)) < 1e-12
+
+
+def assert_matches_dense_dft(grid: Grid1D, seed: int) -> None:
+    n = grid.n_points
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    pgrid, prob = joint_momentum_distribution(PairWaveFunction(grid, amps, PHYS))
+    ref_grid, fwd = dft_matrix(grid, PHYS)
+    ref = np.abs(fwd @ amps @ fwd.T) ** 2
+    assert pgrid == ref_grid
+    assert np.max(np.abs(prob - ref)) < 1e-12 * ref.max()
 
 
 @pytest.fixture(scope="module")
@@ -75,14 +121,19 @@ class TestInitialPair:
         assert np.max(np.abs(prob / prob.max() - ref / ref.max())) < 1e-10
 
     def test_joint_momentum_matches_dense_dft_on_odd_grid(self):
-        grid = Grid1D(-6.0, 7.0, 63)
-        rng = np.random.default_rng(11)
-        amps = rng.normal(size=(63, 63)) + 1j * rng.normal(size=(63, 63))
-        pgrid, prob = joint_momentum_distribution(PairWaveFunction(grid, amps, PHYS))
-        ref_grid, fwd = dft_matrix(grid, PHYS)
-        ref = np.abs(fwd @ amps @ fwd.T) ** 2
-        assert pgrid == ref_grid
-        assert np.max(np.abs(prob - ref)) < 1e-12 * ref.max()
+        assert_matches_dense_dft(Grid1D(-6.0, 7.0, 63), seed=11)
+
+    @pytest.mark.parametrize("n_points", BLOCK_EDGE_SIZES)
+    def test_joint_momentum_matches_dense_dft_at_block_edges(self, n_points):
+        assert_matches_dense_dft(Grid1D(-6.0, 7.0, n_points), seed=n_points)
+
+    def test_joint_momentum_memory(self):
+        # the column-block and row-block passes hold one n x n complex
+        # intermediate and the float result, not whole shifted copies
+        grid = Grid1D(-8.0, 8.0, MEMORY_N)
+        pair = epr_initial_pair(grid, CorrelationWidth(0.5), 1.2, PHYS)
+        peak = traced_peak(lambda: joint_momentum_distribution(pair))
+        assert peak <= 1.75 * ARRAY_BYTES
 
     def test_amplitudes_symmetric_under_exchange(self):
         grid = Grid1D(-11.5, 11.5, 256)
@@ -176,13 +227,43 @@ class TestEvolvePair:
     )
     def test_fft_application_matches_dense_kernels(self, n_points, regime, builder, t):
         grid = Grid1D(-8.0, 8.0, n_points)
-        a = gaussian_wavepacket(grid, PHYS, center=-0.5, width=0.8, momentum=0.6)
-        b = gaussian_wavepacket(grid, PHYS, center=0.7, width=1.1, momentum=-0.9)
-        pair = PairWaveFunction(grid, np.outer(a.amplitudes, b.amplitudes), PHYS)
-        out = evolve_pair(pair, t, regime)
-        k = builder(grid, t, PHYS).entries
-        manual = grid.dx**2 * (k @ pair.amplitudes @ k)
-        assert np.max(np.abs(out.amplitudes - manual)) < 1e-12
+        pair = product_pair(
+            grid,
+            dict(center=-0.5, width=0.8, momentum=0.6),
+            dict(center=0.7, width=1.1, momentum=-0.9),
+        )
+        assert_matches_dense_kernels(pair, t, regime, builder)
+
+    @pytest.mark.parametrize("n_points", BLOCK_EDGE_SIZES)
+    @pytest.mark.parametrize(
+        "regime, builder, t",
+        # an 8-wide box keeps the real-time alias shift 2 pi hbar T/(m dx)
+        # past the border down to 28 points, where the 16-wide box cannot
+        [(MINKOWSKI, free_kernel_minkowski, 0.4), (EUCLIDEAN, free_kernel_euclidean, 0.1)],
+    )
+    def test_fft_application_matches_dense_kernels_at_block_edges(
+        self, n_points, regime, builder, t
+    ):
+        grid = Grid1D(-4.0, 4.0, n_points)
+        pair = product_pair(
+            grid,
+            dict(center=-0.2, width=0.6, momentum=0.3),
+            dict(center=0.15, width=0.55, momentum=-0.2),
+        )
+        assert_matches_dense_kernels(pair, t, regime, builder)
+
+    @pytest.mark.parametrize("regime, t", [(MINKOWSKI, 0.8), (EUCLIDEAN, 0.1)])
+    def test_memory(self, regime, t):
+        # each pass holds its n x n output and one block of 2n-padded rows;
+        # the input pair was allocated before tracing starts
+        grid = Grid1D(-8.0, 8.0, MEMORY_N)
+        pair = product_pair(
+            grid,
+            dict(center=-0.5, width=0.8, momentum=0.6),
+            dict(center=0.7, width=1.1, momentum=-0.9),
+        )
+        peak = traced_peak(lambda: evolve_pair(pair, t, regime))
+        assert peak <= 2.5 * ARRAY_BYTES
 
     def test_escape_guard(self):
         grid = Grid1D(-6.0, 6.0, 128)

@@ -162,6 +162,16 @@ class TestMinkowskiEvolution:
         with pytest.raises(ValueError, match="finite"):
             evolve_density_minkowski(rho, HARMONIC, np.nan)
 
+    def test_phase_past_float_range_rejected(self):
+        # a finite time whose phase max|E| t / hbar overflows on a 16-point trap
+        grid = offset_grid(4.0, 16)
+        h = hamiltonian(grid, PHYS, harmonic_potential(1.0, PHYS))
+        psi = gaussian_wavepacket(grid, PHYS)
+        with pytest.raises(ValueError, match="time 1e"):
+            evolve_density_minkowski(density_from_wavefunction(psi), h, 1e308)
+        with pytest.raises(ValueError, match="time 1e"):
+            negativity_trajectory(psi, h, [0.0, 1e308], MINKOWSKI)
+
 
 class TestEuclideanEvolution:
     def test_zero_tau_is_identity(self):
