@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NumericalGuardError
 from .csvio import format_float, write_csv
-from .grids import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams, cat_state, gaussian_wavepacket
+from .grids import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams, cat_state, dual_grid, gaussian_wavepacket
 from .kernels import (
     SlicingPlan,
     commutator_expectation,
@@ -132,14 +132,18 @@ def _grid_params(
     """Grid schema; given peak_bytes(n_points), n_points is also held to the
     memory budget."""
     at_least = _at_least("n_points", 8)
+    budget = f"the {MEMORY_BUDGET_BYTES >> 20} MiB budget"
 
     def check(n):
-        if peak_bytes is not None and n >= 8 and peak_bytes(n) > MEMORY_BUDGET_BYTES:
-            return (
-                f"{n} points would hold {peak_bytes(n) >> 20} MiB of arrays, "
-                f"over the {MEMORY_BUDGET_BYTES >> 20} MiB budget"
-            )
-        return at_least(n)
+        if peak_bytes is None or n < 8:
+            return at_least(n)
+        # every estimate is at least a byte per point: a larger count is over
+        # the budget without computing, or printing, its huge estimate
+        if n > MEMORY_BUDGET_BYTES:
+            return f"more than {MEMORY_BUDGET_BYTES} points are over {budget}"
+        if peak_bytes(n) > MEMORY_BUDGET_BYTES:
+            return f"{n} points would hold {peak_bytes(n) >> 20} MiB of arrays, over {budget}"
+        return None
 
     return {
         "n_points": ParamSpec("int", n_points, "grid sample count", check),
@@ -286,17 +290,42 @@ def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParam
     return float(np.max(np.abs(prob_e[keep] / prob_m[keep] - predicted[keep])))
 
 
-def _epr_bytes(n: int) -> int:
-    """Array bytes `run epr` holds at its peak on n points: the initial pair,
-    an evolved pair and the momentum transform's intermediate (n^2 complex
-    each) plus two momentum densities (n^2 float each) make 64 B per grid
-    cell; the FFT blocks add about 3 kB per grid row."""
-    return 64 * n * n + 3072 * n
+# Array bytes each grid experiment holds at its peak on n points; the schema
+# checks them against MEMORY_BUDGET_BYTES before anything is allocated.
+# - epr: the initial pair, the euclidean-evolved pair and the momentum
+#   transform's intermediate (n^2 complex each) plus two momentum densities
+#   (n^2 float each); the FFT blocks add about 2 kB per grid point.
+# - wigner: wigner_transform's two (2, n, n) int64 lag-index arrays and
+#   three n^2 complex products.
+# - negativity-decay: the euclidean Hamiltonian and its eigenvectors besides
+#   one wigner_transform; the shear regime holds less.
+# - kernel-check: the closed-form kernel and the previous slice count's
+#   kernel while sliced_kernel builds the next, 4.5 complex arrays in all.
+# - commutator: the grid coordinates and their arange temporary; the path
+#   solve and the CSV stay under 128 KiB.
+_PEAK_BYTES = {
+    "epr": lambda n: 64 * n * n + 2048 * n,
+    "wigner": lambda n: 80 * n * n + 1024 * n,
+    "negativity-decay": lambda n: 112 * n * n + 1024 * n,
+    "kernel-check": lambda n: 72 * n * n,
+    "commutator": lambda n: 16 * n + 2**17,
+}
 
 
 def _run_epr(p: dict, outdir: str) -> list:
     grid = _make_grid(p)
     phys = PhysParams()
+    # both momentum windows are checked on the dual grid before the pair exists
+    pgrid = dual_grid(grid, phys)
+    center, half = p["condition_momentum"], 2.0 * pgrid.dx
+    lo, hi = center - half, center + half
+    if not np.any((pgrid.x >= lo) & (pgrid.x <= hi)):
+        raise ConfigError(f"condition_momentum {center} has no momentum sample within {half:.3g}")
+    window = np.abs(pgrid.x) <= p["p_window"]
+    if window.sum() < 8:
+        raise ConfigError(
+            f"p_window {p['p_window']} keeps {window.sum()} momentum samples; the CSV grid needs 8"
+        )
     pair = _guarded(
         "pair",
         p,
@@ -307,21 +336,16 @@ def _run_epr(p: dict, outdir: str) -> list:
     pearson_initial = momentum_anticorrelation(pair)
     # each evolved pair is dropped as soon as its momentum density exists
     t = p["time"]
-    pgrid, prob_m = joint_momentum_distribution(evolve_pair(pair, t, MINKOWSKI))
+    prob_m = joint_momentum_distribution(evolve_pair(pair, t, MINKOWSKI))[1]
     ratio_err = _weight_ratio_error(
         pgrid, prob_m, joint_momentum_distribution(evolve_pair(pair, t, EUCLIDEAN))[1], t, phys
     )
 
     # both metrics renormalize, so the raw-weight prob_m serves as it is
-    window_center = p["condition_momentum"]
-    half = 2.0 * pgrid.dx
-    cond_grid, cond = _conditional(pgrid, prob_m, window_center - half, window_center + half)
+    cond_grid, cond = _conditional(pgrid, prob_m, lo, hi)
     peak = float(cond_grid.x[int(np.argmax(cond))])
 
     out_main = os.path.join(outdir, "epr_momentum.csv")
-    window = np.abs(pgrid.x) <= p["p_window"]
-    if not np.any(window):
-        raise ConfigError(f"p_window {p['p_window']} excludes every momentum sample")
     sub = Grid1D(float(pgrid.x[window][0]), float(pgrid.x[window][-1]), int(window.sum()))
     normalized = prob_m / np.sum(prob_m) / pgrid.dx**2
     momentum_distribution_to_csv(sub, normalized[np.ix_(window, window)], out_main)
@@ -334,7 +358,7 @@ def _run_epr(p: dict, outdir: str) -> list:
             ("pearson_minkowski", _pearson(pgrid, prob_m)),
             ("ratio_max_abs_error", ratio_err),
             ("conditional_peak", peak),
-            ("conditional_peak_offset", abs(peak + window_center)),
+            ("conditional_peak_offset", abs(peak + center)),
         ],
     )
     return [out_main, out_metrics]
@@ -445,13 +469,13 @@ class Experiment:
 EXPERIMENTS = {
     "wigner": Experiment(
         "Wigner function of a chosen 1-D state with negativity metrics",
-        {**_grid_params(), **_state_params()},
+        {**_grid_params(peak_bytes=_PEAK_BYTES["wigner"]), **_state_params()},
         _run_wigner,
     ),
     "kernel-check": Experiment(
         "sliced imaginary-time kernel against the closed form as slices double",
         {
-            **_grid_params(512, -16.0, 16.0),
+            **_grid_params(512, -16.0, 16.0, _PEAK_BYTES["kernel-check"]),
             "total_time": ParamSpec("float", 1.0, "total propagation time", _positive("total_time")),
             "slice_counts": ParamSpec("ints", (16, 32, 64, 128), "slice counts to compare"),
             "margin": ParamSpec(
@@ -463,7 +487,7 @@ EXPERIMENTS = {
     "commutator": Experiment(
         "position-momentum twist expectation on sliced free paths in both regimes",
         {
-            **_grid_params(512, -16.0, 16.0),
+            **_grid_params(512, -16.0, 16.0, _PEAK_BYTES["commutator"]),
             "n_slices": ParamSpec("int", 8, "number of time slices", _at_least("n_slices", 2)),
             "total_time": ParamSpec("float", 1.0, "total time", _positive("total_time")),
             "slice_indices": ParamSpec("ints", (2, 5), "interior slice indices to probe"),
@@ -479,7 +503,7 @@ EXPERIMENTS = {
             # needs artifacts below ~1e-13 of peak for a clean weight ratio:
             # envelope tail exp(-x_max^2/4E^2) ~ 1e-15 at the border, and the
             # chirp alias shift 2 pi hbar T/(m dx) = 25 clears the whole box
-            **_grid_params(1536, -11.5, 11.5, _epr_bytes),
+            **_grid_params(1536, -11.5, 11.5, _PEAK_BYTES["epr"]),
             "s": ParamSpec("float", 0.05, "relative-coordinate width", _positive("s")),
             "envelope": ParamSpec("float", 1.0, "center-of-mass envelope width", _positive("envelope")),
             "time": ParamSpec("float", 0.06, "propagation time", _positive("time")),
@@ -497,7 +521,7 @@ EXPERIMENTS = {
         {
             # wide box: dp = 2 pi hbar / span must resolve the |cos(2 a p)|
             # fringe integral, or the f column picks up aliasing wiggles
-            **_grid_params(512, -48.0, 48.0),
+            **_grid_params(512, -48.0, 48.0, _PEAK_BYTES["negativity-decay"]),
             **_state_params(
                 "cat-even", "initial state kind (even parity decays to the nodeless ground state)"
             ),

@@ -17,21 +17,21 @@ container must be able to carry non-normalized amplitudes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .csvio import _write_grid
 from .errors import GridEscapeError
-from .grids import Grid1D, PhysParams, _momentum_fft
+from .grids import Grid1D, PhysParams, _Amplitudes, _momentum_fft, dual_grid
 from .kernels import free_kernel_row
 
 # relative border amplitude above which an evolved pair is considered to
 # have run off the grid
 _ESCAPE_THRESHOLD = 1e-4
 
-# rows (or columns) per FFT block: a pass holds one block's transforms
-# besides its n x n input and output, never a whole padded copy
+# rows per FFT block: a pass holds one block's transforms besides its
+# n x n input and output, never a whole padded copy
 _BLOCK_ROWS = 32
 
 
@@ -47,30 +47,10 @@ class CorrelationWidth:
 
 
 @dataclass(frozen=True)
-class PairWaveFunction:
+class PairWaveFunction(_Amplitudes):
     """Amplitudes indexed (x, y) on a shared grid for both particles."""
 
-    grid: Grid1D
-    amplitudes: np.ndarray = field(repr=False, compare=False)
-    params: PhysParams = PhysParams()
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        n = self.grid.n_points
-        if amps.shape != (n, n):
-            raise ValueError(f"amplitude shape {amps.shape} does not match grid ({n}, {n})")
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dx**2)
-
-    def normalized(self) -> "PairWaveFunction":
-        n2 = self.norm_squared()
-        if n2 <= 0.0:
-            raise ValueError("cannot normalize a zero pair state")
-        return PairWaveFunction(self.grid, self.amplitudes / np.sqrt(n2), self.params)
+    rank = 2
 
 
 def epr_initial_pair(
@@ -98,39 +78,19 @@ def epr_initial_pair(
 
 def _border_escape(amps: np.ndarray) -> float:
     peak = float(np.max(np.abs(amps)))
-    if peak == 0.0:
-        return 0.0
-    border = max(
-        float(np.max(np.abs(amps[0, :]))),
-        float(np.max(np.abs(amps[-1, :]))),
-        float(np.max(np.abs(amps[:, 0]))),
-        float(np.max(np.abs(amps[:, -1]))),
-    )
-    return border / peak
+    border = max(float(np.max(np.abs(amps[[0, -1]]))), float(np.max(np.abs(amps[:, [0, -1]]))))
+    return border / peak if peak > 0.0 else 0.0
 
 
-def _blocks(n: int):
-    """Slices covering 0 .. n-1 in runs of _BLOCK_ROWS."""
-    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
-
-
-def _toeplitz_apply(row: np.ndarray, amps: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """(amps @ T)^T, times `scale` if given, for the symmetric Toeplitz T with
-    first row `row`, by circulant embedding: lags -(n-1) .. n-1 wrap onto a
-    circle of 2n points, and the zero-padded FFT convolution is the exact
-    product (Golub & Van Loan, Matrix Computations, section 4.7). Each block
-    of rows is transformed on its own and written transposed into the output."""
-    n = row.shape[0]
-    spectrum = np.fft.fft(np.concatenate((row, [0.0], row[:0:-1])))
-    out = np.empty((n, n), dtype=np.complex128)
-    for rows in _blocks(n):
-        padded = np.fft.fft(amps[rows], 2 * n, axis=-1)
-        padded *= spectrum
-        np.fft.ifft(padded, axis=-1, out=padded)
-        if scale is None:
-            out[:, rows] = padded[:, :n].T
-        else:
-            np.multiply(scale, padded[:, :n].T, out=out[:, rows])
+def _blocked_pass(transform, src: np.ndarray, dtype=np.complex128) -> np.ndarray:
+    """transform(src).T for a `transform` along the last axis, taken over
+    blocks of _BLOCK_ROWS rows: each block's result is written transposed
+    into one preallocated n x n array. Two passes apply a transform along
+    both indices and leave the result in C order."""
+    out = np.empty(src.shape[::-1], dtype=dtype)
+    for start in range(0, src.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        out[:, rows] = transform(src[rows]).T
     return out
 
 
@@ -149,10 +109,23 @@ def evolve_pair(pair: PairWaveFunction, time_extent: float, regime: str) -> Pair
     the contamination when it does not.
     """
     row = free_kernel_row(pair.grid, time_extent, pair.params, regime)
-    dx = pair.grid.dx
+    n, dx = pair.grid.n_points, pair.grid.dx
+    # block @ T for the symmetric Toeplitz T with first row `row`, by
+    # circulant embedding: lags -(n-1) .. n-1 wrap onto a circle of 2n
+    # points, and the zero-padded FFT convolution is the exact product
+    # (Golub & Van Loan, Matrix Computations, section 4.7)
+    spectrum = np.fft.fft(np.concatenate((row, [0.0], row[:0:-1])))
+
+    def convolve(block):
+        padded = np.fft.fft(block, 2 * n, axis=-1)
+        padded *= spectrum
+        return np.fft.ifft(padded, axis=-1, out=padded)[:, :n]
+
     # K A K = ((A K)^T K)^T: both passes run along contiguous rows, where the
     # FFT is fastest, and the second transposes the result back to C order
-    out = _toeplitz_apply(row, _toeplitz_apply(row, pair.amplitudes), dx * dx)
+    half = _blocked_pass(convolve, pair.amplitudes)
+    out = _blocked_pass(lambda block: dx * dx * convolve(block), half)
+    del half  # before the border check takes |out|
     escape = _border_escape(out)
     if escape > _ESCAPE_THRESHOLD:
         raise GridEscapeError(
@@ -165,19 +138,14 @@ def evolve_pair(pair: PairWaveFunction, time_extent: float, regime: str) -> Pair
 
 def joint_momentum_distribution(pair: PairWaveFunction) -> tuple[Grid1D, np.ndarray]:
     """|phi(p_x, p_y)|^2 on the dual grid, carrying the pair's raw weight;
-    the FFT of momentum_representation acts on each index in turn, over
-    column blocks and then row blocks."""
-    grid, params = pair.grid, pair.params
-    n = grid.n_points
-    half = np.empty((n, n), dtype=np.complex128)
-    for cols in _blocks(n):
-        half[:, cols] = _momentum_fft(pair.amplitudes[:, cols], grid, params, axis=0)[1]
-    prob = np.empty((n, n))
-    for rows in _blocks(n):
-        pgrid, phi = _momentum_fft(half[rows], grid, params, axis=1)
-        block = prob[rows]
-        np.square(np.abs(phi, out=block), out=block)
-    return pgrid, prob
+    the FFT of momentum_representation acts along y, then along x."""
+
+    def along(block):
+        return _momentum_fft(block, pair.grid, pair.params)
+
+    half = _blocked_pass(along, pair.amplitudes)
+    prob = _blocked_pass(lambda block: np.abs(along(block)) ** 2, half, np.float64)
+    return dual_grid(pair.grid, pair.params), prob
 
 
 def momentum_anticorrelation(pair: PairWaveFunction) -> float:

@@ -30,6 +30,8 @@ from .grids import (
     PhysParams,
     WaveFunction,
     _check_schedule,
+    _hermitian_residue,
+    _set_checked,
     _toeplitz,
     dual_grid,
 )
@@ -46,16 +48,11 @@ class DensityMatrix:
     params: PhysParams = PhysParams()
 
     def __post_init__(self):
-        ent = np.asarray(self.entries, dtype=np.complex128)
         n = self.grid.n_points
-        if ent.shape != (n, n):
-            raise ValueError(f"density shape {ent.shape} does not match grid ({n}, {n})")
-        if not np.all(np.isfinite(ent)):
-            raise ValueError("density entries must be finite")
-        scale = max(float(np.max(np.abs(ent))), 1e-300)
-        herm = float(np.max(np.abs(ent - ent.conj().T)))
-        if herm > 1e-10 * scale:
-            raise ValueError(f"density matrix not Hermitian (residue {herm:.3g})")
+        ent = _set_checked(self, "entries", (n, n), np.complex128)
+        herm = _hermitian_residue(ent)
+        if herm > 1e-10:
+            raise ValueError(f"density matrix not Hermitian (relative residue {herm:.3g})")
         tr = self.trace_of(ent)
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"density trace {tr!r} is not 1")
@@ -65,7 +62,6 @@ class DensityMatrix:
                 f"density matrix not positive semidefinite (min eigenvalue "
                 f"{float(lam.min()) * self.grid.dx:.3g})"
             )
-        object.__setattr__(self, "entries", ent)
 
     def trace_of(self, ent: np.ndarray) -> float:
         return float(np.real(np.trace(ent)) * self.grid.dx)
@@ -89,17 +85,10 @@ class Hamiltonian:
     params: PhysParams = PhysParams()
 
     def __post_init__(self):
-        ent = np.asarray(self.entries, dtype=np.complex128)
         n = self.grid.n_points
-        if ent.shape != (n, n):
-            raise ValueError(f"Hamiltonian shape {ent.shape} does not match grid")
-        if not np.all(np.isfinite(ent)):
-            raise ValueError("Hamiltonian entries must be finite")
-        scale = max(float(np.max(np.abs(ent))), 1e-300)
-        herm = float(np.max(np.abs(ent - ent.conj().T)))
-        if herm > 1e-12 * scale:
-            raise ValueError(f"Hamiltonian not Hermitian (relative residue {herm / scale:.3g})")
-        object.__setattr__(self, "entries", ent)
+        herm = _hermitian_residue(_set_checked(self, "entries", (n, n), np.complex128))
+        if herm > 1e-12:
+            raise ValueError(f"Hamiltonian not Hermitian (relative residue {herm:.3g})")
 
 
 def hamiltonian(grid: Grid1D, params: PhysParams, potential: Potential | None = None) -> Hamiltonian:

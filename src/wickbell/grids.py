@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -81,32 +82,50 @@ def dual_grid(grid: Grid1D, params: PhysParams) -> Grid1D:
     return Grid1D(-m * dp, (n - 1 - m) * dp, n)
 
 
+def _set_checked(obj, name: str, shape: tuple, dtype) -> np.ndarray:
+    """Store obj.<name> on the frozen obj as a `dtype` array of `shape` with
+    finite entries, and return it."""
+    values = np.asarray(getattr(obj, name), dtype=dtype)
+    label = f"{type(obj).__name__} {name}"
+    if values.shape != shape:
+        raise ValueError(f"{label} shape {values.shape} does not match {shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{label} must be finite")
+    object.__setattr__(obj, name, values)
+    return values
+
+
+def _hermitian_residue(values: np.ndarray) -> float:
+    """max |A - A^H| relative to max |A|."""
+    scale = max(float(np.max(np.abs(values))), 1e-300)
+    return float(np.max(np.abs(values - values.conj().T))) / scale
+
+
 @dataclass(frozen=True)
-class WaveFunction:
-    """Complex amplitudes sampled on a Grid1D. Treat instances as immutable."""
+class _Amplitudes:
+    """Complex amplitudes on `rank` copies of one grid, normed by the plain sum."""
 
     grid: Grid1D
     amplitudes: np.ndarray = field(repr=False, compare=False)
     params: PhysParams = PhysParams()
+    rank: ClassVar[int] = 1
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"amplitude shape {amps.shape} does not match grid ({self.grid.n_points},)"
-            )
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
-        object.__setattr__(self, "amplitudes", amps)
+        _set_checked(self, "amplitudes", (self.grid.n_points,) * self.rank, np.complex128)
 
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dx)
+        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dx**self.rank)
 
-    def normalized(self) -> "WaveFunction":
+    def normalized(self):
         n2 = self.norm_squared()
         if n2 <= 0.0:
-            raise ValueError("cannot normalize a zero wavefunction")
-        return WaveFunction(self.grid, self.amplitudes / np.sqrt(n2), self.params)
+            raise ValueError(f"cannot normalize a zero {type(self).__name__}")
+        return type(self)(self.grid, self.amplitudes / np.sqrt(n2), self.params)
+
+
+@dataclass(frozen=True)
+class WaveFunction(_Amplitudes):
+    """Complex amplitudes sampled on a Grid1D. Treat instances as immutable."""
 
 
 @dataclass(frozen=True)
@@ -123,20 +142,14 @@ class Kernel:
     regime: str = MINKOWSKI
 
     def __post_init__(self):
-        ent = np.asarray(self.entries, dtype=np.complex128)
         n = self.grid.n_points
-        if ent.shape != (n, n):
-            raise ValueError(f"kernel shape {ent.shape} does not match grid ({n}, {n})")
-        _check_kernel_values(ent, self.regime)
+        _check_kernel_values(_set_checked(self, "entries", (n, n), np.complex128), self.regime)
         if not (self.time_extent >= 0.0):
             raise ValueError(f"time_extent must be >= 0, got {self.time_extent}")
-        object.__setattr__(self, "entries", ent)
 
 
 def _check_kernel_values(values: np.ndarray, regime: str) -> None:
-    """Entry checks shared by dense kernels and free-kernel lag rows."""
-    if not np.all(np.isfinite(values)):
-        raise ValueError("kernel entries must be finite")
+    """Regime checks shared by dense kernels and free-kernel lag rows."""
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
     if regime == EUCLIDEAN:
@@ -246,17 +259,19 @@ def momentum_representation(psi: WaveFunction) -> WaveFunction:
     """
     if abs(psi.norm_squared() - 1.0) > 1e-8:
         raise ValueError("momentum_representation expects a normalized wavefunction")
-    pgrid, amps = _momentum_fft(psi.amplitudes, psi.grid, psi.params)
-    return WaveFunction(pgrid, amps, psi.params)
+    pgrid = dual_grid(psi.grid, psi.params)
+    return WaveFunction(pgrid, _momentum_fft(psi.amplitudes, psi.grid, psi.params), psi.params)
 
 
-def _momentum_fft(amps: np.ndarray, grid: Grid1D, params: PhysParams, axis: int = -1) -> tuple:
-    """The dft_matrix map applied along one axis of `amps`, in O(n log n)."""
-    pgrid = dual_grid(grid, params)
-    shape = [1] * amps.ndim
-    shape[axis] = grid.n_points
-    raw = np.fft.fftshift(np.fft.fft(amps, axis=axis), axes=axis)
-    post = grid.dx / np.sqrt(2.0 * np.pi * params.hbar) * np.exp(
-        -1j * pgrid.x * grid.x_min / params.hbar
+def _momentum_fft(amps: np.ndarray, grid: Grid1D, params: PhysParams) -> np.ndarray:
+    """The dft_matrix map applied along the last axis of `amps`, in O(n log n).
+
+    The grid-offset phase is multiplied in FFT order, in place, so the call
+    holds two arrays the size of `amps`: the FFT and its shifted copy.
+    """
+    phase = grid.dx / np.sqrt(2.0 * np.pi * params.hbar) * np.exp(
+        -1j * dual_grid(grid, params).x * grid.x_min / params.hbar
     )
-    return pgrid, post.reshape(shape) * raw
+    raw = np.fft.fft(amps, axis=-1)
+    raw *= np.fft.ifftshift(phase)
+    return np.fft.fftshift(raw, axes=-1)

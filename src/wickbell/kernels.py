@@ -105,6 +105,8 @@ def free_kernel_row(grid: Grid1D, time_extent: float, params: PhysParams, regime
         row = pref * np.exp(-0.25j * np.pi) * np.exp(0.5j * m * lag**2 / (hbar * time_extent))
     else:
         row = pref * np.exp(-0.5 * m * lag**2 / (hbar * time_extent))
+    if not np.all(np.isfinite(row)):
+        raise ValueError("kernel entries must be finite")
     _check_kernel_values(row, regime)
     return row
 

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .csvio import _write_grid
-from .grids import Grid1D, PhysParams, WaveFunction, dual_grid
+from .grids import Grid1D, PhysParams, WaveFunction, _hermitian_residue, _set_checked, dual_grid
 
 
 @dataclass(frozen=True)
@@ -38,13 +38,7 @@ class WignerGrid:
     params: PhysParams = PhysParams()
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        expected = (self.x_axis.n_points, self.p_axis.n_points)
-        if vals.shape != expected:
-            raise ValueError(f"values shape {vals.shape} does not match axes {expected}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("Wigner values must be finite")
-        object.__setattr__(self, "values", vals)
+        _set_checked(self, "values", (self.x_axis.n_points, self.p_axis.n_points), np.float64)
 
     @property
     def cell_area(self) -> float:
@@ -135,8 +129,7 @@ def wigner_of_density(rho_entries: np.ndarray, grid: Grid1D, params: PhysParams)
     n = grid.n_points
     if rho.shape != (n, n):
         raise ValueError(f"density shape {rho.shape} does not match grid ({n}, {n})")
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > 1e-8 * max(float(np.max(np.abs(rho))), 1e-300):
+    if _hermitian_residue(rho) > 1e-8:
         raise ValueError("density matrix must be Hermitian for a real Wigner function")
     # both indices onto the half grid, plus one zero row and column at -1
     half = np.pad(_upsample2(_upsample2(rho).T).T, ((0, 1), (0, 1)))

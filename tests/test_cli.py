@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wickbell.cli import MEMORY_BUDGET_BYTES, _epr_bytes, build_config, entry, run
+from wickbell.cli import _PEAK_BYTES, MEMORY_BUDGET_BYTES, build_config, entry, run
 from wickbell.csvio import read_csv
 
 ALL_EXPERIMENTS = (
@@ -39,23 +39,53 @@ class TestCatalog:
         assert "CNOT" in chsh_row
 
 
+def traced_peak(fn) -> tuple:
+    """fn's result and the peak bytes allocated while it runs."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMemoryBudget:
     def test_epr_estimate_bounds_traced_peak(self, tmp_path):
         # 256 points clear both guards with s = 0.3 resolved by dx = 0.09 and
         # a real-time alias shift 2 pi hbar T/(m dx) = 28 past the 23-wide box
         config = build_config("epr", {"n_points": "256", "s": "0.3", "time": "0.4"})
-        estimate = _epr_bytes(256)
-        tracemalloc.start()
-        try:
-            run(config, str(tmp_path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        estimate = _PEAK_BYTES["epr"](256)
+        peak = traced_peak(lambda: run(config, str(tmp_path)))[1]
         assert 0.9 * estimate <= peak <= estimate
+
+    @pytest.mark.parametrize(
+        "experiment, overrides",
+        [
+            ("wigner", {"n_points": "256"}),
+            # 8 and 16 slices keep hbar eps / (m dx^2) >= 1 on 256 points
+            ("kernel-check", {"n_points": "256", "slice_counts": "8,16"}),
+            ("negativity-decay", {"n_points": "256"}),
+            # only the grid coordinates scale with n, so n is large here
+            ("commutator", {"n_points": "100000"}),
+        ],
+    )
+    def test_grid_estimate_bounds_traced_peak(self, tmp_path, experiment, overrides):
+        config = build_config(experiment, overrides)
+        estimate = _PEAK_BYTES[experiment](int(overrides["n_points"]))
+        peak = traced_peak(lambda: run(config, str(tmp_path)))[1]
+        assert 0.9 * estimate <= peak <= estimate
+
+    def test_shear_regime_within_negativity_estimate(self, tmp_path):
+        # four samples keep the last shear of the populated rows inside the box
+        overrides = {"n_points": "256", "regime": "minkowski-shear", "n_samples": "4"}
+        overrides.update(x_min="-16", x_max="16")
+        config = build_config("negativity-decay", overrides)
+        peak = traced_peak(lambda: run(config, str(tmp_path)))[1]
+        assert peak <= _PEAK_BYTES["negativity-decay"](256)
 
     def test_readme_example_fits(self):
         build_config("epr", {"n_points": "2048", "time": "0.12"})
-        assert _epr_bytes(2048) <= MEMORY_BUDGET_BYTES
+        assert _PEAK_BYTES["epr"](2048) <= MEMORY_BUDGET_BYTES
 
     def test_epr_over_budget_rejected_before_allocation(self, capsys, tmp_path):
         # 10^5 points would need 640 GB: the schema rejects the grid unbuilt
@@ -70,6 +100,45 @@ class TestMemoryBudget:
         err = capsys.readouterr().err
         assert "config error: parameter n_points: 100000 points" in err
         assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "experiment, n_points",
+        [
+            ("wigner", "200000"),
+            ("kernel-check", "200000"),
+            ("negativity-decay", "200000"),
+            ("commutator", "2000000000"),
+            # an estimate past Python's 4300-digit int-to-str limit
+            ("epr", "9" * 3000),
+        ],
+    )
+    def test_grid_over_budget_rejected_before_allocation(
+        self, capsys, tmp_path, experiment, n_points
+    ):
+        argv = ["run", experiment, "--out", str(tmp_path), "--set", f"n_points={n_points}"]
+        code, peak = traced_peak(lambda: entry(argv))
+        assert code == 2
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert "config error: parameter n_points:" in err
+        assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            # the conditioning window lies past the momentum grid's edge
+            ("condition_momentum=1000", "condition_momentum 1000"),
+            ("condition_momentum=nan", "condition_momentum nan"),
+            # a 0.1 half-width keeps one momentum sample of spacing 0.27
+            ("p_window=0.1", "p_window 0.1 keeps 1 momentum samples"),
+        ],
+    )
+    def test_epr_momentum_window_rejected_before_pair(self, capsys, tmp_path, override, named):
+        argv = ["run", "epr", "--out", str(tmp_path), "--set", override]
+        code, peak = traced_peak(lambda: entry(argv))
+        assert code == 2
+        assert peak < 2**20
+        assert f"config error: {named}" in capsys.readouterr().err
 
 
 class TestValidation:

@@ -128,7 +128,7 @@ class TestInitialPair:
         assert_matches_dense_dft(Grid1D(-6.0, 7.0, n_points), seed=n_points)
 
     def test_joint_momentum_memory(self):
-        # the column-block and row-block passes hold one n x n complex
+        # the two blocked passes hold one n x n complex
         # intermediate and the float result, not whole shifted copies
         grid = Grid1D(-8.0, 8.0, MEMORY_N)
         pair = epr_initial_pair(grid, CorrelationWidth(0.5), 1.2, PHYS)

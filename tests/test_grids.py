@@ -5,6 +5,8 @@ momentum-space integration (oracles.evolved_gaussian_point), which shares no
 code or discretization with the package.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from oracles import (
 from wickbell import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams, WaveFunction
 from wickbell.grids import (
     Kernel,
+    _momentum_fft,
     apply_kernel,
     cat_state,
     dft_matrix,
@@ -302,3 +305,16 @@ class TestMomentumRepresentation:
             fft = momentum_representation(psi)
             assert fft.grid == pgrid
             assert np.max(np.abs(dense - fft.amplitudes)) < 1e-10
+
+    def test_block_transform_holds_two_block_copies(self):
+        # the FFT and its shifted copy; the phase is applied in place
+        g = Grid1D(-8.0, 8.0, 512)
+        rng = np.random.default_rng(3)
+        block = rng.normal(size=(32, 512)) + 1j * rng.normal(size=(32, 512))
+        tracemalloc.start()
+        try:
+            _momentum_fft(block, g, PHYS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * block.nbytes
