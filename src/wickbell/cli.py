@@ -7,7 +7,8 @@ manifest echoing the inputs and the package version, so reruns with the same
 configuration are byte-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical guard tripped
-(the guard class is named on stderr).
+(the guard class is named on stderr) or any other ValueError raised while
+the experiment runs (the experiment is named).
 """
 
 from __future__ import annotations
@@ -165,9 +166,10 @@ def _state_params(state: str = "cat-odd", state_help: str = "initial state kind"
 
 
 def _make_grid(p: dict) -> Grid1D:
-    if p["x_max"] <= p["x_min"]:
-        raise ConfigError(f"x_max ({p['x_max']}) must exceed x_min ({p['x_min']})")
-    return Grid1D(p["x_min"], p["x_max"], p["n_points"])
+    try:
+        return Grid1D(p["x_min"], p["x_max"], p["n_points"])
+    except ValueError as exc:  # edges out of order, or a span past the float range
+        raise ConfigError(f"grid: {exc}") from None
 
 
 def _guarded(label: str, p: dict, keys: tuple, grid: Grid1D, build: Callable):
@@ -246,17 +248,21 @@ def _run_kernel_check(p: dict, outdir: str) -> list:
     grid = _make_grid(p)
     phys = PhysParams()
     t = p["total_time"]
-    exact = free_kernel_euclidean(grid, t, phys).entries.real
     margin = p["margin"] * np.sqrt(phys.hbar * t / phys.mass)
     inside = (grid.x >= grid.x_min + margin) & (grid.x <= grid.x_max - margin)
     if not np.any(inside):
         raise ConfigError(f"margin {p['margin']} leaves no interior grid points")
-    rows = []
-    for n_slices in p["slice_counts"]:
+    box = np.ix_(inside, inside)
+
+    def deviation(n_slices: int) -> float:
+        # nothing n^2 outlives the call, so each sliced_kernel build runs
+        # alone; the O(n^2) closed form is rebuilt beside the O(n^3) power
         plan = SlicingPlan(n_slices, t, EUCLIDEAN)
-        approx = sliced_kernel(grid, free_potential(), plan, phys).entries.real
-        dev = np.abs(approx - exact)[np.ix_(inside, inside)]
-        rows.append((n_slices, float(dev.max())))
+        approx = sliced_kernel(grid, free_potential(), plan, phys).entries.real[box]
+        exact = free_kernel_euclidean(grid, t, phys).entries.real[box]
+        return float(np.max(np.abs(approx - exact)))
+
+    rows = [(n_slices, deviation(n_slices)) for n_slices in p["slice_counts"]]
     out = os.path.join(outdir, "kernel_check.csv")
     write_csv(out, ("n_slices", "max_abs_deviation"), rows)
     return [out]
@@ -273,7 +279,10 @@ def _run_commutator(p: dict, outdir: str) -> list:
                 raise ConfigError(
                     f"slice index {j} outside interior range 1..{p['n_slices'] - 1}"
                 )
-            val = commutator_expectation(plan, grid, phys, j, p["boundary_width"])
+            try:
+                val = commutator_expectation(plan, grid, phys, j, p["boundary_width"])
+            except ValueError as exc:  # j is checked above: the packets miss the grid
+                raise ConfigError(f"boundary_width {p['boundary_width']}: {exc}") from None
             rows.append((regime, j, val.real, val.imag))
     out = os.path.join(outdir, "commutator.csv")
     write_csv(out, ("regime", "j", "re", "im"), rows)
@@ -295,19 +304,22 @@ def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParam
 # - epr: the initial pair, the euclidean-evolved pair and the momentum
 #   transform's intermediate (n^2 complex each) plus two momentum densities
 #   (n^2 float each); the FFT blocks add about 2 kB per grid point.
-# - wigner: wigner_transform's two (2, n, n) int64 lag-index arrays and
-#   three n^2 complex products.
-# - negativity-decay: the euclidean Hamiltonian and its eigenvectors besides
-#   one wigner_transform; the shear regime holds less.
-# - kernel-check: the closed-form kernel and the previous slice count's
-#   kernel while sliced_kernel builds the next, 4.5 complex arrays in all.
+# - wigner: wigner_transform's folded lag correlation (n x (n//2 + 1)
+#   complex) with a product temporary of its size, or with the real W and
+#   its shifted copy: about 25 bytes per cell. The CSV rows and the first
+#   call's numpy.fft import stay under 720 bytes per point from n = 256 on.
+# - negativity-decay: the real trap Hamiltonian and its eigenvectors (n^2
+#   float each) besides one wigner_transform; the shear regime holds less.
+# - kernel-check: one sliced_kernel build, about 33 bytes per cell; no
+#   kernel outlives its slice count. numpy's index buffers and the CSV stay
+#   under 128 KiB.
 # - commutator: the grid coordinates and their arange temporary; the path
 #   solve and the CSV stay under 128 KiB.
 _PEAK_BYTES = {
     "epr": lambda n: 64 * n * n + 2048 * n,
-    "wigner": lambda n: 80 * n * n + 1024 * n,
-    "negativity-decay": lambda n: 112 * n * n + 1024 * n,
-    "kernel-check": lambda n: 72 * n * n,
+    "wigner": lambda n: 25 * n * n + 720 * n,
+    "negativity-decay": lambda n: 41 * n * n + 1024 * n,
+    "kernel-check": lambda n: 33 * n * n + 2**17,
     "commutator": lambda n: 16 * n + 2**17,
 }
 
@@ -477,7 +489,12 @@ EXPERIMENTS = {
         {
             **_grid_params(512, -16.0, 16.0, _PEAK_BYTES["kernel-check"]),
             "total_time": ParamSpec("float", 1.0, "total propagation time", _positive("total_time")),
-            "slice_counts": ParamSpec("ints", (16, 32, 64, 128), "slice counts to compare"),
+            "slice_counts": ParamSpec(
+                "ints",
+                (16, 32, 64, 128),
+                "slice counts to compare",
+                lambda counts: _at_least("slice_counts", 2)(min(counts)),
+            ),
             "margin": ParamSpec(
                 "float", 5.0, "interior margin in units of sqrt(hbar T / m)", _positive("margin")
             ),
@@ -547,7 +564,10 @@ EXPERIMENTS = {
                 "int", 256, "latitude discretization", _at_least("latitude_segments", 3)
             ),
             "latitude_theta": ParamSpec(
-                "float", 1.0471975511965976, "polar angle of the latitude loop", _positive("latitude_theta")
+                "float",
+                1.0471975511965976,
+                "polar angle of the latitude loop",
+                lambda v: None if 0.0 < v < np.pi else f"latitude_theta must be in (0, pi), got {v}",
             ),
         },
         _run_spin_phase,
@@ -724,8 +744,10 @@ def entry(argv=None) -> int:
         print(f"numerical guard {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        # configuration is checked by the schema and at its source, which
+        # raise ConfigError; any other ValueError comes from inside run()
+        print(f"run error in {args.experiment}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

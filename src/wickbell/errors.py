@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps ConfigError to exit code 2 and NumericalGuardError (or any
-subclass) to exit code 3.
+The CLI maps ConfigError to exit code 2, and NumericalGuardError (or any
+subclass) and any other ValueError raised inside an experiment run to exit
+code 3.
 """
 
 

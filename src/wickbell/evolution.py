@@ -7,13 +7,9 @@ exp(-H tau/hbar) rho exp(-H tau/hbar), renormalized: the semigroup that
 projects onto the ground state and drives the negativity ratio down.
 
 All exponentials go through one spectral step, which turns the eigenvalues
-of one Hermitian eigendecomposition of H per call or per trajectory into
-per-level factors; grids in this package are small enough (<= 512) that
-dense eigh is the fast path. Negativity trajectories evolve the pure state
-itself, psi(tau) = V (f * V^H psi0), renormalized: after the one eigh each
-sample costs one O(n^2) matvec and one pure-state Wigner transform. The
-damped density of a pure state is the projector onto this psi, so nothing
-is lost against evolving rho.
+of one eigendecomposition of H per call or per trajectory into per-level
+factors. Grids here are small enough (<= 512) that dense eigh is the fast
+path, and a real H (the spectral trap) takes the real symmetric solver.
 """
 
 from __future__ import annotations
@@ -86,7 +82,8 @@ class Hamiltonian:
 
     def __post_init__(self):
         n = self.grid.n_points
-        herm = _hermitian_residue(_set_checked(self, "entries", (n, n), np.complex128))
+        dtype = np.result_type(np.asarray(self.entries), np.float64)
+        herm = _hermitian_residue(_set_checked(self, "entries", (n, n), dtype))
         if herm > 1e-12:
             raise ValueError(f"Hamiltonian not Hermitian (relative residue {herm:.3g})")
 
@@ -207,7 +204,7 @@ def negativity_trajectory(
     """Evolve psi0, Wigner-transform and score the negativity ratio at each sample.
 
     One eigh of H; per sample psi(tau) = V (f * c) / sqrt(trace) with
-    c = V^H psi0, so the state stays pure and its purity is ||psi||^4.
+    c = V^H psi0: the pure state whose projector is the damped density.
     """
     if regime not in (MINKOWSKI, EUCLIDEAN):
         raise ValueError(f"unknown regime {regime!r}")
@@ -224,7 +221,8 @@ def negativity_trajectory(
             f, trace, log_raw = _spectral_step(
                 w, populations, float(tau), regime, psi0.params.hbar, psi0.grid.dx
             )
-            psi = WaveFunction(psi0.grid, v @ (f * c) / np.sqrt(trace), psi0.params)
+            y = v @ (f * c).view(np.float64).reshape(-1, 2)  # Re and Im: a real V stays real
+            psi = WaveFunction(psi0.grid, (y[:, 0] + 1j * y[:, 1]) / np.sqrt(trace), psi0.params)
         points.append(
             TrajectoryPoint(
                 tau=float(tau),

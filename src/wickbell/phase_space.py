@@ -5,16 +5,15 @@ The transform evaluated here is
     W(x, p) = (2 pi hbar)^-1 int dy conj(psi)(x + y/2) exp(i p y / hbar) psi(x - y/2)
 
 with the prefactor fixed so that the double integral of W is exactly the
-squared norm of the state. The y integral needs psi at half-grid points;
-those come from an exact factor-2 FFT interpolation (zero padding, with the
-Nyquist bin split symmetrically when n is even), which reproduces the
-original samples at even indices identically. Consequence: the p-marginal of
-the returned W equals |psi(x_j)|^2 to machine rounding, not merely to
-quadrature accuracy.
+squared norm of the state. The y integral needs psi at half-grid points,
+from an exact factor-2 FFT interpolation (zero padding, the Nyquist bin split
+symmetrically for even n) that keeps the original samples at even indices:
+the p-marginal of W equals |psi(x_j)|^2 to rounding, not to quadrature.
 
-The momentum axis is the Nyquist-complete dual grid of the position axis, on
-which exp(i p y / hbar) repeats every n lags: lags m and m - n fold onto one
-column, and the lag sum is one inverse FFT of the folded correlation.
+On the Nyquist-complete dual grid exp(i p y / hbar) repeats every n lags, so
+lags m and m - n fold onto one column. A pure state's folded correlation is
+Hermitian in the lag term by term: half of it and a real inverse FFT give W.
+A density's takes a complex inverse FFT and a guard on the imaginary part.
 """
 
 from __future__ import annotations
@@ -113,11 +112,14 @@ def wigner_transform(psi: WaveFunction) -> WignerGrid:
     """Wigner function of a normalized pure state."""
     if abs(psi.norm_squared() - 1.0) > 1e-8:
         raise ValueError("wigner_transform expects a normalized wavefunction")
-    half = np.append(_upsample2(psi.amplitudes), 0.0)
-    plus, minus = _folded_lags(psi.grid.n_points)
-    conj = np.conj(half)
-    corr = conj[plus[0]] * half[minus[0]] + conj[plus[1]] * half[minus[1]]
-    return _wigner_from_folded(corr, psi.grid, psi.params)
+    grid, n, h = psi.grid, psi.grid.n_points, psi.grid.n_points // 2 + 1
+    pad = np.pad(_upsample2(psi.amplitudes), (n, n + 1))
+    # rows[j, n + l] is the half-grid sample at x_j + l dx / 2, zero outside the box
+    rows = np.lib.stride_tricks.sliding_window_view(pad, 2 * n + 1)[: 2 * n : 2]
+    corr = np.conj(rows[:, n : n + h]) * rows[:, n : n - h : -1]
+    corr += np.conj(rows[:, :h]) * rows[:, 2 * n : 2 * n - h : -1]
+    w = np.fft.irfft(corr, n, axis=1) * (grid.dx * n / (2.0 * np.pi * psi.params.hbar))
+    return WignerGrid(grid, dual_grid(grid, psi.params), np.fft.fftshift(w, axes=1), psi.params)
 
 
 def wigner_of_density(rho_entries: np.ndarray, grid: Grid1D, params: PhysParams) -> WignerGrid:

@@ -265,13 +265,20 @@ def dense_wigner_of_density(rho, dx, hbar=1.0) -> np.ndarray:
     (n x 2n-1)(2n-1 x n) product with the dual-grid phases
     exp(i p_k y_l / hbar) = exp(2 pi i l (k - n//2) / n). No FFT and no
     folding of the lag axis. Returns the complex W.
+
+    The interpolation sum over frequencies f at the offset a/2 - b is the
+    product of exp(i pi a f / n) and exp(-2 pi i b f / n), summed as one
+    matrix product; every phase is reduced modulo a full turn in integers
+    first, so its rounding does not grow with n.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     n = rho.shape[0]
-    offset = np.arange(2 * n)[:, None] / 2.0 - np.arange(n)[None, :]
     freqs = np.arange(-((n - 1) // 2), (n - 1) // 2 + 1)
-    interp = np.sum(np.exp(2j * np.pi * offset[..., None] * freqs / n), axis=-1) / n
+    half_turns = np.exp(1j * np.pi * (np.outer(np.arange(2 * n), freqs) % (2 * n)) / n)
+    whole_turns = np.exp(2j * np.pi * (np.outer(np.arange(n), freqs) % n) / n)
+    interp = half_turns @ whole_turns.conj().T / n
     if n % 2 == 0:
+        offset = np.arange(2 * n)[:, None] / 2.0 - np.arange(n)[None, :]
         interp += np.cos(np.pi * offset) / n
     half = interp @ rho @ interp.T
     j = np.arange(n)[:, None]
@@ -279,7 +286,7 @@ def dense_wigner_of_density(rho, dx, hbar=1.0) -> np.ndarray:
     minus, plus = 2 * j - lags, 2 * j + lags
     inside = (np.minimum(minus, plus) >= 0) & (np.maximum(minus, plus) < 2 * n)
     corr = np.where(inside, half[np.clip(minus, 0, 2 * n - 1), np.clip(plus, 0, 2 * n - 1)], 0.0)
-    phases = np.exp(2j * np.pi * np.outer(lags, np.arange(n) - n // 2) / n)
+    phases = np.exp(2j * np.pi * (np.outer(lags, np.arange(n) - n // 2) % n) / n)
     return (dx / (2.0 * np.pi * hbar)) * (corr @ phases)
 
 

@@ -236,6 +236,28 @@ class TestValidation:
         assert err.startswith("config error: ") and named in err
         assert "non-finite kernel exponent" in err
 
+    @pytest.mark.parametrize(
+        "experiment, overrides, named",
+        [
+            ("kernel-check", ["slice_counts=16,1"], "parameter slice_counts: slice_counts must"),
+            ("spin-phase", ["latitude_theta=4"], "parameter latitude_theta: latitude_theta must"),
+            ("commutator", ["boundary_width=20"], "boundary_width 20.0: boundary packet does"),
+            ("wigner", ["x_min=-1e308", "x_max=1e308"], "grid: x_max - x_min overflows"),
+            ("wigner", ["x_min=3", "x_max=-3"], "grid: x_max must exceed x_min"),
+        ],
+        ids=["slice_counts", "latitude_theta", "boundary_width", "span-overflow", "edges-reversed"],
+    )
+    def test_bad_value_rejected_as_config_error(
+        self, capsys, tmp_path, experiment, overrides, named
+    ):
+        # each value is out of range for a check inside the run, which
+        # reports it as a configuration error naming the parameter
+        argv = ["run", experiment, "--out", str(tmp_path)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert entry(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {named}")
+
     def test_unparsable_value(self, capsys, tmp_path):
         code = entry(["run", "chsh", "--out", str(tmp_path), "--set", "seed=many"])
         assert code == 2
@@ -468,6 +490,19 @@ class TestRunOutputs:
         err = capsys.readouterr().err
         assert "config error" in err and "output directory" in err and str(target) in err
         assert target.read_text() == "not a directory\n"
+
+    def test_value_error_inside_run_is_a_run_error(self, capsys, tmp_path, monkeypatch):
+        # a ValueError that no configuration check raised is a numerical
+        # failure of the run: exit 3, naming the experiment
+        import wickbell.cli as cli
+
+        def vanishing(w):
+            raise ValueError("negativity ratio undefined: total integral vanishes")
+
+        monkeypatch.setattr(cli, "negativity_ratio", vanishing)
+        assert entry(["run", "wigner", "--out", str(tmp_path), "--set", "n_points=64"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("run error in wigner: negativity ratio undefined")
 
     def test_guard_exit_code(self, capsys, tmp_path):
         code = entry(

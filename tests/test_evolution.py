@@ -69,6 +69,11 @@ class TestHamiltonian:
         dense = kin + np.diag(0.5 * g.x**2)
         assert np.max(np.abs(h.entries - dense)) < 1e-12 * np.max(np.abs(h.entries))
 
+    def test_spectral_trap_is_real(self):
+        # a real symmetric H takes the real eigh
+        assert HARMONIC.entries.dtype == np.float64
+        assert hamiltonian(GRID, PHYS).entries.dtype == np.float64
+
     def test_rejects_non_hermitian(self):
         ent = np.diag(np.arange(GRID.n_points, dtype=float)).astype(complex)
         ent[0, 1] = 1.0
@@ -339,6 +344,20 @@ class TestTrajectories:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         negativity_trajectory(psi0, HARMONIC, [0.0, 0.005, 0.01, 0.02], regime)
         assert calls == [HARMONIC.entries.shape]
+
+    @pytest.mark.parametrize("regime", [MINKOWSKI, EUCLIDEAN])
+    def test_complex_typed_hamiltonian_gives_same_trajectory(self, regime):
+        psi0 = cat_state(GRID, PHYS, 3.0, 1.0, "odd")
+        complex_h = Hamiltonian(GRID, HARMONIC.entries.astype(np.complex128), PHYS)
+        assert complex_h.entries.dtype == np.complex128
+        taus = [0.0, 0.3, 1.2, 5.0]
+        real_pts = negativity_trajectory(psi0, HARMONIC, taus, regime)
+        complex_pts = negativity_trajectory(psi0, complex_h, taus, regime)
+        for a, b in zip(real_pts, complex_pts):
+            assert a.tau == b.tau
+            assert b.negativity == pytest.approx(a.negativity, abs=1e-12)
+            assert b.purity == pytest.approx(a.purity, abs=1e-12)
+            assert b.trace_raw == pytest.approx(a.trace_raw, abs=1e-12)
 
     def test_trace_collapse_guard(self):
         # as TestEuclideanEvolution.test_trace_collapse_guard: a state on

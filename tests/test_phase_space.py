@@ -280,6 +280,30 @@ class TestOddGrids:
 
 
 class TestDenseOracle:
+    @pytest.mark.parametrize("n", [8, 9, 33, 64, 65, 512])
+    def test_pure_transform_matches_dense_lag_sum_on_random_states(self, n):
+        # amplitudes up to the box edges: every lag window reaches past it
+        g = Grid1D(-6.0, 6.0, n)
+        rng = np.random.default_rng(1000 + n)
+        psi = WaveFunction(g, rng.normal(size=n) + 1j * rng.normal(size=n), PHYS).normalized()
+        pure = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        ref = dense_wigner_of_density(pure, g.dx, PHYS.hbar)
+        assert np.max(np.abs(wigner_transform(psi).values - ref)) < 1e-13 * np.max(np.abs(ref))
+
+    def test_pure_transform_memory_is_bounded(self):
+        # the folded correlation (n x (n//2 + 1) complex, 8 bytes per cell)
+        # and its products, then the real W and its shifted copy
+        g = offset_grid(12.0, 512)
+        psi = gaussian_wavepacket(g, PHYS)
+        wigner_transform(psi)  # numpy.fft is imported on first use
+        tracemalloc.start()
+        try:
+            wigner_transform(psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 512**2
+
     @pytest.mark.parametrize("n", [64, 65])
     def test_both_transforms_match_dense_lag_sum(self, n):
         g = Grid1D(-6.0, 6.0, n)
