@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Time the heavy layers at a few grid sizes and fit one exponent per layer.
 
-    PYTHONPATH=src python scripts/layer_scaling.py [--sizes 256,512,1536]
+    PYTHONPATH=src python scripts/layer_scaling.py
 
-Each layer runs on inputs built outside the timed region, with one BLAS
-thread, and its time is the best of a few repeats. The exponent is the
-least-squares slope of log(time) against log(n): about 2 for the O(n^2)
-and O(n^2 log n) transforms, 3 for a dense eigendecomposition or matrix
-power. An exponent near 3 on a layer meant to be a transform shows an O(n^3)
-path left in it. The largest default size holds a few hundred MiB in
-`wigner_of_density`.
+Each layer runs at n = 256, 512 and 1536 on inputs built outside the timed
+region, with one BLAS thread, and its time is the best of three calls. The
+exponent is the least-squares slope of log(time) against log(n): about 2
+for the O(n^2) and O(n^2 log n) transforms, 3 for a dense eigendecomposition
+or matrix power. An exponent near 3 on a layer meant to be a transform
+shows an O(n^3) path left in it. The largest size holds a few hundred MiB
+in `wigner_of_density`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads its BLAS
 
-import argparse
 import time
 
 import numpy as np
@@ -37,6 +36,8 @@ from wickbell.kernels import SlicingPlan, free_potential, harmonic_potential, sl
 from wickbell.phase_space import wigner_of_density, wigner_transform
 
 PHYS = PhysParams()
+SIZES = (256, 512, 1536)
+REPEATS = 3
 
 
 def layers(n: int) -> dict:
@@ -59,9 +60,9 @@ def layers(n: int) -> dict:
     }
 
 
-def best_of(call, repeats: int) -> float:
+def best_of(call) -> float:
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         started = time.perf_counter()
         call()
         best = min(best, time.perf_counter() - started)
@@ -69,23 +70,15 @@ def best_of(call, repeats: int) -> float:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="256,512,1536", help="comma-separated grid sizes")
-    parser.add_argument("--repeats", type=int, default=3, help="timed calls per layer and size")
-    args = parser.parse_args()
-    sizes = [int(part) for part in args.sizes.split(",")]
-    if len(sizes) < 2 or args.repeats < 1:
-        parser.error("need at least two sizes and one repeat")
-
     times: dict[str, list[float]] = {}
-    for n in sizes:
+    for n in SIZES:
         for name, call in layers(n).items():
             call()  # first call: lazy imports and FFT plans
-            times.setdefault(name, []).append(best_of(call, args.repeats))
+            times.setdefault(name, []).append(best_of(call))
 
-    print(f"{'layer':28s}" + "".join(f"{f'n={n} (s)':>14s}" for n in sizes) + f"{'exponent':>10s}")
+    print(f"{'layer':28s}" + "".join(f"{f'n={n} (s)':>14s}" for n in SIZES) + f"{'exponent':>10s}")
     for name, secs in times.items():
-        slope = np.polyfit(np.log(sizes), np.log(secs), 1)[0]
+        slope = np.polyfit(np.log(SIZES), np.log(secs), 1)[0]
         print(f"{name:28s}" + "".join(f"{s:14.4f}" for s in secs) + f"{slope:10.2f}")
     return 0
 

@@ -124,6 +124,26 @@ def _choice(name: str, options: tuple):
     return check
 
 
+def _budgeted(name: str, bound: int, unit: str, peak_bytes: Callable[[int], int] | None):
+    """Count check: at least `bound`; given peak_bytes(count), the count is
+    also held to the memory budget."""
+    at_least = _at_least(name, bound)
+    budget = f"the {MEMORY_BUDGET_BYTES >> 20} MiB budget"
+
+    def check(count):
+        if peak_bytes is None or count < bound:
+            return at_least(count)
+        # every estimate is at least a byte per count: a larger count is over
+        # the budget without computing, or printing, its huge estimate
+        if count > MEMORY_BUDGET_BYTES:
+            return f"more than {MEMORY_BUDGET_BYTES} {unit} are over {budget}"
+        if peak_bytes(count) > MEMORY_BUDGET_BYTES:
+            return f"{count} {unit} would hold {peak_bytes(count) >> 20} MiB of arrays, over {budget}"
+        return None
+
+    return check
+
+
 def _grid_params(
     n_points: int = 256,
     x_min: float = -16.0,
@@ -132,22 +152,10 @@ def _grid_params(
 ) -> dict:
     """Grid schema; given peak_bytes(n_points), n_points is also held to the
     memory budget."""
-    at_least = _at_least("n_points", 8)
-    budget = f"the {MEMORY_BUDGET_BYTES >> 20} MiB budget"
-
-    def check(n):
-        if peak_bytes is None or n < 8:
-            return at_least(n)
-        # every estimate is at least a byte per point: a larger count is over
-        # the budget without computing, or printing, its huge estimate
-        if n > MEMORY_BUDGET_BYTES:
-            return f"more than {MEMORY_BUDGET_BYTES} points are over {budget}"
-        if peak_bytes(n) > MEMORY_BUDGET_BYTES:
-            return f"{n} points would hold {peak_bytes(n) >> 20} MiB of arrays, over {budget}"
-        return None
-
     return {
-        "n_points": ParamSpec("int", n_points, "grid sample count", check),
+        "n_points": ParamSpec(
+            "int", n_points, "grid sample count", _budgeted("n_points", 8, "points", peak_bytes)
+        ),
         "x_min": ParamSpec("float", x_min, "left grid edge", _finite("x_min")),
         "x_max": ParamSpec("float", x_max, "right grid edge", _finite("x_max")),
     }
@@ -281,8 +289,10 @@ def _run_commutator(p: dict, outdir: str) -> list:
                 )
             try:
                 val = commutator_expectation(plan, grid, phys, j, p["boundary_width"])
-            except ValueError as exc:  # j is checked above: the packets miss the grid
-                raise ConfigError(f"boundary_width {p['boundary_width']}: {exc}") from None
+            except np.linalg.LinAlgError:
+                raise  # a numerical failure of the solve, not a bad value
+            except ValueError as exc:  # j is checked above; the rest name their parameter
+                raise ConfigError(str(exc)) from None
             rows.append((regime, j, val.real, val.imag))
     out = os.path.join(outdir, "commutator.csv")
     write_csv(out, ("regime", "j", "re", "im"), rows)
@@ -313,8 +323,9 @@ def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParam
 # - kernel-check: one sliced_kernel build, about 33 bytes per cell; no
 #   kernel outlives its slice count. numpy's index buffers and the CSV stay
 #   under 128 KiB.
-# - commutator: the grid coordinates and their arange temporary; the path
-#   solve and the CSV stay under 128 KiB.
+# - commutator: the grid coordinates and their arange temporary; the CSV
+#   stays under 128 KiB. The path solve is held to the budget through
+#   n_slices, apart from the grid (_path_solve_bytes).
 _PEAK_BYTES = {
     "epr": lambda n: 64 * n * n + 2048 * n,
     "wigner": lambda n: 25 * n * n + 720 * n,
@@ -322,6 +333,12 @@ _PEAK_BYTES = {
     "kernel-check": lambda n: 33 * n * n + 2**17,
     "commutator": lambda n: 16 * n + 2**17,
 }
+
+
+def _path_solve_bytes(n_slices: int) -> int:
+    """commutator_expectation's peak: the (n + 1)^2 complex quadratic form
+    beside the identity its three right-hand sides are cut from."""
+    return 32 * (n_slices + 1) ** 2 + 2**17
 
 
 def _run_epr(p: dict, outdir: str) -> list:
@@ -505,7 +522,9 @@ EXPERIMENTS = {
         "position-momentum twist expectation on sliced free paths in both regimes",
         {
             **_grid_params(512, -16.0, 16.0, _PEAK_BYTES["commutator"]),
-            "n_slices": ParamSpec("int", 8, "number of time slices", _at_least("n_slices", 2)),
+            "n_slices": ParamSpec(
+                "int", 8, "number of time slices", _budgeted("n_slices", 2, "slices", _path_solve_bytes)
+            ),
             "total_time": ParamSpec("float", 1.0, "total time", _positive("total_time")),
             "slice_indices": ParamSpec("ints", (2, 5), "interior slice indices to probe"),
             "boundary_width": ParamSpec(

@@ -158,7 +158,7 @@ def _check_slice_resolution(grid: Grid1D, eps: float, params: PhysParams) -> Non
     # hbar eps / (m dx^2) is (slice diffusion length / dx)^2; below 1 the
     # slice factor varies faster than the grid can represent and the chained
     # quadrature silently loses mass.
-    ratio = params.hbar * eps / (params.mass * grid.dx**2)
+    ratio = params.hbar * eps / (params.mass * grid.dx * grid.dx)
     if ratio < 1.0:
         raise NumericalGuardError(
             f"slice duration too short for this grid: hbar*eps/(m*dx^2) = "
@@ -222,13 +222,18 @@ def commutator_expectation(
     reach = 5.0 * boundary_width
     if boundary_center - reach < grid.x_min or boundary_center + reach > grid.x_max:
         raise ValueError(
-            "boundary packet does not fit the declared grid: need center +- "
-            f"5 width inside [{grid.x_min}, {grid.x_max}]"
+            f"boundary_width {boundary_width}: boundary packet does not fit the "
+            f"declared grid: need center +- 5 width inside [{grid.x_min}, {grid.x_max}]"
         )
     eps = plan.epsilon
     m, hbar = params.mass, params.hbar
-    kin = m / (hbar * eps)
     sigma2 = boundary_width**2
+    # near the float floor these couplings overflow, or divide by zero
+    if not (hbar * eps > 0.0 and m / (hbar * eps) < np.inf):
+        raise ValueError(f"total_time / n_slices = {eps:.3g} is too short: m/(hbar eps) overflows")
+    if not (sigma2 > 0.0 and 1.0 / sigma2 < np.inf):
+        raise ValueError(f"boundary_width {boundary_width} is too small: 1/width^2 overflows")
+    kin = m / (hbar * eps)
 
     # exponent -(1/2) x^T A x + b.x over path points x_0..x_N
     size = n + 1

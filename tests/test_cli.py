@@ -6,7 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wickbell.cli import _PEAK_BYTES, MEMORY_BUDGET_BYTES, build_config, entry, run
+from wickbell.cli import (
+    _PEAK_BYTES,
+    MEMORY_BUDGET_BYTES,
+    _path_solve_bytes,
+    build_config,
+    entry,
+    run,
+)
 from wickbell.csvio import read_csv
 
 ALL_EXPERIMENTS = (
@@ -74,6 +81,23 @@ class TestMemoryBudget:
         estimate = _PEAK_BYTES[experiment](int(overrides["n_points"]))
         peak = traced_peak(lambda: run(config, str(tmp_path)))[1]
         assert 0.9 * estimate <= peak <= estimate
+
+    def test_path_solve_estimate_bounds_traced_peak(self, tmp_path):
+        # the commutator's quadratic form grows with n_slices, not n_points
+        config = build_config("commutator", {"n_points": "64", "n_slices": "400"})
+        estimate = _path_solve_bytes(400)
+        peak = traced_peak(lambda: run(config, str(tmp_path)))[1]
+        assert 0.9 * estimate <= peak <= estimate
+
+    def test_path_solve_over_budget_rejected_before_allocation(self, capsys, tmp_path):
+        # 10^5 slices would need 320 GB: the schema rejects them unbuilt
+        argv = ["run", "commutator", "--out", str(tmp_path), "--set", "n_slices=100000"]
+        code, peak = traced_peak(lambda: entry(argv))
+        assert code == 2
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert err.startswith("config error: parameter n_slices: 100000 slices would hold")
+        assert "budget" in err
 
     def test_shear_regime_within_negativity_estimate(self, tmp_path):
         # four samples keep the last shear of the populated rows inside the box
@@ -242,10 +266,21 @@ class TestValidation:
             ("kernel-check", ["slice_counts=16,1"], "parameter slice_counts: slice_counts must"),
             ("spin-phase", ["latitude_theta=4"], "parameter latitude_theta: latitude_theta must"),
             ("commutator", ["boundary_width=20"], "boundary_width 20.0: boundary packet does"),
+            # 5e-324 / 8 rounds to a zero slice; 1e-200 squared rounds to zero
+            ("commutator", ["total_time=5e-324"], "total_time / n_slices = 0 is too short"),
+            ("commutator", ["boundary_width=1e-200"], "boundary_width 1e-200 is too small"),
             ("wigner", ["x_min=-1e308", "x_max=1e308"], "grid: x_max - x_min overflows"),
             ("wigner", ["x_min=3", "x_max=-3"], "grid: x_max must exceed x_min"),
         ],
-        ids=["slice_counts", "latitude_theta", "boundary_width", "span-overflow", "edges-reversed"],
+        ids=[
+            "slice_counts",
+            "latitude_theta",
+            "boundary_width",
+            "slice-underflow",
+            "width-underflow",
+            "span-overflow",
+            "edges-reversed",
+        ],
     )
     def test_bad_value_rejected_as_config_error(
         self, capsys, tmp_path, experiment, overrides, named
@@ -528,3 +563,11 @@ class TestRunOutputs:
         assert code == 3
         err = capsys.readouterr().err
         assert "numerical guard GridEscapeError" in err
+
+    def test_coarse_grid_trips_slice_guard(self, capsys, tmp_path):
+        # dx^2 past the float range reads as an infinitely coarse grid
+        argv = ["run", "kernel-check", "--out", str(tmp_path)]
+        for item in ("n_points=64", "x_max=1e300"):
+            argv += ["--set", item]
+        assert entry(argv) == 3
+        assert "slice duration too short for this grid" in capsys.readouterr().err

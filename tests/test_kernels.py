@@ -255,6 +255,12 @@ class TestSlicedKernel:
         e0 = -np.log(lam) / tau
         assert abs(e0 - 0.5) < 0.005
 
+    def test_slice_guard_on_grid_past_float_range(self):
+        # dx^2 overflows: the guard reads the grid as too coarse, no OverflowError
+        g = Grid1D(-1e300, 1e300, 64)
+        with pytest.raises(NumericalGuardError, match="slice duration"):
+            sliced_kernel(g, free_potential(), SlicingPlan(4, 1.0, EUCLIDEAN), PHYS)
+
     def test_euclidean_sliced_positivity(self):
         g = Grid1D(-10.0, 10.0, 256)
         k = sliced_kernel(g, harmonic_potential(1.0, PHYS), SlicingPlan(32, 1.0, EUCLIDEAN), PHYS)
@@ -329,6 +335,13 @@ class TestTwistExpectation:
         plan = SlicingPlan(4, 1.0, EUCLIDEAN)
         with pytest.raises(ValueError, match="grid"):
             commutator_expectation(plan, g, PHYS, 2, boundary_width=1.0, boundary_center=3.5)
+
+    def test_rejects_couplings_past_float_range(self):
+        g = Grid1D(-16.0, 16.0, 64)
+        with pytest.raises(ValueError, match="total_time / n_slices = 1.25e-311"):
+            commutator_expectation(SlicingPlan(8, 1e-310, EUCLIDEAN), g, PHYS, 2)
+        with pytest.raises(ValueError, match="boundary_width 1e-160 is too small"):
+            commutator_expectation(SlicingPlan(8, 1.0, MINKOWSKI), g, PHYS, 2, boundary_width=1e-160)
 
     def test_rejects_nonpositive_width(self):
         g = Grid1D(-16.0, 16.0, 64)
