@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from wickbell import EUCLIDEAN, Grid1D, PhysParams
+from wickbell import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams
 from wickbell.epr import (
     CorrelationWidth,
     epr_initial_pair,
@@ -46,14 +46,20 @@ def layers(n: int) -> dict:
     wide = Grid1D(-16.0, 16.0, n)
     psi = gaussian_wavepacket(wide, PHYS)
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    # T = 0.4 keeps the real-time alias shift 2 pi hbar T/(m dx) past the
+    # 23-wide box from n = 256 on
     pair = epr_initial_pair(Grid1D(-11.5, 11.5, n), CorrelationWidth(0.3), 1.0, PHYS)
+    evolved = evolve_pair(pair, 0.4, MINKOWSKI)
     trap = harmonic_potential(1.0, PHYS)
     return {
         "wigner_transform": lambda: wigner_transform(psi),
         "wigner_of_density": lambda: wigner_of_density(rho, wide, PHYS),
         "hamiltonian+eigh": lambda: np.linalg.eigh(hamiltonian(wide, PHYS, trap).entries),
-        "evolve_pair": lambda: evolve_pair(pair, 0.06, EUCLIDEAN),
-        "joint_momentum_distribution": lambda: joint_momentum_distribution(pair),
+        # the real pair takes the real-input path in imaginary time only
+        "evolve_pair minkowski": lambda: evolve_pair(pair, 0.4, MINKOWSKI),
+        "evolve_pair euclidean": lambda: evolve_pair(pair, 0.4, EUCLIDEAN),
+        "joint_momentum real": lambda: joint_momentum_distribution(pair),
+        "joint_momentum complex": lambda: joint_momentum_distribution(evolved),
         "sliced_kernel": lambda: sliced_kernel(
             wide, free_potential(), SlicingPlan(16, 1.0, EUCLIDEAN), PHYS
         ),

@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -29,6 +30,7 @@ from .kernels import (
     SlicingPlan,
     commutator_expectation,
     free_kernel_euclidean,
+    free_kernel_row,
     free_potential,
     harmonic_potential,
     sliced_kernel,
@@ -311,9 +313,10 @@ def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParam
 
 # Array bytes each grid experiment holds at its peak on n points; the schema
 # checks them against MEMORY_BUDGET_BYTES before anything is allocated.
-# - epr: the initial pair, the euclidean-evolved pair and the momentum
-#   transform's intermediate (n^2 complex each) plus two momentum densities
-#   (n^2 float each); the FFT blocks add about 2 kB per grid point.
+# - epr: the initial pair, the minkowski-evolved pair and the momentum
+#   transform's full-spectrum intermediate (n^2 complex each) plus its
+#   density (n^2 float); the FFT blocks of its second pass add about 800
+#   bytes per grid point. The real euclidean arm holds less.
 # - wigner: wigner_transform's folded lag correlation (n x (n//2 + 1)
 #   complex) with a product temporary of its size, or with the real W and
 #   its shifted copy: about 25 bytes per cell. The CSV rows and the first
@@ -327,7 +330,7 @@ def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParam
 #   stays under 128 KiB. The path solve is held to the budget through
 #   n_slices, apart from the grid (_path_solve_bytes).
 _PEAK_BYTES = {
-    "epr": lambda n: 64 * n * n + 2048 * n,
+    "epr": lambda n: 56 * n * n + 1024 * n,
     "wigner": lambda n: 25 * n * n + 720 * n,
     "negativity-decay": lambda n: 41 * n * n + 1024 * n,
     "kernel-check": lambda n: 33 * n * n + 2**17,
@@ -355,6 +358,10 @@ def _run_epr(p: dict, outdir: str) -> list:
         raise ConfigError(
             f"p_window {p['p_window']} keeps {window.sum()} momentum samples; the CSV grid needs 8"
         )
+    # a vanishing time overflows the kernel rows' prefactor
+    t = p["time"]
+    for regime in (MINKOWSKI, EUCLIDEAN):
+        _guarded(f"{regime} kernel", p, ("time",), grid, partial(free_kernel_row, grid, t, phys, regime))
     pair = _guarded(
         "pair",
         p,
@@ -364,7 +371,6 @@ def _run_epr(p: dict, outdir: str) -> list:
     )
     pearson_initial = momentum_anticorrelation(pair)
     # each evolved pair is dropped as soon as its momentum density exists
-    t = p["time"]
     prob_m = joint_momentum_distribution(evolve_pair(pair, t, MINKOWSKI))[1]
     ratio_err = _weight_ratio_error(
         pgrid, prob_m, joint_momentum_distribution(evolve_pair(pair, t, EUCLIDEAN))[1], t, phys

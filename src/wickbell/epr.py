@@ -23,7 +23,7 @@ import numpy as np
 
 from .csvio import _write_grid
 from .errors import GridEscapeError
-from .grids import Grid1D, PhysParams, _Amplitudes, _momentum_fft, dual_grid
+from .grids import EUCLIDEAN, Grid1D, PhysParams, _Amplitudes, dual_grid
 from .kernels import free_kernel_row
 
 # relative border amplitude above which an evolved pair is considered to
@@ -82,12 +82,13 @@ def _border_escape(amps: np.ndarray) -> float:
     return border / peak if peak > 0.0 else 0.0
 
 
-def _blocked_pass(transform, src: np.ndarray, dtype=np.complex128) -> np.ndarray:
+def _blocked_pass(transform, src: np.ndarray, dtype=np.complex128, length: int = 0) -> np.ndarray:
     """transform(src).T for a `transform` along the last axis, taken over
     blocks of _BLOCK_ROWS rows: each block's result is written transposed
-    into one preallocated n x n array. Two passes apply a transform along
-    both indices and leave the result in C order."""
-    out = np.empty(src.shape[::-1], dtype=dtype)
+    into one preallocated array. The transform's rows come out `length`
+    long (default: as long as src's rows). Two passes apply a transform
+    along both indices and leave the result in C order."""
+    out = np.empty((length or src.shape[1], src.shape[0]), dtype=dtype)
     for start in range(0, src.shape[0], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         out[:, rows] = transform(src[rows]).T
@@ -101,6 +102,8 @@ def evolve_pair(pair: PairWaveFunction, time_extent: float, regime: str) -> Pair
     Toeplitz, so each index takes one O(n^2 log n) FFT convolution with the
     kernel's lag row; the n x n kernel is never built. Euclidean output keeps
     its damped raw weight (callers normalize when they need probabilities).
+    The Euclidean kernel is real, so a real pair stays real: it is evolved
+    with real-input FFTs, and the result has an exactly zero imaginary part.
 
     Real-time caution: the sampled chirp aliases into state copies displaced
     by 2 pi hbar T/(m dx) (see the kernels module note); the convolution is
@@ -114,17 +117,25 @@ def evolve_pair(pair: PairWaveFunction, time_extent: float, regime: str) -> Pair
     # circulant embedding: lags -(n-1) .. n-1 wrap onto a circle of 2n
     # points, and the zero-padded FFT convolution is the exact product
     # (Golub & Van Loan, Matrix Computations, section 4.7)
-    spectrum = np.fft.fft(np.concatenate((row, [0.0], row[:0:-1])))
+    embedded = np.concatenate((row, [0.0], row[:0:-1]))
+    amps, dtype = pair.amplitudes, np.complex128
+    if regime == EUCLIDEAN and not np.any(amps.imag):
+        # the embedded row is real and even, so its spectrum is real
+        fft, ifft, spectrum = np.fft.rfft, np.fft.irfft, np.fft.rfft(embedded).real
+        amps, dtype = amps.real, np.float64
+    else:
+        fft, ifft, spectrum = np.fft.fft, np.fft.ifft, np.fft.fft(embedded)
 
-    def convolve(block):
-        padded = np.fft.fft(block, 2 * n, axis=-1)
+    def convolve(block, spectrum):
+        padded = fft(block, 2 * n, axis=-1)
         padded *= spectrum
-        return np.fft.ifft(padded, axis=-1, out=padded)[:, :n]
+        return ifft(padded, 2 * n, axis=-1)[:, :n]
 
     # K A K = ((A K)^T K)^T: both passes run along contiguous rows, where the
     # FFT is fastest, and the second transposes the result back to C order
-    half = _blocked_pass(convolve, pair.amplitudes)
-    out = _blocked_pass(lambda block: dx * dx * convolve(block), half)
+    half = _blocked_pass(lambda block: convolve(block, spectrum), amps, dtype)
+    scaled = dx * dx * spectrum
+    out = _blocked_pass(lambda block: convolve(block, scaled), half, dtype)
     del half  # before the border check takes |out|
     escape = _border_escape(out)
     if escape > _ESCAPE_THRESHOLD:
@@ -137,15 +148,37 @@ def evolve_pair(pair: PairWaveFunction, time_extent: float, regime: str) -> Pair
 
 
 def joint_momentum_distribution(pair: PairWaveFunction) -> tuple[Grid1D, np.ndarray]:
-    """|phi(p_x, p_y)|^2 on the dual grid, carrying the pair's raw weight;
-    the FFT of momentum_representation acts along y, then along x."""
+    """|phi(p_x, p_y)|^2 on the dual grid, carrying the pair's raw weight.
 
-    def along(block):
-        return _momentum_fft(block, pair.grid, pair.params)
+    phi is the dft_matrix map along both indices: an FFT along y, then
+    along x, times dx / sqrt(2 pi hbar) and a grid-offset phase per index.
+    The phase has unit modulus and cancels in |phi|^2, so the density is
+    |FFT A|^2 (dx^2 / 2 pi hbar)^2, shifted once into the dual grid's order.
+    """
+    amps, grid = pair.amplitudes, pair.grid
+    n = grid.n_points
 
-    half = _blocked_pass(along, pair.amplitudes)
-    prob = _blocked_pass(lambda block: np.abs(along(block)) ** 2, half, np.float64)
-    return dual_grid(pair.grid, pair.params), prob
+    def power(block):
+        return np.abs(np.fft.fft(block, axis=-1)) ** 2
+
+    if np.any(amps.imag):
+        half = _blocked_pass(np.fft.fft, amps)
+        prob = _blocked_pass(power, half, np.float64)
+        del half
+    else:
+        # a real pair has |phi(-p)| = |phi(p)|: transform the n//2 + 1
+        # columns k_y <= n/2 and fill the rest from (-k_x mod n, n - k_y)
+        cols = n // 2 + 1
+        half = _blocked_pass(np.fft.rfft, amps.real, length=cols)
+        kept = _blocked_pass(power, half, np.float64)
+        del half
+        prob = np.empty((n, n))
+        prob[:, :cols] = kept
+        prob[0, cols:] = kept[0, n - cols : 0 : -1]
+        prob[1:, cols:] = kept[:0:-1, n - cols : 0 : -1]
+        del kept
+    prob *= (grid.dx**2 / (2.0 * np.pi * pair.params.hbar)) ** 2
+    return dual_grid(grid, pair.params), np.fft.fftshift(prob)
 
 
 def momentum_anticorrelation(pair: PairWaveFunction) -> float:

@@ -269,6 +269,8 @@ class TestValidation:
             # 5e-324 / 8 rounds to a zero slice; 1e-200 squared rounds to zero
             ("commutator", ["total_time=5e-324"], "total_time / n_slices = 0 is too short"),
             ("commutator", ["boundary_width=1e-200"], "boundary_width 1e-200 is too small"),
+            # the kernel prefactor sqrt(m / 2 pi hbar t) overflows
+            ("epr", ["time=5e-324"], "minkowski kernel (time=4.9406564584124654e-324)"),
             ("wigner", ["x_min=-1e308", "x_max=1e308"], "grid: x_max - x_min overflows"),
             ("wigner", ["x_min=3", "x_max=-3"], "grid: x_max must exceed x_min"),
         ],
@@ -278,6 +280,7 @@ class TestValidation:
             "boundary_width",
             "slice-underflow",
             "width-underflow",
+            "time-underflow",
             "span-overflow",
             "edges-reversed",
         ],

@@ -67,10 +67,10 @@ def assert_matches_dense_kernels(pair: PairWaveFunction, t: float, regime: str, 
     assert np.max(np.abs(out.amplitudes - manual)) < 1e-12
 
 
-def assert_matches_dense_dft(grid: Grid1D, seed: int) -> None:
+def assert_matches_dense_dft(grid: Grid1D, seed: int, real: bool = False) -> None:
     n = grid.n_points
     rng = np.random.default_rng(seed)
-    amps = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    amps = rng.normal(size=(n, n)) + (0.0 if real else 1j * rng.normal(size=(n, n)))
     pgrid, prob = joint_momentum_distribution(PairWaveFunction(grid, amps, PHYS))
     ref_grid, fwd = dft_matrix(grid, PHYS)
     ref = np.abs(fwd @ amps @ fwd.T) ** 2
@@ -132,6 +132,23 @@ class TestInitialPair:
         # intermediate and the float result, not whole shifted copies
         grid = Grid1D(-8.0, 8.0, MEMORY_N)
         pair = epr_initial_pair(grid, CorrelationWidth(0.5), 1.2, PHYS)
+        peak = traced_peak(lambda: joint_momentum_distribution(pair))
+        assert peak <= 1.75 * ARRAY_BYTES
+
+    @pytest.mark.parametrize("n_points", BLOCK_EDGE_SIZES)
+    def test_real_pair_momentum_matches_dense_dft_at_block_edges(self, n_points):
+        # a real pair takes the half-spectrum path; odd sizes have no
+        # Nyquist column, so the mirrored half is one column wider
+        assert_matches_dense_dft(Grid1D(-6.0, 7.0, n_points), seed=n_points, real=True)
+
+    def test_complex_pair_momentum_memory(self):
+        # the full-spectrum path holds the same bound as the real pair above
+        grid = Grid1D(-8.0, 8.0, MEMORY_N)
+        pair = product_pair(
+            grid,
+            dict(center=-0.5, width=0.8, momentum=0.6),
+            dict(center=0.7, width=1.1, momentum=-0.9),
+        )
         peak = traced_peak(lambda: joint_momentum_distribution(pair))
         assert peak <= 1.75 * ARRAY_BYTES
 
@@ -251,6 +268,31 @@ class TestEvolvePair:
             dict(center=0.15, width=0.55, momentum=-0.2),
         )
         assert_matches_dense_kernels(pair, t, regime, builder)
+
+    @pytest.mark.parametrize("n_points", BLOCK_EDGE_SIZES)
+    def test_real_pair_euclidean_matches_dense_kernel_at_block_edges(self, n_points):
+        # zero momenta leave both packets real: the real-input FFT path
+        grid = Grid1D(-4.0, 4.0, n_points)
+        pair = product_pair(
+            grid,
+            dict(center=-0.2, width=0.6, momentum=0.0),
+            dict(center=0.15, width=0.55, momentum=0.0),
+        )
+        assert not np.any(pair.amplitudes.imag)
+        assert_matches_dense_kernels(pair, 0.1, EUCLIDEAN, free_kernel_euclidean)
+        assert not np.any(evolve_pair(pair, 0.1, EUCLIDEAN).amplitudes.imag)
+
+    def test_real_pair_euclidean_memory(self):
+        # the real passes hold two n x n float arrays, then the real result
+        # beside its complex copy in the returned pair
+        grid = Grid1D(-8.0, 8.0, MEMORY_N)
+        pair = product_pair(
+            grid,
+            dict(center=-0.5, width=0.8, momentum=0.0),
+            dict(center=0.7, width=1.1, momentum=0.0),
+        )
+        peak = traced_peak(lambda: evolve_pair(pair, 0.1, EUCLIDEAN))
+        assert peak <= 1.75 * ARRAY_BYTES
 
     @pytest.mark.parametrize("regime, t", [(MINKOWSKI, 0.8), (EUCLIDEAN, 0.1)])
     def test_memory(self, regime, t):
