@@ -40,17 +40,13 @@ from .kernels import (
 )
 from .phase_space import (
     WignerGrid,
-    expectation_phase_space,
     negativity_ratio,
     wigner_of_density,
     wigner_transform,
 )
 from .evolution import (
-    DensityMatrix,
     Hamiltonian,
     density_from_wavefunction,
-    evolve_density_euclidean,
-    evolve_density_minkowski,
     free_wigner_shear,
     hamiltonian,
     negativity_trajectory,
@@ -113,15 +109,11 @@ __all__ = [
     "harmonic_potential",
     "sliced_kernel",
     "WignerGrid",
-    "expectation_phase_space",
     "negativity_ratio",
     "wigner_of_density",
     "wigner_transform",
-    "DensityMatrix",
     "Hamiltonian",
     "density_from_wavefunction",
-    "evolve_density_euclidean",
-    "evolve_density_minkowski",
     "free_wigner_shear",
     "hamiltonian",
     "negativity_trajectory",

@@ -180,19 +180,6 @@ def cnot(state: TwoQubitState) -> TwoQubitState:
     return TwoQubitState(_CNOT @ state.amplitudes)
 
 
-def su2_matrix(axis: UnitVector, angle: float) -> np.ndarray:
-    """exp(-i angle axis.sigma / 2)."""
-    sigma_a = sum(c * p for c, p in zip(axis.array, PAULI))
-    return np.cos(angle / 2.0) * np.eye(2) - 1j * np.sin(angle / 2.0) * sigma_a
-
-
-def apply_local_unitaries(state: TwoQubitState, u1: np.ndarray, u2: np.ndarray) -> TwoQubitState:
-    for u in (u1, u2):
-        if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-12:
-            raise ValueError("local operations must be unitary")
-    return TwoQubitState(np.kron(u1, u2) @ state.amplitudes)
-
-
 @dataclass(frozen=True)
 class DecayPoint:
     tau: float

@@ -338,6 +338,14 @@ _PEAK_BYTES = {
 }
 
 
+# counts that only lengthen a list, in bytes per loop vertex or schedule
+# sample: the traced peak's slope from 1e4 to 1e5 segments or from 200 to
+# 2000 samples, rounded up
+_SEGMENT_BYTES = 272
+_CHSH_SAMPLE_BYTES = 360  # both curves
+_DAMPING_SAMPLE_BYTES = 224
+
+
 def _path_solve_bytes(n_slices: int) -> int:
     """commutator_expectation's peak: the (n + 1)^2 complex quadratic form
     beside the identity its three right-hand sides are cut from."""
@@ -575,7 +583,10 @@ EXPERIMENTS = {
             ),
             "omega": ParamSpec("float", 1.0, "harmonic trap frequency (euclidean)", _positive("omega")),
             "tau_max": ParamSpec("float", 6.0, "final imaginary time (euclidean)", _positive("tau_max")),
-            "n_samples": ParamSpec("int", 32, "number of schedule samples", _at_least("n_samples", 2)),
+            "n_samples": ParamSpec(
+                "int", 32, "number of schedule samples",
+                _budgeted("n_samples", 2, "samples", lambda n: _DAMPING_SAMPLE_BYTES * n),
+            ),
         },
         _run_negativity_decay,
     ),
@@ -583,10 +594,12 @@ EXPERIMENTS = {
         "geometric phases of closed sphere loops: equator, octant, latitude",
         {
             "equator_segments": ParamSpec(
-                "int", 256, "equator discretization", _at_least("equator_segments", 3)
+                "int", 256, "equator discretization",
+                _budgeted("equator_segments", 3, "segments", lambda n: _SEGMENT_BYTES * n),
             ),
             "latitude_segments": ParamSpec(
-                "int", 256, "latitude discretization", _at_least("latitude_segments", 3)
+                "int", 256, "latitude discretization",
+                _budgeted("latitude_segments", 3, "segments", lambda n: _SEGMENT_BYTES * n),
             ),
             "latitude_theta": ParamSpec(
                 "float",
@@ -611,7 +624,10 @@ EXPERIMENTS = {
             "seed": ParamSpec("int", 0, "optimizer seed", _at_least("seed", 0)),
             "restarts": ParamSpec("int", 16, "optimizer restarts", _at_least("restarts", 1)),
             "tau_max": ParamSpec("float", 8.0, "final (imaginary) time", _positive("tau_max")),
-            "n_samples": ParamSpec("int", 33, "number of schedule samples", _at_least("n_samples", 2)),
+            "n_samples": ParamSpec(
+                "int", 33, "number of schedule samples",
+                _budgeted("n_samples", 2, "samples", lambda n: _CHSH_SAMPLE_BYTES * n),
+            ),
             "energies": ParamSpec("floats", (0.0, 1.0, 2.0, 3.0), "diagonal level energies"),
         },
         _run_chsh_decay,

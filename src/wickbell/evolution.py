@@ -1,15 +1,16 @@
-"""Density-matrix and wavefunction evolution in real and imaginary time, and
-the free shear.
+"""Wavefunction evolution in real and imaginary time, and the free shear.
 
-Real time conjugates by the unitary exp(-i H t / hbar); spectrum, trace and
-purity are preserved. Imaginary time is the symmetric damping
-exp(-H tau/hbar) rho exp(-H tau/hbar), renormalized: the semigroup that
-projects onto the ground state and drives the negativity ratio down.
+Real time applies the unitary exp(-i H t / hbar); norm and purity are
+preserved. Imaginary time applies exp(-H tau/hbar) and renormalizes: the
+damping that projects onto the ground state and drives the negativity ratio
+down. The damped state's projector is the symmetric damping
+exp(-H tau/hbar) rho exp(-H tau/hbar) of the initial density, renormalized.
 
-All exponentials go through one spectral step, which turns the eigenvalues
-of one eigendecomposition of H per call or per trajectory into per-level
-factors. Grids here are small enough (<= 512) that dense eigh is the fast
-path, and a real H (the spectral trap) takes the real symmetric solver.
+One eigendecomposition of H per trajectory feeds one spectral step per
+sample, which turns the eigenvalues into per-level factors. Grids here are
+small enough (<= 512) that dense eigh is the fast path, and a real H (the
+spectral trap) takes the real symmetric solver. Free real-time motion is
+also applied in phase space, as the exact shear of a Wigner function.
 """
 
 from __future__ import annotations
@@ -35,43 +36,14 @@ from .kernels import Potential
 from .phase_space import WignerGrid, negativity_ratio, wigner_transform
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """rho(x, x') on a grid; physical trace is sum(diag) * dx."""
+def density_from_wavefunction(psi: WaveFunction) -> np.ndarray:
+    """Projector |psi><psi| of the normalized state as n x n grid samples,
+    the rho(x, x') that `wigner_of_density` takes.
 
-    grid: Grid1D
-    entries: np.ndarray = field(repr=False, compare=False)
-    params: PhysParams = PhysParams()
-
-    def __post_init__(self):
-        n = self.grid.n_points
-        ent = _set_checked(self, "entries", (n, n), np.complex128)
-        herm = _hermitian_residue(ent)
-        if herm > 1e-10:
-            raise ValueError(f"density matrix not Hermitian (relative residue {herm:.3g})")
-        tr = self.trace_of(ent)
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"density trace {tr!r} is not 1")
-        lam = np.linalg.eigvalsh(0.5 * (ent + ent.conj().T))
-        if float(lam.min()) * self.grid.dx < -1e-8:
-            raise ValueError(
-                f"density matrix not positive semidefinite (min eigenvalue "
-                f"{float(lam.min()) * self.grid.dx:.3g})"
-            )
-
-    def trace_of(self, ent: np.ndarray) -> float:
-        return float(np.real(np.trace(ent)) * self.grid.dx)
-
-    def trace(self) -> float:
-        return self.trace_of(self.entries)
-
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.entries) ** 2) * self.grid.dx**2)
-
-
-def density_from_wavefunction(psi: WaveFunction) -> DensityMatrix:
+    Kept for the benchmark trace, which wraps it by name; no experiment calls it.
+    """
     amps = psi.normalized().amplitudes
-    return DensityMatrix(psi.grid, np.outer(amps, amps.conj()), psi.params)
+    return np.outer(amps, amps.conj())
 
 
 @dataclass(frozen=True)
@@ -132,34 +104,6 @@ def _spectral_step(w, populations, t, regime, hbar, dx) -> tuple[np.ndarray, flo
     if shifted_trace <= 0.0:
         raise TraceCollapseError("imaginary-time damping left no representable trace")
     return f, shifted_trace, float(np.log(shifted_trace) - 2.0 * w_min * t / hbar)
-
-
-def _evolve(rho, h, t, regime) -> DensityMatrix:
-    """One evolution to time t: operand checks, one eigh of H, one spectral step."""
-    _check_operands(rho, h)
-    if t == 0.0:
-        return rho
-    w, v = np.linalg.eigh(h.entries)
-    rho_eig = v.conj().T @ rho.entries @ v
-    f, trace, _ = _spectral_step(
-        w, np.real(np.diag(rho_eig)), t, regime, rho.params.hbar, rho.grid.dx
-    )
-    ent = v @ (f[:, None] * rho_eig * f.conj()[None, :] / trace) @ v.conj().T
-    return DensityMatrix(rho.grid, 0.5 * (ent + ent.conj().T), rho.params)
-
-
-def evolve_density_minkowski(rho: DensityMatrix, h: Hamiltonian, t: float) -> DensityMatrix:
-    """rho(t) = exp(-iHt/hbar) rho exp(+iHt/hbar). Reversible, spectrum-preserving."""
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
-    return _evolve(rho, h, t, MINKOWSKI)
-
-
-def evolve_density_euclidean(rho: DensityMatrix, h: Hamiltonian, tau: float) -> DensityMatrix:
-    """rho(tau) = exp(-H tau/hbar) rho exp(-H tau/hbar), renormalized to trace 1."""
-    if not (tau >= 0.0) or not np.isfinite(tau):
-        raise ValueError(f"imaginary time must be >= 0, got {tau}")
-    return _evolve(rho, h, tau, EUCLIDEAN)
 
 
 def free_wigner_shear(w: WignerGrid, t: float, params: PhysParams) -> WignerGrid:

@@ -123,26 +123,6 @@ def free_kernel_euclidean(grid: Grid1D, time_extent: float, params: PhysParams) 
     return Kernel(grid, entries, time_extent, EUCLIDEAN)
 
 
-def identity_kernel(grid: Grid1D, regime: str = MINKOWSKI) -> Kernel:
-    """Kronecker delta over dx: applying it returns the state unchanged."""
-    entries = np.eye(grid.n_points) / grid.dx
-    return Kernel(grid, entries, 0.0, regime)
-
-
-def compose_kernels(later: Kernel, earlier: Kernel) -> Kernel:
-    """Chain two kernels: result(x_f, x_i) = sum_y later(x_f, y) earlier(y, x_i) dy."""
-    if later.grid != earlier.grid:
-        raise ValueError("kernels live on different grids")
-    if later.regime != earlier.regime:
-        raise ValueError(
-            f"cannot compose {later.regime} with {earlier.regime} kernels"
-        )
-    entries = later.entries @ earlier.entries * later.grid.dx
-    if later.regime == EUCLIDEAN:
-        entries = entries.real
-    return Kernel(later.grid, entries, later.time_extent + earlier.time_extent, later.regime)
-
-
 def _slice_matrix(
     grid: Grid1D, potential: Potential, eps: float, regime: str, params: PhysParams
 ) -> np.ndarray:

@@ -19,7 +19,6 @@ A density's takes a complex inverse FFT and a guard on the imaginary part.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -42,25 +41,6 @@ class WignerGrid:
     @property
     def cell_area(self) -> float:
         return self.x_axis.dx * self.p_axis.dx
-
-    def total_integral(self) -> float:
-        return float(np.sum(self.values) * self.cell_area)
-
-
-@dataclass(frozen=True)
-class PhaseSpaceObservable:
-    """Classical symbol O(x, p), evaluated vectorized on meshgrids."""
-
-    func: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    label: str = "custom"
-
-    def __call__(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.func(x, p), dtype=np.float64)
-        out = np.broadcast_to(out, np.broadcast_shapes(np.shape(x), np.shape(p)))
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"observable {self.label!r} is not finite on the grid")
-        return out
-
 
 def _upsample2(amps: np.ndarray) -> np.ndarray:
     """Exact FFT interpolation onto the half-spacing grid (length doubles).
@@ -126,6 +106,9 @@ def wigner_of_density(rho_entries: np.ndarray, grid: Grid1D, params: PhysParams)
     """Wigner function of a density matrix given as rho(x, x') grid samples.
 
     W(x, p) = (2 pi hbar)^-1 int dy exp(i p y / hbar) rho(x - y/2, x + y/2).
+
+    Kept as the mixed-state reference of the tests and of
+    scripts/layer_scaling.py; the benchmark trace wraps it by name.
     """
     rho = np.asarray(rho_entries, dtype=np.complex128)
     n = grid.n_points
@@ -138,13 +121,6 @@ def wigner_of_density(rho_entries: np.ndarray, grid: Grid1D, params: PhysParams)
     plus, minus = _folded_lags(n)
     corr = half[minus[0], plus[0]] + half[minus[1], plus[1]]
     return _wigner_from_folded(corr, grid, params)
-
-
-def expectation_phase_space(w: WignerGrid, obs: PhaseSpaceObservable) -> float:
-    """int int W(x,p) O(x,p) dx dp on the sampled rectangle."""
-    xm = w.x_axis.x[:, None]
-    pm = w.p_axis.x[None, :]
-    return float(np.sum(w.values * obs(xm, pm)) * w.cell_area)
 
 
 def negativity_ratio(w: WignerGrid) -> float:

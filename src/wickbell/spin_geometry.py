@@ -61,10 +61,6 @@ class UnitVector:
     def dot(self, other: "UnitVector") -> float:
         return float(self.array @ other.array)
 
-    def negated(self) -> "UnitVector":
-        return UnitVector(-self.n_x, -self.n_y, -self.n_z)
-
-
 PLUS_Z = UnitVector(0.0, 0.0, 1.0)
 PLUS_X = UnitVector(1.0, 0.0, 0.0)
 PLUS_Y = UnitVector(0.0, 1.0, 0.0)
@@ -123,10 +119,6 @@ class SphericalPath:
 
     def edges(self):
         return self.edges_of(self.vertices, self.closed)
-
-    def reversed(self) -> "SphericalPath":
-        return SphericalPath(tuple(reversed(self.vertices)), self.closed)
-
 
 def canonical_spinor(n: UnitVector) -> SpinorState:
     """Chart value (cos(theta/2), e^{i phi} sin(theta/2)) at n."""
@@ -236,10 +228,6 @@ def wz_phase_closed_path(path: SphericalPath, reference: UnitVector = PLUS_Z) ->
     return 0.5 * total
 
 
-def enclosed_solid_angle(path: SphericalPath, reference: UnitVector = PLUS_Z) -> float:
-    return 2.0 * wz_phase_closed_path(path, reference)
-
-
 def equator_loop(n_segments: int) -> SphericalPath:
     """Counterclockwise great-circle loop in the x-y plane (seen from +z)."""
     if n_segments < 3:
@@ -263,32 +251,6 @@ def latitude_loop(theta: float, n_segments: int) -> SphericalPath:
 
 def octant_loop() -> SphericalPath:
     return SphericalPath((PLUS_X, PLUS_Y, PLUS_Z), closed=True)
-
-
-def fibonacci_sphere(n_samples: int) -> np.ndarray:
-    """Deterministic quasi-uniform sphere covering, rows are unit vectors."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    k = np.arange(n_samples, dtype=np.float64)
-    z = 1.0 - (2.0 * k + 1.0) / n_samples
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    phi = golden * k
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-
-
-def resolution_of_identity_residual(n_samples: int = 1_000_000) -> float:
-    """Max-abs deviation of (1/2 pi) int |n><n| dOmega from the identity,
-    by quasi-uniform quadrature. The measure is uniform and positive, which
-    is the point being checked."""
-    pts = fibonacci_sphere(n_samples)
-    theta_half = 0.5 * np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
-    spinors = np.stack(
-        [np.cos(theta_half), np.exp(1j * phi) * np.sin(theta_half)], axis=1
-    )
-    accumulated = (2.0 / n_samples) * (spinors.T @ spinors.conj())
-    return float(np.max(np.abs(accumulated - np.eye(2))))
 
 
 def phases_to_csv(records, path) -> None:

@@ -7,6 +7,7 @@ The coordinate-ascent optimizer is checked against the closed-form maximum
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,6 @@ from wickbell.bell import (
     DecayPoint,
     MeasurementSetting,
     TwoQubitState,
-    apply_local_unitaries,
     chsh_maximize,
     chsh_value,
     cnot,
@@ -25,9 +25,8 @@ from wickbell.bell import (
     euclidean_chsh_decay,
     minkowski_chsh_control,
     singlet,
-    su2_matrix,
 )
-from wickbell.spin_geometry import UnitVector
+from wickbell.spin_geometry import PAULI, UnitVector
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -230,26 +229,23 @@ class TestCnotGate:
 
 
 class TestLocalUnitaries:
-    def test_su2_matrix_is_special_unitary(self):
-        u = su2_matrix(UnitVector.of(1.0, 2.0, -1.0), 0.77)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-14
-        assert complex(np.linalg.det(u)) == pytest.approx(1.0 + 0.0j, abs=1e-14)
-
     def test_invariance_of_maximal_score(self):
         # local rotations cannot change the optimized CHSH value
         rng = np.random.default_rng(79)
         state = random_state(rng)
         _, s0 = chsh_maximize(state, restarts=16, seed=0)
+
+        def rotation():
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            angle = rng.uniform(0, np.pi)
+            return expm(-0.5j * angle * sum(c * p for c, p in zip(axis, PAULI)))
+
         for _ in range(5):
-            u1 = su2_matrix(UnitVector.of(*rng.normal(size=3)), rng.uniform(0, np.pi))
-            u2 = su2_matrix(UnitVector.of(*rng.normal(size=3)), rng.uniform(0, np.pi))
-            rotated = apply_local_unitaries(state, u1, u2)
+            u1, u2 = rotation(), rotation()
+            rotated = TwoQubitState(np.kron(u1, u2) @ state.amplitudes)
             _, s = chsh_maximize(rotated, restarts=16, seed=0)
             assert abs(s) == pytest.approx(abs(s0), abs=1e-6)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError, match="unitary"):
-            apply_local_unitaries(singlet(), np.eye(2) * 2.0, np.eye(2))
 
 
 class TestDecay:

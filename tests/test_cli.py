@@ -273,6 +273,12 @@ class TestValidation:
             ("epr", ["time=5e-324"], "minkowski kernel (time=4.9406564584124654e-324)"),
             ("wigner", ["x_min=-1e308", "x_max=1e308"], "grid: x_max - x_min overflows"),
             ("wigner", ["x_min=3", "x_max=-3"], "grid: x_max must exceed x_min"),
+            # counts whose lists or schedules would outgrow the memory budget
+            ("spin-phase", ["equator_segments=100000000000000"], "parameter equator_segments:"),
+            ("spin-phase", ["latitude_segments=100000000000000"], "parameter latitude_segments:"),
+            ("chsh-decay", ["n_samples=100000000000000"], "parameter n_samples:"),
+            ("negativity-decay", ["n_samples=100000000000000"], "parameter n_samples:"),
+            ("spin-phase", ["equator_segments=10000000"], "parameter equator_segments: 10000000 segments would hold"),
         ],
         ids=[
             "slice_counts",
@@ -283,6 +289,11 @@ class TestValidation:
             "time-underflow",
             "span-overflow",
             "edges-reversed",
+            "equator-segments",
+            "latitude-segments",
+            "chsh-decay-samples",
+            "damping-samples",
+            "segments-estimate",
         ],
     )
     def test_bad_value_rejected_as_config_error(

@@ -1,18 +1,19 @@
-"""Density evolution: unitary real time, damped imaginary time, and the
+"""Pure-state evolution: unitary real time, damped imaginary time, and the
 phase-space shear for free real-time motion.
+
+Trajectory states are checked against scipy's matrix exponential of H,
+which shares no eigendecomposition with the package.
 """
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from wickbell import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams, WaveFunction
 from wickbell.errors import GridEscapeError, TraceCollapseError
 from wickbell.evolution import (
-    DensityMatrix,
     Hamiltonian,
     density_from_wavefunction,
-    evolve_density_euclidean,
-    evolve_density_minkowski,
     free_wigner_shear,
     hamiltonian,
     negativity_trajectory,
@@ -42,8 +43,24 @@ def ground_state_vector(h: Hamiltonian) -> np.ndarray:
     return vec * np.exp(-1j * np.angle(vec[np.argmax(np.abs(vec))]))
 
 
-def fidelity(rho: DensityMatrix, vec: np.ndarray) -> float:
-    return float(np.real(vec.conj() @ rho.entries @ vec) * rho.grid.dx**2)
+def fidelity(amps: np.ndarray, vec: np.ndarray) -> float:
+    return float(np.abs(np.vdot(vec, amps)) ** 2 * GRID.dx**2)
+
+
+def captured_trajectory(monkeypatch, psi0, h, taus, regime):
+    """The trajectory's points and the amplitudes of each state it scores."""
+    import wickbell.evolution as evolution
+
+    seen = []
+
+    def capture(psi):
+        seen.append(psi.amplitudes.copy())
+        return wigner_transform(psi)
+
+    monkeypatch.setattr(evolution, "wigner_transform", capture)
+    points = negativity_trajectory(psi0, h, taus, regime)
+    assert len(seen) == len(taus)
+    return points, seen
 
 
 class TestHamiltonian:
@@ -95,77 +112,32 @@ class TestHamiltonian:
 
 class TestDensityMatrix:
     def test_pure_state_trace_and_purity(self):
-        rho = density_from_wavefunction(gaussian_wavepacket(GRID, PHYS))
-        assert rho.trace() == pytest.approx(1.0, abs=1e-12)
-        assert rho.purity() == pytest.approx(1.0, abs=1e-10)
+        psi = cat_state(GRID, PHYS, 3.0, 1.0, "even")
+        rho = density_from_wavefunction(WaveFunction(GRID, 2.0 * psi.amplitudes, PHYS))
+        assert rho.shape == (GRID.n_points, GRID.n_points)
+        assert np.real(np.trace(rho)) * GRID.dx == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(np.abs(rho) ** 2) * GRID.dx**2 == pytest.approx(1.0, abs=1e-10)
+        assert np.max(np.abs(rho - np.outer(psi.amplitudes, psi.amplitudes.conj()))) < 1e-12
 
-    def test_rejects_non_hermitian(self):
-        rho = density_from_wavefunction(gaussian_wavepacket(GRID, PHYS))
-        ent = rho.entries.copy()
-        ent[3, 10] += 0.05
-        with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(GRID, ent, PHYS)
 
-    def test_rejects_wrong_trace(self):
-        rho = density_from_wavefunction(gaussian_wavepacket(GRID, PHYS))
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(GRID, 2.0 * rho.entries, PHYS)
-
-    def test_fortran_ordered_entries_checked(self):
-        rho = density_from_wavefunction(cat_state(GRID, PHYS, 3.0, 1.0, "even"))
-        swapped = DensityMatrix(GRID, np.asfortranarray(rho.entries), PHYS)
-        assert swapped.trace() == pytest.approx(1.0, abs=1e-12)
-        bad = np.asfortranarray(rho.entries)
-        bad[7, 7] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            DensityMatrix(GRID, bad, PHYS)
-
-    def test_rejects_indefinite(self):
-        w, v = np.linalg.eigh(HARMONIC.entries)
-        dx = GRID.dx
-        p0 = np.outer(v[:, 0], v[:, 0].conj()) / dx
-        p1 = np.outer(v[:, 1], v[:, 1].conj()) / dx
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            DensityMatrix(GRID, 1.5 * p0 - 0.5 * p1, PHYS)
+def assert_eigenvector_is_stationary(monkeypatch, regime):
+    # an eigenvector only picks up a phase (real time) or is renormalized
+    # back onto itself (imaginary time)
+    vec = ground_state_vector(HARMONIC)
+    psi0 = WaveFunction(GRID, vec, PHYS)
+    _, seen = captured_trajectory(monkeypatch, psi0, HARMONIC, [0.0, 1.5, 2.1], regime)
+    for amps in seen:
+        assert np.max(np.abs(np.outer(amps, amps.conj()) - np.outer(vec, vec.conj()))) < 1e-10
 
 
 class TestMinkowskiEvolution:
-    def test_zero_time_is_identity(self):
-        rho = density_from_wavefunction(cat_state(GRID, PHYS, 3.0, 1.0, "even"))
-        assert evolve_density_minkowski(rho, HARMONIC, 0.0) is rho
-
-    def test_spectrum_and_purity_preserved(self):
-        rho = density_from_wavefunction(cat_state(GRID, PHYS, 3.0, 1.0, "even"))
-        out = evolve_density_minkowski(rho, HARMONIC, 1.7)
-        s0 = np.sort(np.linalg.eigvalsh(rho.entries))
-        s1 = np.sort(np.linalg.eigvalsh(out.entries))
-        assert np.max(np.abs(s1 - s0)) < 1e-8
-        assert out.purity() == pytest.approx(rho.purity(), abs=1e-10)
-        assert out.trace() == pytest.approx(1.0, abs=1e-10)
-
-    def test_reversibility(self):
-        rho = density_from_wavefunction(gaussian_wavepacket(GRID, PHYS, center=0.8))
-        back = evolve_density_minkowski(
-            evolve_density_minkowski(rho, HARMONIC, 1.3), HARMONIC, -1.3
-        )
-        assert np.max(np.abs(back.entries - rho.entries)) < 1e-8
-
-    def test_eigenprojector_is_stationary(self):
-        vec = ground_state_vector(HARMONIC)
-        rho = DensityMatrix(GRID, np.outer(vec, vec.conj()), PHYS)
-        out = evolve_density_minkowski(rho, HARMONIC, 2.1)
-        assert np.max(np.abs(out.entries - rho.entries)) < 1e-10
+    def test_eigenprojector_is_stationary(self, monkeypatch):
+        assert_eigenvector_is_stationary(monkeypatch, MINKOWSKI)
 
     def test_grid_mismatch_rejected(self):
-        other = offset_grid(12.0, 128)
-        rho = density_from_wavefunction(gaussian_wavepacket(other, PHYS))
+        psi = gaussian_wavepacket(offset_grid(12.0, 128), PHYS)
         with pytest.raises(ValueError, match="grid"):
-            evolve_density_minkowski(rho, HARMONIC, 1.0)
-
-    def test_nonfinite_time_rejected(self):
-        rho = density_from_wavefunction(gaussian_wavepacket(GRID, PHYS))
-        with pytest.raises(ValueError, match="finite"):
-            evolve_density_minkowski(rho, HARMONIC, np.nan)
+            negativity_trajectory(psi, HARMONIC, [1.0], MINKOWSKI)
 
     def test_phase_past_float_range_rejected(self):
         # a finite time whose phase max|E| t / hbar overflows on a 16-point trap
@@ -173,56 +145,26 @@ class TestMinkowskiEvolution:
         h = hamiltonian(grid, PHYS, harmonic_potential(1.0, PHYS))
         psi = gaussian_wavepacket(grid, PHYS)
         with pytest.raises(ValueError, match="time 1e"):
-            evolve_density_minkowski(density_from_wavefunction(psi), h, 1e308)
-        with pytest.raises(ValueError, match="time 1e"):
             negativity_trajectory(psi, h, [0.0, 1e308], MINKOWSKI)
 
 
 class TestEuclideanEvolution:
-    def test_zero_tau_is_identity(self):
-        rho = density_from_wavefunction(cat_state(GRID, PHYS, 3.0, 1.0, "even"))
-        assert evolve_density_euclidean(rho, HARMONIC, 0.0) is rho
+    def test_symmetric_projects_onto_ground_state(self, monkeypatch):
+        cat = cat_state(GRID, PHYS, 3.0, 1.0, "even")
+        pts, seen = captured_trajectory(monkeypatch, cat, HARMONIC, [20.0], EUCLIDEAN)
+        assert fidelity(seen[0], ground_state_vector(HARMONIC)) > 1.0 - 1e-6
+        assert pts[0].purity == pytest.approx(1.0, abs=1e-10)
 
-    def test_symmetric_projects_onto_ground_state(self):
-        rho = density_from_wavefunction(cat_state(GRID, PHYS, 3.0, 1.0, "even"))
-        out = evolve_density_euclidean(rho, HARMONIC, 20.0)
-        vec = ground_state_vector(HARMONIC)
-        assert fidelity(out, vec) > 1.0 - 1e-6
-        assert out.purity() > 1.0 - 1e-6
-        assert out.trace() == pytest.approx(1.0, abs=1e-10)
+    def test_eigenprojector_is_stationary(self, monkeypatch):
+        assert_eigenvector_is_stationary(monkeypatch, EUCLIDEAN)
 
-    def test_eigenprojector_is_stationary(self):
-        vec = ground_state_vector(HARMONIC)
-        rho = DensityMatrix(GRID, np.outer(vec, vec.conj()), PHYS)
-        out = evolve_density_euclidean(rho, HARMONIC, 1.5)
-        assert np.max(np.abs(out.entries - rho.entries)) < 1e-10
-
-    def test_late_tau_reaches_ground_state(self):
+    def test_late_tau_reaches_ground_state(self, monkeypatch):
         # the raw trace e^{-E_0 2 tau} underflows here, but the shifted and
         # renormalized evolution is exact and must not be rejected
-        rho = density_from_wavefunction(gaussian_wavepacket(GRID, PHYS))
-        out = evolve_density_euclidean(rho, HARMONIC, 800.0)
-        assert fidelity(out, ground_state_vector(HARMONIC)) > 1.0 - 1e-6
-        assert out.trace() == pytest.approx(1.0, abs=1e-10)
-
-    def test_trace_collapse_guard(self):
-        # diagonal H: eigh returns the identity basis, so a density living on
-        # level 5 alone has no ground-state weight and its shifted weight
-        # e^{-2 * 5 * 400} underflows to exactly zero
-        n = GRID.n_points
-        h = Hamiltonian(GRID, np.diag(np.arange(n, dtype=np.float64)), PHYS)
-        w, v = np.linalg.eigh(h.entries)
-        assert np.array_equal(v, np.eye(n))
-        ent = np.zeros((n, n))
-        ent[5, 5] = 1.0 / GRID.dx
-        rho = DensityMatrix(GRID, ent, PHYS)
-        with pytest.raises(TraceCollapseError):
-            evolve_density_euclidean(rho, h, 400.0)
-
-    def test_rejects_negative_tau(self):
-        rho = density_from_wavefunction(gaussian_wavepacket(GRID, PHYS))
-        with pytest.raises(ValueError, match=">= 0"):
-            evolve_density_euclidean(rho, HARMONIC, -0.5)
+        packet = gaussian_wavepacket(GRID, PHYS)
+        pts, seen = captured_trajectory(monkeypatch, packet, HARMONIC, [800.0], EUCLIDEAN)
+        assert fidelity(seen[0], ground_state_vector(HARMONIC)) > 1.0 - 1e-6
+        assert pts[0].purity == pytest.approx(1.0, abs=1e-10)
 
 
 class TestFreeWignerShear:
@@ -306,28 +248,16 @@ class TestTrajectories:
         ids=["minkowski-symmetric-taus0", "euclidean-symmetric-taus1"],
     )
     def test_samples_match_single_shot_evolution(self, monkeypatch, regime, taus):
-        # every state the trajectory scores must be the pure state whose
-        # projector the one-off density evolution returns at the same time
-        import wickbell.evolution as evolution
-
-        seen = []
-
-        def capture(psi):
-            seen.append(psi.amplitudes.copy())
-            return wigner_transform(psi)
-
-        monkeypatch.setattr(evolution, "wigner_transform", capture)
-        psi0 = cat_state(GRID, PHYS, 3.0, 1.0, "even")
-        rho0 = density_from_wavefunction(psi0)
-        pts = negativity_trajectory(psi0, HARMONIC, taus, regime)
-        assert len(seen) == len(taus)
+        # every state the trajectory scores must be psi0 propagated by
+        # expm(-iHt/hbar) or expm(-H tau/hbar), then normalized
+        psi0 = cat_state(GRID, PHYS, 3.0, 1.0, "even").normalized()
+        pts, seen = captured_trajectory(monkeypatch, psi0, HARMONIC, taus, regime)
+        unit = 1j if regime == MINKOWSKI else 1.0
         for tau, amps, p in zip(taus, seen, pts):
-            if regime == MINKOWSKI:
-                single = evolve_density_minkowski(rho0, HARMONIC, tau)
-            else:
-                single = evolve_density_euclidean(rho0, HARMONIC, tau)
-            assert np.max(np.abs(np.outer(amps, amps.conj()) - single.entries)) < 1e-12
-            assert p.purity == pytest.approx(single.purity(), abs=1e-12)
+            ref = expm(-unit * HARMONIC.entries * tau / PHYS.hbar) @ psi0.amplitudes
+            ref /= np.sqrt(np.sum(np.abs(ref) ** 2) * GRID.dx)
+            assert np.max(np.abs(amps - ref)) < 1e-12
+            assert p.purity == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "regime", [MINKOWSKI, EUCLIDEAN], ids=["minkowski-symmetric", "euclidean-symmetric"]
@@ -360,9 +290,9 @@ class TestTrajectories:
             assert b.trace_raw == pytest.approx(a.trace_raw, abs=1e-12)
 
     def test_trace_collapse_guard(self):
-        # as TestEuclideanEvolution.test_trace_collapse_guard: a state on
-        # level 5 alone of a diagonal H has its shifted weight e^{-2 * 5 * 400}
-        # underflow to exactly zero
+        # diagonal H: eigh returns the identity basis, so a state on level 5
+        # alone has no ground-state weight and its shifted weight
+        # e^{-2 * 5 * 400} underflows to exactly zero
         n = GRID.n_points
         h = Hamiltonian(GRID, np.diag(np.arange(n, dtype=np.float64)), PHYS)
         amps = np.zeros(n)

@@ -30,11 +30,7 @@ from wickbell.grids import (
     inner_product,
     momentum_representation,
 )
-from wickbell.kernels import (
-    free_kernel_euclidean,
-    free_kernel_minkowski,
-    identity_kernel,
-)
+from wickbell.kernels import free_kernel_euclidean, free_kernel_minkowski
 
 PHYS = PhysParams()
 
@@ -170,7 +166,8 @@ class TestApplyKernel:
     def test_identity_kernel_returns_state(self):
         g = Grid1D(-10.0, 10.0, 256)
         psi = gaussian_wavepacket(g, PHYS, center=0.3, width=1.1, momentum=0.9)
-        out = apply_kernel(identity_kernel(g), psi)
+        # Kronecker delta over dx: the unit of the dy quadrature
+        out = apply_kernel(Kernel(g, np.eye(g.n_points) / g.dx, 0.0), psi)
         assert np.max(np.abs(out.amplitudes - psi.amplitudes)) < 1e-12
 
     def test_transposed_entries_checked(self):
@@ -235,7 +232,7 @@ class TestApplyKernel:
         assert mean == pytest.approx(p0 * t / PHYS.mass, abs=1e-8)
 
     def test_grid_mismatch_rejected(self):
-        k = identity_kernel(Grid1D(-8.0, 8.0, 128))
+        k = free_kernel_minkowski(Grid1D(-8.0, 8.0, 128), 0.5, PHYS)
         psi = gaussian_wavepacket(Grid1D(-8.0, 8.0, 256), PHYS)
         with pytest.raises(ValueError, match="grid"):
             apply_kernel(k, psi)

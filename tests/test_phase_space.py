@@ -28,9 +28,7 @@ from wickbell.grids import (
     momentum_representation,
 )
 from wickbell.phase_space import (
-    PhaseSpaceObservable,
     WignerGrid,
-    expectation_phase_space,
     negativity_ratio,
     wigner_of_density,
     wigner_to_csv,
@@ -89,7 +87,7 @@ class TestGaussianWigner:
     def test_total_integral_is_one(self):
         g = offset_grid(12.0, 256)
         w = wigner_transform(gaussian_wavepacket(g, PHYS, center=0.3, momentum=0.5))
-        assert w.total_integral() == pytest.approx(1.0, abs=1e-9)
+        assert np.sum(w.values) * w.cell_area == pytest.approx(1.0, abs=1e-9)
 
     def test_requires_normalized_state(self):
         g = offset_grid(6.0, 64)
@@ -171,34 +169,27 @@ class TestExcitedState:
         assert abs(f - excited_state_negativity()) < 5e-3
 
 
+def phase_space_mean(w: WignerGrid, symbol) -> float:
+    """int int W(x, p) O(x, p) dx dp on the sampled rectangle."""
+    x, p = w.x_axis.x[:, None], w.p_axis.x[None, :]
+    return float(np.sum(w.values * symbol(x, p)) * w.cell_area)
+
+
 class TestExpectations:
     def test_moments_of_boosted_packet(self):
         g = offset_grid(12.0, 256)
         w = wigner_transform(gaussian_wavepacket(g, PHYS, center=0.7, width=1.0, momentum=0.9))
-        one = PhaseSpaceObservable(lambda x, p: np.ones_like(x + p), "one")
-        pos = PhaseSpaceObservable(lambda x, p: x + 0.0 * p, "x")
-        mom = PhaseSpaceObservable(lambda x, p: p + 0.0 * x, "p")
-        assert expectation_phase_space(w, one) == pytest.approx(1.0, abs=1e-9)
-        assert expectation_phase_space(w, pos) == pytest.approx(0.7, abs=1e-8)
-        assert expectation_phase_space(w, mom) == pytest.approx(0.9, abs=1e-8)
+        assert phase_space_mean(w, lambda x, p: 1.0) == pytest.approx(1.0, abs=1e-9)
+        assert phase_space_mean(w, lambda x, p: x) == pytest.approx(0.7, abs=1e-8)
+        assert phase_space_mean(w, lambda x, p: p) == pytest.approx(0.9, abs=1e-8)
 
     def test_harmonic_energy_of_ground_state(self):
         # width 1 packet is the omega = 1 oscillator ground state; the
         # classical symbol of H averages to hbar omega / 2
         g = offset_grid(12.0, 256)
         w = wigner_transform(gaussian_wavepacket(g, PHYS, width=1.0))
-        h = PhaseSpaceObservable(lambda x, p: 0.5 * (p**2 + x**2), "energy")
-        assert expectation_phase_space(w, h) == pytest.approx(0.5, abs=1e-8)
-
-    def test_nonfinite_observable_rejected(self):
-        g = offset_grid(4.0, 16)
-        w = wigner_transform(gaussian_wavepacket(g, PHYS))
-        bad = PhaseSpaceObservable(
-            lambda x, p: np.full(np.broadcast_shapes(np.shape(x), np.shape(p)), np.inf),
-            "diverging",
-        )
-        with pytest.raises(ValueError, match="diverging"):
-            expectation_phase_space(w, bad)
+        energy = phase_space_mean(w, lambda x, p: 0.5 * (p**2 + x**2))
+        assert energy == pytest.approx(0.5, abs=1e-8)
 
 
 class TestNegativityRatio:
@@ -233,7 +224,7 @@ class TestDensityRoute:
             psi1.amplitudes, psi1.amplitudes.conj()
         )
         w = wigner_of_density(rho, g, PHYS)
-        assert w.total_integral() == pytest.approx(1.0, abs=1e-9)
+        assert np.sum(w.values) * w.cell_area == pytest.approx(1.0, abs=1e-9)
         assert negativity_ratio(w) >= 1.0 - 1e-12
 
     def test_non_hermitian_rejected(self):
@@ -364,5 +355,5 @@ class TestRandomStates:
         raw = raw * np.exp(-0.08 * g.x**2)  # keep support inside the box
         raw = raw / np.sqrt(np.sum(np.abs(raw) ** 2) * g.dx)
         w = wigner_transform(WaveFunction(g, raw, PHYS))
-        assert w.total_integral() == pytest.approx(1.0, abs=1e-9)
+        assert np.sum(w.values) * w.cell_area == pytest.approx(1.0, abs=1e-9)
         assert negativity_ratio(w) >= 1.0 - 1e-9
