@@ -122,11 +122,20 @@ def chsh_value(
     return e(a, b) - e(a, b_alt) + e(a_alt, b) + e(a_alt, b_alt)
 
 
-def _unit_or(fallback: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
-    if norm < 1e-300:
-        return fallback
-    return vec / norm
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sums of u * v over the last axis in a fixed order (batch-independent)."""
+    w = u * v
+    return w[..., 0] + w[..., 1] + w[..., 2]
+
+
+def _images(m: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    return _dots(vecs[..., None, :], m)
+
+
+def _unit_rows(vecs: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Rows of vecs normalized, or the fallback rows where the norm is < 1e-300."""
+    norms = np.sqrt(_dots(vecs, vecs))[..., None]
+    return np.where(norms < 1e-300, fallback, vecs / np.maximum(norms, 1e-300))
 
 
 def chsh_maximize(
@@ -137,32 +146,33 @@ def chsh_maximize(
     Each half-step has a closed-form optimum: for fixed (b, b') the best a
     and a' are the normalized images T(b -+ b'), and symmetrically for fixed
     (a, a'). The ascent never decreases S, so it converges; restarts guard
-    the rare start in a flat direction. Deterministic for a fixed seed.
+    the rare start in a flat direction. The restarts run as one batch, each
+    until its step gains under 1e-14 or for 256 steps; the first best wins.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     t = correlation_matrix(state)
-    rng = np.random.default_rng(seed)
-    best_s = -np.inf
-    best = None
-    for _ in range(restarts):
-        b = _unit_or(np.array([0.0, 0.0, 1.0]), rng.standard_normal(3))
-        b_alt = _unit_or(np.array([1.0, 0.0, 0.0]), rng.standard_normal(3))
-        s_prev = -np.inf
-        for _ in range(256):
-            a = _unit_or(b, t @ (b - b_alt))
-            a_alt = _unit_or(b_alt, t @ (b + b_alt))
-            b = _unit_or(b, t.T @ (a + a_alt))
-            b_alt = _unit_or(b_alt, t.T @ (a_alt - a))
-            s = float(a @ t @ b - a @ t @ b_alt + a_alt @ t @ b + a_alt @ t @ b_alt)
-            if s - s_prev < 1e-14:
-                break
-            s_prev = s
-        if s > best_s:
-            best_s = s
-            best = (a, a_alt, b, b_alt)
-    settings = tuple(MeasurementSetting(UnitVector.of(*v)) for v in best)
-    return settings, float(best_s)
+    starts = np.random.default_rng(seed).standard_normal((restarts, 2, 3))
+    vecs = np.empty((restarts, 4, 3))  # rows a, a', b, b' of every restart
+    vecs[:, 2:] = _unit_rows(starts, np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
+    sign = np.array([[-1.0], [1.0]])  # x0 + sign x1 = (x0 - x1, x0 + x1)
+    s = np.full(restarts, -np.inf)
+    live = np.arange(restarts)
+    for _ in range(256):
+        b = vecs[live, 2:]
+        a = _unit_rows(_images(t, b[:, :1] + sign * b[:, 1:]), b)
+        b = _unit_rows(_images(t.T, a[:, 1:] - sign * a[:, :1]), b)
+        # S = a.t(b - b') + a'.t(b + b')
+        s_live = _dots(a, _images(t, b[:, :1] + sign * b[:, 1:])).sum(1)
+        vecs[live] = np.concatenate((a, b), axis=1)
+        keep = ~(s_live - s[live] < 1e-14)
+        s[live] = s_live
+        live = live[keep]
+        if live.size == 0:
+            break
+    best = int(np.argmax(s))
+    settings = tuple(MeasurementSetting(UnitVector.of(*v)) for v in vecs[best])
+    return settings, float(s[best])
 
 
 _CNOT = np.array(

@@ -19,6 +19,10 @@ displaced by multiples of 2 pi hbar eps / (m dx): harmless when that shift
 carries them past the state's support (long slices, fine grids), ruinous for
 many short slices on a coarse grid. Keep the shift per slice larger than the
 support of whatever the sliced kernel is applied to.
+
+The imaginary-time power zeroes entries below sqrt(tiny) = 2^-511 in the
+slice and after every product, so its heat-kernel tails never reach the
+slow subnormal range; its entries are exactly non-negative.
 """
 
 from __future__ import annotations
@@ -146,23 +150,35 @@ def _check_slice_resolution(grid: Grid1D, eps: float, params: PhysParams) -> Non
         )
 
 
+def _nonnegative_power(a: np.ndarray, n: int) -> np.ndarray:
+    """a^n (n >= 2) by matrix_power's repeated squaring, zeroing entries below 2^-511."""
+    floor = np.sqrt(np.finfo(np.float64).tiny)
+    z = result = None
+    while n > 0:
+        z = a if z is None else z @ z
+        z[z < floor] = 0.0
+        n, bit = divmod(n, 2)
+        if bit:
+            result = z if result is None else result @ z
+            result[result < floor] = 0.0
+    return result
+
+
 def sliced_kernel(
     grid: Grid1D, potential: Potential, plan: SlicingPlan, params: PhysParams
 ) -> Kernel:
     """Product of N short-time kernels with midpoint-rule potential.
 
     Converges to the analytic kernel as N grows for V = 0; for smooth bounded
-    potentials the slice error is first order in eps (Trotter).
+    potentials the slice error is first order in eps (Trotter). In imaginary
+    time, entries below 2^-511 are zeroed after every product so that none is
+    subnormal (module note); every entry is exactly non-negative.
     """
     eps = plan.epsilon
     _check_slice_resolution(grid, eps, params)
     a = _slice_matrix(grid, potential, eps, plan.regime, params) * grid.dx
-    if plan.regime == EUCLIDEAN:
-        # stays in float64; the product of positive matrices is positive
-        entries = np.linalg.matrix_power(a.real, plan.n_slices) / grid.dx
-        entries = np.maximum(entries, 0.0)
-    else:
-        entries = np.linalg.matrix_power(a, plan.n_slices) / grid.dx
+    power = _nonnegative_power if plan.regime == EUCLIDEAN else np.linalg.matrix_power
+    entries = power(a, plan.n_slices) / grid.dx
     return Kernel(grid, entries, plan.total_time, plan.regime)
 
 

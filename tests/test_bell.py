@@ -188,6 +188,33 @@ class TestChshMaximize:
         _, s = chsh_maximize(np.eye(4) / 4.0)
         assert abs(s) < 1e-6
 
+    def test_returned_settings_reproduce_value(self):
+        rng = np.random.default_rng(73)
+        for seed in range(4):
+            state = random_state(rng)
+            settings_out, s = chsh_maximize(state, restarts=16, seed=seed)
+            assert chsh_value(state, *settings_out) == pytest.approx(s, abs=1e-12)
+
+    def test_more_restarts_never_score_lower(self):
+        # restarts=16 draws the restarts=1 start first, so it can only gain
+        rng = np.random.default_rng(79)
+        for seed in range(8):
+            state = random_state(rng)
+            assert chsh_maximize(state, 16, seed)[1] >= chsh_maximize(state, 1, seed)[1]
+
+    @pytest.mark.parametrize(
+        "state",
+        [np.eye(4) / 4.0, np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2.0)],
+        ids=["maximally-mixed", "zero-tensor-product"],
+    )
+    def test_zero_tensor_falls_back_to_unit_settings(self, state):
+        # every image T v is zero, so each half-step keeps the fallback rows
+        settings_out, s = chsh_maximize(state, restarts=4, seed=2)
+        assert s == 0.0
+        for setting in settings_out:
+            assert np.all(np.isfinite(setting.direction.array))
+            assert np.linalg.norm(setting.direction.array) == pytest.approx(1.0, abs=1e-12)
+
     def test_restart_validation(self):
         with pytest.raises(ValueError, match="restarts"):
             chsh_maximize(singlet(), restarts=0)

@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from wickbell.bell import chsh_maximize, singlet
 from wickbell.cli import (
     _PEAK_BYTES,
+    _RESTART_BYTES,
     MEMORY_BUDGET_BYTES,
     _path_solve_bytes,
     build_config,
@@ -98,6 +100,13 @@ class TestMemoryBudget:
         err = capsys.readouterr().err
         assert err.startswith("config error: parameter n_slices: 100000 slices would hold")
         assert "budget" in err
+
+    def test_restart_bytes_bound_traced_slope(self):
+        # chsh_maximize holds its restarts as one batch: the peak grows by
+        # at most _RESTART_BYTES per restart, and by at least 0.9 of it
+        peaks = [traced_peak(lambda: chsh_maximize(singlet(), r, 0))[1] for r in (10**4, 10**5)]
+        slope = (peaks[1] - peaks[0]) / (10**5 - 10**4)
+        assert 0.9 * _RESTART_BYTES <= slope <= _RESTART_BYTES
 
     def test_shear_regime_within_negativity_estimate(self, tmp_path):
         # four samples keep the last shear of the populated rows inside the box
@@ -278,6 +287,8 @@ class TestValidation:
             ("spin-phase", ["latitude_segments=100000000000000"], "parameter latitude_segments:"),
             ("chsh-decay", ["n_samples=100000000000000"], "parameter n_samples:"),
             ("negativity-decay", ["n_samples=100000000000000"], "parameter n_samples:"),
+            ("chsh", ["restarts=100000000000000"], "parameter restarts:"),
+            ("chsh-decay", ["restarts=100000000000000"], "parameter restarts:"),
             ("spin-phase", ["equator_segments=10000000"], "parameter equator_segments: 10000000 segments would hold"),
         ],
         ids=[
@@ -293,6 +304,8 @@ class TestValidation:
             "latitude-segments",
             "chsh-decay-samples",
             "damping-samples",
+            "chsh-restarts",
+            "chsh-decay-restarts",
             "segments-estimate",
         ],
     )

@@ -25,6 +25,8 @@ from wickbell.kernels import (
     free_kernel_minkowski,
     free_kernel_row,
     free_potential,
+    _nonnegative_power,
+    _slice_matrix,
     harmonic_potential,
     sliced_kernel,
 )
@@ -256,6 +258,26 @@ class TestSlicedKernel:
         k = sliced_kernel(g, harmonic_potential(1.0, PHYS), SlicingPlan(32, 1.0, EUCLIDEAN), PHYS)
         assert np.all(k.entries.real >= 0.0)
         assert np.all(k.entries.imag == 0.0)
+
+    @pytest.mark.parametrize("n_slices", [16, 128])
+    @pytest.mark.parametrize(
+        "grid, potential",
+        [
+            # the kernel-check grid, whose heat-kernel tails reach 1e-300,
+            # and a harmonic grid from the convergence test above; T = 1
+            (Grid1D(-16.0, 16.0, 512), free_potential()),
+            (Grid1D(-10.0, 10.0, 512), harmonic_potential(1.0, PHYS)),
+        ],
+        ids=["kernel-check", "harmonic"],
+    )
+    def test_flushed_power_matches_matrix_power(self, grid, potential, n_slices):
+        a = _slice_matrix(grid, potential, 1.0 / n_slices, EUCLIDEAN, PHYS) * grid.dx
+        oracle = np.linalg.matrix_power(a, n_slices)
+        power = _nonnegative_power(a.copy(), n_slices)
+        kept = oracle > 1e-100
+        assert np.array_equal(power[kept], oracle[kept])
+        assert np.max(np.abs(power - oracle)[~kept], initial=0.0) <= 2.0**-500
+        assert np.all(power >= 0.0)
 
     def test_minkowski_sliced_norm_preservation(self):
         # config keeps the per-slice alias displacement 2 pi hbar eps/(m dx)
