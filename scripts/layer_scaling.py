@@ -4,12 +4,13 @@
     PYTHONPATH=src python scripts/layer_scaling.py
 
 Each layer runs at n = 256, 512 and 1536 on inputs built outside the timed
-region, with one BLAS thread, and its time is the best of three calls. The
-exponent is the least-squares slope of log(time) against log(n): about 2
-for the O(n^2) and O(n^2 log n) transforms, 3 for a dense eigendecomposition
-or matrix power. An exponent near 3 on a layer meant to be a transform
-shows an O(n^3) path left in it. The largest size holds a few hundred MiB
-in `wigner_of_density`.
+region, with one BLAS thread, and its time is the best of three calls; a
+second table gives the minor page faults of that call (first touches of
+freshly mapped memory, from getrusage). The exponent is the least-squares
+slope of log(time) against log(n): about 2 for the O(n^2) and O(n^2 log n)
+transforms, 3 for a dense eigendecomposition or matrix power. An exponent
+near 3 on a layer meant to be a transform shows an O(n^3) path left in it.
+The largest size holds a few hundred MiB in `wigner_of_density`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads its BLAS
 
+import resource
 import time
 
 import numpy as np
@@ -66,26 +68,40 @@ def layers(n: int) -> dict:
     }
 
 
-def best_of(call) -> float:
-    best = float("inf")
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def best_of(call) -> tuple[float, int]:
+    """Seconds of the fastest of REPEATS calls, and the minor page faults
+    that call took."""
+    best = (float("inf"), 0)
     for _ in range(REPEATS):
+        faults = minor_faults()
         started = time.perf_counter()
         call()
-        best = min(best, time.perf_counter() - started)
+        best = min(best, (time.perf_counter() - started, minor_faults() - faults))
     return best
 
 
 def main() -> int:
     times: dict[str, list[float]] = {}
+    faults: dict[str, list[int]] = {}
     for n in SIZES:
         for name, call in layers(n).items():
             call()  # first call: lazy imports and FFT plans
-            times.setdefault(name, []).append(best_of(call))
+            secs, count = best_of(call)
+            times.setdefault(name, []).append(secs)
+            faults.setdefault(name, []).append(count)
 
     print(f"{'layer':28s}" + "".join(f"{f'n={n} (s)':>14s}" for n in SIZES) + f"{'exponent':>10s}")
     for name, secs in times.items():
         slope = np.polyfit(np.log(SIZES), np.log(secs), 1)[0]
         print(f"{name:28s}" + "".join(f"{s:14.4f}" for s in secs) + f"{slope:10.2f}")
+    print()
+    print(f"{'minor page faults':28s}" + "".join(f"{f'n={n}':>14s}" for n in SIZES))
+    for name, counts in faults.items():
+        print(f"{name:28s}" + "".join(f"{c:14d}" for c in counts))
     return 0
 
 

@@ -199,16 +199,24 @@ def commutator_expectation(
 
     averaged over free sliced paths with Gaussian wavepackets pinned at both
     ends, normalized by the same integral without the insertion. The path
-    weight is Gaussian in (x_0, ..., x_N), so the moments are evaluated in
-    closed form from the tridiagonal quadratic form of the sliced action;
-    real-time slicing gives i*hbar and imaginary-time +hbar, exactly, for any
-    N and any interior j.
+    weight is exp(-x^T A x / 2 + b.x) over (x_0, ..., x_N), with A = u kin
+    (L + c' B): u = 1 (imaginary time) or -i (real time), kin = m/(hbar eps),
+    L the free-end path Laplacian, B = e_0 e_0^T + e_N e_N^T, c' = c/u and
+    c = hbar eps/(m width^2). The twist is hbar y_j / u, where
+    (L + c' B) y = d = 2 e_j - e_{j-1} - e_{j+1}; the mean path is the
+    constant boundary_center (A center 1 = b), so it adds nothing.
 
-    The grid declares the integration domain that closed form assumes is
-    effectively unbounded, so the boundary packets must sit well inside it.
-    (A sampled-kernel route is not used here: for small eps the real-time
-    chirp aliases into spurious displaced copies; see the module note on
-    sliced real-time kernels.)
+    The solve is O(N) and exact: the flux y_{i+1} - y_i is q - D_i, with D
+    the running sum of d and q = c' y_0, and the sum of all rows gives
+    y_0 (2 + N c') = sum_{i<N} D_i. Every D_i is a small integer, so real
+    time gives i*hbar and imaginary time +hbar exactly for any N, interior j,
+    slice length and width, c = 0 and c = inf (a pinned end) included.
+
+    The grid declares the integration domain that this closed form assumes
+    is effectively unbounded, so the boundary packets must sit well inside
+    it. (A sampled-kernel route is not used here: for small eps the
+    real-time chirp aliases into spurious displaced copies; see the module
+    note on sliced real-time kernels.)
     """
     n = plan.n_slices
     if not (1 <= j <= n - 1):
@@ -221,35 +229,21 @@ def commutator_expectation(
             f"boundary_width {boundary_width}: boundary packet does not fit the "
             f"declared grid: need center +- 5 width inside [{grid.x_min}, {grid.x_max}]"
         )
-    eps = plan.epsilon
-    m, hbar = params.mass, params.hbar
-    sigma2 = boundary_width**2
-    # near the float floor these couplings overflow, or divide by zero
-    if not (hbar * eps > 0.0 and m / (hbar * eps) < np.inf):
-        raise ValueError(f"total_time / n_slices = {eps:.3g} is too short: m/(hbar eps) overflows")
-    if not (sigma2 > 0.0 and 1.0 / sigma2 < np.inf):
-        raise ValueError(f"boundary_width {boundary_width} is too small: 1/width^2 overflows")
-    kin = m / (hbar * eps)
+    # 0 and inf are valid end couplings: a free end and a pinned one
+    with np.errstate(over="ignore", under="ignore"):
+        c = float(params.hbar * plan.epsilon / params.mass / boundary_width / boundary_width)
+    euclidean = plan.regime == EUCLIDEAN
+    coupling = c if euclidean else complex(0.0, c)  # c / u
 
-    # exponent -(1/2) x^T A x + b.x over path points x_0..x_N
-    size = n + 1
-    if plan.regime == MINKOWSKI:
-        diag_mid, offdiag = -2.0j * kin, 1.0j * kin
+    d = np.zeros(n + 1)
+    d[j - 1 : j + 2] = (-1.0, 2.0, -1.0)
+    running = np.cumsum(d)  # D_i
+    total = running[:-1].sum()
+    if abs(coupling) > 1.0:  # the last row divided by c', finite at c' = inf
+        q = total / (2.0 / coupling + n)
+        y0 = q / coupling
     else:
-        diag_mid, offdiag = 2.0 * kin, -1.0 * kin
-    a = np.zeros((size, size), dtype=np.complex128)
-    idx = np.arange(size)
-    a[idx, idx] = diag_mid
-    a[idx[:-1], idx[:-1] + 1] = offdiag
-    a[idx[:-1] + 1, idx[:-1]] = offdiag
-    a[0, 0] = 1.0 / sigma2 + 0.5 * diag_mid
-    a[-1, -1] = 1.0 / sigma2 + 0.5 * diag_mid
-
-    cols = np.linalg.solve(a, np.eye(size, dtype=np.complex128)[:, (j - 1, j, j + 1)])
-    second = 2.0 * cols[j, 1] - cols[j, 0] - cols[j, 2]
-    if boundary_center != 0.0:
-        b = np.zeros(size, dtype=np.complex128)
-        b[0] = b[-1] = boundary_center / sigma2
-        mu = np.linalg.solve(a, b)
-        second += mu[j] * (2.0 * mu[j] - mu[j - 1] - mu[j + 1])
-    return complex(m / eps * second)
+        y0 = total / (2.0 + n * coupling)
+        q = coupling * y0
+    y_j = y0 + j * q - running[:j].sum()
+    return complex(params.hbar * y_j * (1.0 if euclidean else 1j))  # hbar y_j / u

@@ -10,13 +10,15 @@ from wickbell.bell import chsh_maximize, singlet
 from wickbell.cli import (
     _PEAK_BYTES,
     _RESTART_BYTES,
+    _SLICE_BYTES,
     MEMORY_BUDGET_BYTES,
-    _path_solve_bytes,
     build_config,
     entry,
     run,
 )
 from wickbell.csvio import read_csv
+from wickbell.grids import MINKOWSKI, Grid1D, PhysParams
+from wickbell.kernels import SlicingPlan, commutator_expectation
 
 ALL_EXPERIMENTS = (
     "wigner",
@@ -84,22 +86,28 @@ class TestMemoryBudget:
         peak = traced_peak(lambda: run(config, str(tmp_path)))[1]
         assert 0.9 * estimate <= peak <= estimate
 
-    def test_path_solve_estimate_bounds_traced_peak(self, tmp_path):
-        # the commutator's quadratic form grows with n_slices, not n_points
-        config = build_config("commutator", {"n_points": "64", "n_slices": "400"})
-        estimate = _path_solve_bytes(400)
-        peak = traced_peak(lambda: run(config, str(tmp_path)))[1]
-        assert 0.9 * estimate <= peak <= estimate
+    def test_slice_bytes_bound_traced_slope(self):
+        # the commutator's path solve grows with n_slices, not n_points: its
+        # peak grows by at most _SLICE_BYTES per slice, and by at least 0.9 of it
+        grid = Grid1D(-16.0, 16.0, 64)
+
+        def peak(n_slices):
+            plan = SlicingPlan(n_slices, 1.0, MINKOWSKI)
+            return traced_peak(lambda: commutator_expectation(plan, grid, PhysParams(), 2))[1]
+
+        peaks = [peak(n) for n in (10**5, 10**6)]
+        slope = (peaks[1] - peaks[0]) / (10**6 - 10**5)
+        assert 0.9 * _SLICE_BYTES <= slope <= _SLICE_BYTES
 
     def test_path_solve_over_budget_rejected_before_allocation(self, capsys, tmp_path):
-        # 10^5 slices would need 320 GB: the schema rejects them unbuilt
-        argv = ["run", "commutator", "--out", str(tmp_path), "--set", "n_slices=100000"]
+        # 10^14 slices would need 1.6 PB: the schema rejects them unbuilt
+        argv = ["run", "commutator", "--out", str(tmp_path), "--set", "n_slices=100000000000000"]
         code, peak = traced_peak(lambda: entry(argv))
         assert code == 2
         assert peak < 2**20
         err = capsys.readouterr().err
-        assert err.startswith("config error: parameter n_slices: 100000 slices would hold")
-        assert "budget" in err
+        assert err.startswith("config error: parameter n_slices: ")
+        assert "budget" in err and "Traceback" not in err
 
     def test_restart_bytes_bound_traced_slope(self):
         # chsh_maximize holds its restarts as one batch: the peak grows by
@@ -275,9 +283,7 @@ class TestValidation:
             ("kernel-check", ["slice_counts=16,1"], "parameter slice_counts: slice_counts must"),
             ("spin-phase", ["latitude_theta=4"], "parameter latitude_theta: latitude_theta must"),
             ("commutator", ["boundary_width=20"], "boundary_width 20.0: boundary packet does"),
-            # 5e-324 / 8 rounds to a zero slice; 1e-200 squared rounds to zero
-            ("commutator", ["total_time=5e-324"], "total_time / n_slices = 0 is too short"),
-            ("commutator", ["boundary_width=1e-200"], "boundary_width 1e-200 is too small"),
+            ("commutator", ["slice_indices=0"], "slice index j must satisfy 1 <= j <= 7, got 0"),
             # the kernel prefactor sqrt(m / 2 pi hbar t) overflows
             ("epr", ["time=5e-324"], "minkowski kernel (time=4.9406564584124654e-324)"),
             ("wigner", ["x_min=-1e308", "x_max=1e308"], "grid: x_max - x_min overflows"),
@@ -295,8 +301,7 @@ class TestValidation:
             "slice_counts",
             "latitude_theta",
             "boundary_width",
-            "slice-underflow",
-            "width-underflow",
+            "slice-index",
             "time-underflow",
             "span-overflow",
             "edges-reversed",
@@ -319,6 +324,34 @@ class TestValidation:
             argv += ["--set", item]
         assert entry(argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: {named}")
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "total_time=1",  # the default
+            "total_time=1e-12",
+            "total_time=1e-100",
+            "total_time=1e-300",
+            # 5e-324 / 8 rounds to a zero slice; 1e-200 squared rounds to zero
+            "total_time=5e-324",
+            "boundary_width=1e-200",
+            "n_slices=1000000",  # 16 MB of path solve, inside the budget
+        ],
+    )
+    def test_commutator_rows_are_exact(self, capsys, tmp_path, override):
+        # a slice or a width at the float limits is a free or a pinned end:
+        # the twist is still exactly i hbar and +hbar, with no -0
+        argv = ["run", "commutator", "--out", str(tmp_path), "--set", override]
+        assert entry(argv) == 0
+        assert capsys.readouterr().err == ""
+        lines = (tmp_path / "commutator.csv").read_text().splitlines()
+        assert lines == [
+            "regime,j,re,im",
+            "minkowski,2,0,1",
+            "minkowski,5,0,1",
+            "euclidean,2,1,0",
+            "euclidean,5,1,0",
+        ]
 
     def test_unparsable_value(self, capsys, tmp_path):
         code = entry(["run", "chsh", "--out", str(tmp_path), "--set", "seed=many"])

@@ -1,9 +1,11 @@
 """Analytic kernels, time slicing, and the sliced-path twist expectation.
 
 Twist values are checked against two independent routes: the continuant
-recursion (same Gaussian moments, no dense solve) and, for one imaginary-time
-case, a brute-force 3-D adaptive integral.
+recursion (same Gaussian moments, no flux solve) and, for one imaginary-time
+case, a brute-force 3-D Gauss-Legendre integral.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from oracles import (
     mehler_euclidean_harmonic,
     point_kernel_euclidean,
     point_kernel_minkowski,
-    twist_expectation_nquad_euclidean,
+    twist_expectation_gauss_euclidean,
     twist_expectation_oracle,
 )
 from wickbell import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams
@@ -322,8 +324,10 @@ class TestTwistExpectation:
             assert got_e == pytest.approx(ref_e, abs=1e-10)
 
     def test_brute_force_integral_anchor(self):
-        # assumption-free 3-D quadrature of the N = 2 imaginary-time case
-        ref = twist_expectation_nquad_euclidean(eps=0.2)
+        # assumption-free 3-D quadrature of the N = 2 imaginary-time case,
+        # converged in its order
+        ref = twist_expectation_gauss_euclidean(eps=0.2)
+        assert abs(twist_expectation_gauss_euclidean(eps=0.2, order=96) - ref) < 1e-13
         g = Grid1D(-16.0, 16.0, 64)
         val = commutator_expectation(SlicingPlan(2, 0.4, EUCLIDEAN), g, PHYS, 1)
         assert val.real == pytest.approx(ref, abs=1e-9)
@@ -348,12 +352,31 @@ class TestTwistExpectation:
         with pytest.raises(ValueError, match="grid"):
             commutator_expectation(plan, g, PHYS, 2, boundary_width=1.0, boundary_center=3.5)
 
-    def test_rejects_couplings_past_float_range(self):
+    def test_couplings_past_float_range_are_exact(self):
+        # a subnormal slice gives a free end (hbar eps / (m width^2) = 0), a
+        # width whose inverse square overflows a pinned one (coupling inf)
         g = Grid1D(-16.0, 16.0, 64)
-        with pytest.raises(ValueError, match="total_time / n_slices = 1.25e-311"):
-            commutator_expectation(SlicingPlan(8, 1e-310, EUCLIDEAN), g, PHYS, 2)
-        with pytest.raises(ValueError, match="boundary_width 1e-160 is too small"):
-            commutator_expectation(SlicingPlan(8, 1.0, MINKOWSKI), g, PHYS, 2, boundary_width=1e-160)
+        val = commutator_expectation(SlicingPlan(8, 1e-310, EUCLIDEAN), g, PHYS, 2)
+        assert val == PHYS.hbar
+        val = commutator_expectation(SlicingPlan(8, 1.0, MINKOWSKI), g, PHYS, 2, boundary_width=1e-160)
+        assert val == 1j * PHYS.hbar
+
+    def test_exact_over_slice_lengths_and_widths(self):
+        # hbar / u within 1e-15, with no numpy warning, from a subnormal
+        # total time to the top of the float range, on pinned to free ends
+        times = [*np.logspace(-300, 300, 121), 5e-324, 1.7e308]
+        widths = np.logspace(-200, 200, 9)
+        cases = [(2, 1), (3, 1), (8, 1), (8, 4), (8, 7), (64, 31), (10**5, 5 * 10**4)]
+        g = Grid1D(-1e201, 1e201, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for regime, exact in ((EUCLIDEAN, PHYS.hbar), (MINKOWSKI, 1j * PHYS.hbar)):
+                for n, j in cases:
+                    for t in times:
+                        plan = SlicingPlan(n, float(t), regime)
+                        for width in widths:
+                            val = commutator_expectation(plan, g, PHYS, j, float(width))
+                            assert abs(val - exact) <= 1e-15, (regime, n, j, t, width)
 
     def test_rejects_nonpositive_width(self):
         g = Grid1D(-16.0, 16.0, 64)
