@@ -126,14 +126,14 @@ def _choice(name: str, options: tuple):
     return check
 
 
-def _budgeted(name: str, bound: int, unit: str, peak_bytes: Callable[[int], int] | None):
-    """Count check: at least `bound`; given peak_bytes(count), the count is
-    also held to the memory budget."""
+def _budgeted(name: str, bound: int, unit: str, peak_bytes: Callable[[int], int]):
+    """Count check: at least `bound`, and peak_bytes(count) within the memory
+    budget."""
     at_least = _at_least(name, bound)
     budget = f"the {MEMORY_BUDGET_BYTES >> 20} MiB budget"
 
     def check(count):
-        if peak_bytes is None or count < bound:
+        if count < bound:
             return at_least(count)
         # every estimate is at least a byte per count: a larger count is over
         # the budget without computing, or printing, its huge estimate
@@ -147,13 +147,13 @@ def _budgeted(name: str, bound: int, unit: str, peak_bytes: Callable[[int], int]
 
 
 def _grid_params(
+    peak_bytes: Callable[[int], int],
     n_points: int = 256,
     x_min: float = -16.0,
     x_max: float = 16.0,
-    peak_bytes: Callable[[int], int] | None = None,
 ) -> dict:
-    """Grid schema; given peak_bytes(n_points), n_points is also held to the
-    memory budget."""
+    """Grid schema; n_points is also held to the memory budget through
+    peak_bytes(n_points)."""
     return {
         "n_points": ParamSpec(
             "int", n_points, "grid sample count", _budgeted("n_points", 8, "points", peak_bytes)
@@ -220,8 +220,6 @@ def _manifest(outdir: str, experiment: str, p: dict) -> str:
 
 
 def _canonical(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -279,14 +277,13 @@ def _run_kernel_check(p: dict, outdir: str) -> list:
 
 
 def _run_commutator(p: dict, outdir: str) -> list:
-    grid = _make_grid(p)
     phys = PhysParams()
     rows = []
     for regime in (MINKOWSKI, EUCLIDEAN):
         plan = SlicingPlan(p["n_slices"], p["total_time"], regime)
         for j in p["slice_indices"]:
             try:
-                val = commutator_expectation(plan, grid, phys, j, p["boundary_width"])
+                val = commutator_expectation(plan, phys, j, p["boundary_width"])
             except ValueError as exc:  # each names the slice index or parameter at fault
                 raise ConfigError(str(exc)) from None
             rows.append((regime, j, val.real, val.imag))
@@ -320,15 +317,11 @@ def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParam
 # - kernel-check: one sliced_kernel build, about 33 bytes per cell; no
 #   kernel outlives its slice count. numpy's index buffers and the CSV stay
 #   under 128 KiB.
-# - commutator: the grid coordinates and their arange temporary; the CSV
-#   stays under 128 KiB. The path solve is O(N) and exact, and is held to
-#   the budget through n_slices, apart from the grid (_SLICE_BYTES).
 _PEAK_BYTES = {
     "epr": lambda n: 56 * n * n + 1344 * n,
     "wigner": lambda n: 25 * n * n + 720 * n,
     "negativity-decay": lambda n: 41 * n * n + 1024 * n,
     "kernel-check": lambda n: 33 * n * n + 2**17,
-    "commutator": lambda n: 16 * n + 2**17,
 }
 
 
@@ -509,13 +502,13 @@ class Experiment:
 EXPERIMENTS = {
     "wigner": Experiment(
         "Wigner function of a chosen 1-D state with negativity metrics",
-        {**_grid_params(peak_bytes=_PEAK_BYTES["wigner"]), **_state_params()},
+        {**_grid_params(_PEAK_BYTES["wigner"]), **_state_params()},
         _run_wigner,
     ),
     "kernel-check": Experiment(
         "sliced imaginary-time kernel against the closed form as slices double",
         {
-            **_grid_params(512, -16.0, 16.0, _PEAK_BYTES["kernel-check"]),
+            **_grid_params(_PEAK_BYTES["kernel-check"], 512, -16.0, 16.0),
             "total_time": ParamSpec("float", 1.0, "total propagation time", _positive("total_time")),
             "slice_counts": ParamSpec(
                 "ints",
@@ -532,7 +525,6 @@ EXPERIMENTS = {
     "commutator": Experiment(
         "position-momentum twist expectation on sliced free paths in both regimes",
         {
-            **_grid_params(512, -16.0, 16.0, _PEAK_BYTES["commutator"]),
             "n_slices": ParamSpec(
                 "int", 8, "number of time slices",
                 _budgeted("n_slices", 2, "slices", lambda n: _SLICE_BYTES * n),
@@ -551,7 +543,7 @@ EXPERIMENTS = {
             # needs artifacts below ~1e-13 of peak for a clean weight ratio:
             # envelope tail exp(-x_max^2/4E^2) ~ 1e-15 at the border, and the
             # chirp alias shift 2 pi hbar T/(m dx) = 25 clears the whole box
-            **_grid_params(1536, -11.5, 11.5, _PEAK_BYTES["epr"]),
+            **_grid_params(_PEAK_BYTES["epr"], 1536, -11.5, 11.5),
             "s": ParamSpec("float", 0.05, "relative-coordinate width", _positive("s")),
             "envelope": ParamSpec("float", 1.0, "center-of-mass envelope width", _positive("envelope")),
             "time": ParamSpec("float", 0.06, "propagation time", _positive("time")),
@@ -569,7 +561,7 @@ EXPERIMENTS = {
         {
             # wide box: dp = 2 pi hbar / span must resolve the |cos(2 a p)|
             # fringe integral, or the f column picks up aliasing wiggles
-            **_grid_params(512, -48.0, 48.0, _PEAK_BYTES["negativity-decay"]),
+            **_grid_params(_PEAK_BYTES["negativity-decay"], 512, -48.0, 48.0),
             **_state_params(
                 "cat-even", "initial state kind (even parity decays to the nodeless ground state)"
             ),

@@ -23,6 +23,9 @@ support of whatever the sliced kernel is applied to.
 The imaginary-time power zeroes entries below sqrt(tiny) = 2^-511 in the
 slice and after every product, so its heat-kernel tails never reach the
 slow subnormal range; its entries are exactly non-negative.
+
+The sliced-path twist expectation takes no grid: it integrates the free
+paths over the whole real line in closed form.
 """
 
 from __future__ import annotations
@@ -183,12 +186,7 @@ def sliced_kernel(
 
 
 def commutator_expectation(
-    plan: SlicingPlan,
-    grid: Grid1D,
-    params: PhysParams,
-    j: int,
-    boundary_width: float = 1.0,
-    boundary_center: float = 0.0,
+    plan: SlicingPlan, params: PhysParams, j: int, boundary_width: float = 1.0
 ) -> complex:
     """Expectation of the sliced position-momentum twist at interior slice j.
 
@@ -197,38 +195,31 @@ def commutator_expectation(
         O_j = x_j * m (x_j - x_{j-1})/eps  -  m (x_{j+1} - x_j)/eps * x_j
             = (m/eps) x_j (2 x_j - x_{j-1} - x_{j+1}),
 
-    averaged over free sliced paths with Gaussian wavepackets pinned at both
-    ends, normalized by the same integral without the insertion. The path
-    weight is exp(-x^T A x / 2 + b.x) over (x_0, ..., x_N), with A = u kin
-    (L + c' B): u = 1 (imaginary time) or -i (real time), kin = m/(hbar eps),
-    L the free-end path Laplacian, B = e_0 e_0^T + e_N e_N^T, c' = c/u and
+    averaged over free sliced paths on the whole real line with Gaussian
+    wavepackets of width boundary_width pinned at both ends, normalized by
+    the same integral without the insertion. The path weight is
+    exp(-x^T A x / 2 + b.x) over (x_0, ..., x_N), with A = u kin (L + c' B):
+    u = 1 (imaginary time) or -i (real time), kin = m/(hbar eps), L the
+    free-end path Laplacian, B = e_0 e_0^T + e_N e_N^T, c' = c/u and
     c = hbar eps/(m width^2). The twist is hbar y_j / u, where
     (L + c' B) y = d = 2 e_j - e_{j-1} - e_{j+1}; the mean path is the
-    constant boundary_center (A center 1 = b), so it adds nothing.
+    packets' common center (A center 1 = b), which the value does not
+    depend on.
 
     The solve is O(N) and exact: the flux y_{i+1} - y_i is q - D_i, with D
     the running sum of d and q = c' y_0, and the sum of all rows gives
     y_0 (2 + N c') = sum_{i<N} D_i. Every D_i is a small integer, so real
     time gives i*hbar and imaginary time +hbar exactly for any N, interior j,
     slice length and width, c = 0 and c = inf (a pinned end) included.
-
-    The grid declares the integration domain that this closed form assumes
-    is effectively unbounded, so the boundary packets must sit well inside
-    it. (A sampled-kernel route is not used here: for small eps the
-    real-time chirp aliases into spurious displaced copies; see the module
-    note on sliced real-time kernels.)
+    (A sampled-kernel route is not used here: for small eps the real-time
+    chirp aliases into spurious displaced copies; see the module note on
+    sliced real-time kernels.)
     """
     n = plan.n_slices
     if not (1 <= j <= n - 1):
         raise ValueError(f"slice index j must satisfy 1 <= j <= {n - 1}, got {j}")
     if boundary_width <= 0.0:
         raise ValueError(f"boundary_width must be positive, got {boundary_width}")
-    reach = 5.0 * boundary_width
-    if boundary_center - reach < grid.x_min or boundary_center + reach > grid.x_max:
-        raise ValueError(
-            f"boundary_width {boundary_width}: boundary packet does not fit the "
-            f"declared grid: need center +- 5 width inside [{grid.x_min}, {grid.x_max}]"
-        )
     # 0 and inf are valid end couplings: a free end and a pinned one
     with np.errstate(over="ignore", under="ignore"):
         c = float(params.hbar * plan.epsilon / params.mass / boundary_width / boundary_width)

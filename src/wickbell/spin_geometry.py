@@ -87,38 +87,32 @@ class SpinorState:
 
 @dataclass(frozen=True)
 class SphericalPath:
-    """Ordered vertices on the sphere; closed paths wrap the last edge."""
+    """Closed loop of ordered vertices on the sphere: the last edge wraps to
+    the first vertex, unless the vertices already end on it."""
 
     vertices: tuple
-    closed: bool = True
 
     def __post_init__(self):
         verts = tuple(self.vertices)
-        minimum = 3 if self.closed else 2
-        if len(verts) < minimum:
-            raise ValueError(
-                f"{'closed' if self.closed else 'open'} path needs >= {minimum} "
-                f"vertices, got {len(verts)}"
-            )
+        if len(verts) < 3:
+            raise ValueError(f"closed path needs >= 3 vertices, got {len(verts)}")
         if not all(isinstance(v, UnitVector) for v in verts):
             raise TypeError("path vertices must be UnitVector instances")
-        for a, b in self.edges_of(verts, self.closed):
+        object.__setattr__(self, "vertices", verts)
+        for a, b in self.edges():
             if a.dot(b) <= -1.0 + 1e-12:
                 raise ValueError(
                     "consecutive path vertices are antipodal; the connecting "
                     "geodesic is not unique"
                 )
-        object.__setattr__(self, "vertices", verts)
 
-    @staticmethod
-    def edges_of(verts: tuple, closed: bool):
+    def edges(self):
+        verts = self.vertices
         pairs = list(zip(verts[:-1], verts[1:]))
-        if closed and verts[0] != verts[-1]:
+        if verts[0] != verts[-1]:
             pairs.append((verts[-1], verts[0]))
         return pairs
 
-    def edges(self):
-        return self.edges_of(self.vertices, self.closed)
 
 def canonical_spinor(n: UnitVector) -> SpinorState:
     """Chart value (cos(theta/2), e^{i phi} sin(theta/2)) at n."""
@@ -204,8 +198,6 @@ def free_spin_kernel_pair(
 
 def path_loop_product(path: SphericalPath, n0: UnitVector = PLUS_Z) -> complex:
     """Identity-insertion chain <v_0|v_1><v_1|v_2>...<v_{N-1}|v_0>."""
-    if not path.closed:
-        raise ValueError("loop product requires a closed path")
     product = 1.0 + 0.0j
     for a, b in path.edges():
         product *= coherent_overlap(b, a, n0)  # <a|b>: ket is the later vertex
@@ -220,8 +212,6 @@ def wz_phase_closed_path(path: SphericalPath, reference: UnitVector = PLUS_Z) ->
     contains its first vertex's antipode and the fan would degenerate).
     Matches the accumulated phase of path_loop_product for the same loop.
     """
-    if not path.closed:
-        raise ValueError("geometric phase needs a closed path")
     total = 0.0
     for a, b in path.edges():
         total += spherical_triangle_area(reference, a, b)
@@ -234,7 +224,7 @@ def equator_loop(n_segments: int) -> SphericalPath:
         raise ValueError(f"need >= 3 segments, got {n_segments}")
     angles = 2.0 * np.pi * np.arange(n_segments) / n_segments
     verts = tuple(UnitVector.of(np.cos(t), np.sin(t), 0.0) for t in angles)
-    return SphericalPath(verts, closed=True)
+    return SphericalPath(verts)
 
 
 def latitude_loop(theta: float, n_segments: int) -> SphericalPath:
@@ -246,11 +236,11 @@ def latitude_loop(theta: float, n_segments: int) -> SphericalPath:
         raise ValueError(f"polar angle must lie strictly between 0 and pi, got {theta}")
     angles = 2.0 * np.pi * np.arange(n_segments) / n_segments
     verts = tuple(UnitVector.from_spherical(theta, t) for t in angles)
-    return SphericalPath(verts, closed=True)
+    return SphericalPath(verts)
 
 
 def octant_loop() -> SphericalPath:
-    return SphericalPath((PLUS_X, PLUS_Y, PLUS_Z), closed=True)
+    return SphericalPath((PLUS_X, PLUS_Y, PLUS_Z))
 
 
 def phases_to_csv(records, path) -> None:

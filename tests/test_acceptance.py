@@ -118,12 +118,11 @@ def test_acceptance_02_commutator_sign_flips_between_regimes():
     imaginary time, within 1e-6 of the independent continuant-recursion
     oracle; interior-slice independence within 1e-6.
     """
-    grid = Grid1D(-16.0, 16.0, 64)
     for n, j in ((2, 1), (3, 1), (3, 2), (4, 2)):
         plan_m = SlicingPlan(n, 1.0, MINKOWSKI)
         plan_e = SlicingPlan(n, 1.0, EUCLIDEAN)
-        got_m = commutator_expectation(plan_m, grid, PHYS, j)
-        got_e = commutator_expectation(plan_e, grid, PHYS, j)
+        got_m = commutator_expectation(plan_m, PHYS, j)
+        got_e = commutator_expectation(plan_e, PHYS, j)
         assert got_m == pytest.approx(1j * PHYS.hbar, abs=1e-6)
         assert got_e == pytest.approx(PHYS.hbar, abs=1e-6)
         assert got_m == pytest.approx(
@@ -133,7 +132,7 @@ def test_acceptance_02_commutator_sign_flips_between_regimes():
             twist_expectation_oracle(n, j, plan_e.epsilon, "euclidean"), abs=1e-6
         )
     plan = SlicingPlan(8, 1.0, MINKOWSKI)
-    vals = [commutator_expectation(plan, grid, PHYS, j) for j in range(2, 7)]
+    vals = [commutator_expectation(plan, PHYS, j) for j in range(2, 7)]
     assert max(abs(v - vals[0]) for v in vals) < 1e-6
 
 

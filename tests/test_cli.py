@@ -1,7 +1,9 @@
 """Command-line runner: catalog, validation, determinism, manifests, guards."""
 
 import os
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +13,14 @@ from wickbell.cli import (
     _PEAK_BYTES,
     _RESTART_BYTES,
     _SLICE_BYTES,
+    EXPERIMENTS,
     MEMORY_BUDGET_BYTES,
     build_config,
     entry,
     run,
 )
 from wickbell.csvio import read_csv
-from wickbell.grids import MINKOWSKI, Grid1D, PhysParams
+from wickbell.grids import MINKOWSKI, PhysParams
 from wickbell.kernels import SlicingPlan, commutator_expectation
 
 ALL_EXPERIMENTS = (
@@ -49,6 +52,12 @@ class TestCatalog:
         chsh_row = next(line for line in lines if line.startswith("chsh,"))
         assert "CNOT" in chsh_row
 
+    def test_readme_table_matches_catalog(self):
+        # the README's experiment table lists every name and summary, in order
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([^`]+)` \| (.+) \|$", readme, re.MULTILINE)
+        assert rows == [(name, exp.summary) for name, exp in EXPERIMENTS.items()]
+
 
 def traced_peak(fn) -> tuple:
     """fn's result and the peak bytes allocated while it runs."""
@@ -76,8 +85,6 @@ class TestMemoryBudget:
             # 8 and 16 slices keep hbar eps / (m dx^2) >= 1 on 256 points
             ("kernel-check", {"n_points": "256", "slice_counts": "8,16"}),
             ("negativity-decay", {"n_points": "256"}),
-            # only the grid coordinates scale with n, so n is large here
-            ("commutator", {"n_points": "100000"}),
         ],
     )
     def test_grid_estimate_bounds_traced_peak(self, tmp_path, experiment, overrides):
@@ -87,13 +94,11 @@ class TestMemoryBudget:
         assert 0.9 * estimate <= peak <= estimate
 
     def test_slice_bytes_bound_traced_slope(self):
-        # the commutator's path solve grows with n_slices, not n_points: its
-        # peak grows by at most _SLICE_BYTES per slice, and by at least 0.9 of it
-        grid = Grid1D(-16.0, 16.0, 64)
-
+        # the commutator's path solve grows with n_slices: its peak grows by
+        # at most _SLICE_BYTES per slice, and by at least 0.9 of it
         def peak(n_slices):
             plan = SlicingPlan(n_slices, 1.0, MINKOWSKI)
-            return traced_peak(lambda: commutator_expectation(plan, grid, PhysParams(), 2))[1]
+            return traced_peak(lambda: commutator_expectation(plan, PhysParams(), 2))[1]
 
         peaks = [peak(n) for n in (10**5, 10**6)]
         slope = (peaks[1] - peaks[0]) / (10**6 - 10**5)
@@ -148,7 +153,6 @@ class TestMemoryBudget:
             ("wigner", "200000"),
             ("kernel-check", "200000"),
             ("negativity-decay", "200000"),
-            ("commutator", "2000000000"),
             # an estimate past Python's 4300-digit int-to-str limit
             ("epr", "9" * 3000),
         ],
@@ -194,12 +198,22 @@ class TestValidation:
         assert code == 2
         assert "n_points must be >= 8" in capsys.readouterr().err
 
-    def test_unknown_parameter_lists_valid_keys(self, capsys, tmp_path):
-        code = entry(["run", "chsh", "--out", str(tmp_path), "--set", "bogus=1"])
+    @pytest.mark.parametrize(
+        "experiment, key, valid",
+        [
+            ("chsh", "bogus", "restarts"),
+            # the twist integrates its paths over the whole real line
+            ("commutator", "n_points", "boundary_width"),
+            ("commutator", "x_min", "boundary_width"),
+            ("commutator", "x_max", "boundary_width"),
+        ],
+    )
+    def test_unknown_parameter_lists_valid_keys(self, capsys, tmp_path, experiment, key, valid):
+        code = entry(["run", experiment, "--out", str(tmp_path), "--set", f"{key}=1"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "unknown parameter(s) bogus" in err
-        assert "valid keys:" in err and "restarts" in err
+        assert f"unknown parameter(s) {key} for {experiment}" in err
+        assert "valid keys:" in err and valid in err
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_positive_value(self, capsys, tmp_path, value):
@@ -282,7 +296,6 @@ class TestValidation:
         [
             ("kernel-check", ["slice_counts=16,1"], "parameter slice_counts: slice_counts must"),
             ("spin-phase", ["latitude_theta=4"], "parameter latitude_theta: latitude_theta must"),
-            ("commutator", ["boundary_width=20"], "boundary_width 20.0: boundary packet does"),
             ("commutator", ["slice_indices=0"], "slice index j must satisfy 1 <= j <= 7, got 0"),
             # the kernel prefactor sqrt(m / 2 pi hbar t) overflows
             ("epr", ["time=5e-324"], "minkowski kernel (time=4.9406564584124654e-324)"),
@@ -300,7 +313,6 @@ class TestValidation:
         ids=[
             "slice_counts",
             "latitude_theta",
-            "boundary_width",
             "slice-index",
             "time-underflow",
             "span-overflow",
@@ -335,6 +347,9 @@ class TestValidation:
             # 5e-324 / 8 rounds to a zero slice; 1e-200 squared rounds to zero
             "total_time=5e-324",
             "boundary_width=1e-200",
+            # wide packets: the paths run over the whole real line
+            "boundary_width=20",
+            "boundary_width=1e300",
             "n_slices=1000000",  # 16 MB of path solve, inside the budget
         ],
     )

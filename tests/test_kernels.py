@@ -297,27 +297,26 @@ class TestSlicedKernel:
 
 class TestTwistExpectation:
     def test_minkowski_value_is_i_hbar(self):
-        g = Grid1D(-16.0, 16.0, 64)
         for n, j in ((2, 1), (3, 2), (8, 4)):
-            val = commutator_expectation(SlicingPlan(n, 1.0, MINKOWSKI), g, PHYS, j)
+            val = commutator_expectation(SlicingPlan(n, 1.0, MINKOWSKI), PHYS, j)
             assert val == pytest.approx(1j * PHYS.hbar, abs=1e-10)
 
     def test_euclidean_value_is_plus_hbar(self):
-        g = Grid1D(-16.0, 16.0, 64)
         for n, j in ((2, 1), (3, 1), (8, 5)):
-            val = commutator_expectation(SlicingPlan(n, 1.0, EUCLIDEAN), g, PHYS, j)
+            val = commutator_expectation(SlicingPlan(n, 1.0, EUCLIDEAN), PHYS, j)
             assert val == pytest.approx(PHYS.hbar, abs=1e-10)
 
     def test_matches_continuant_oracle(self):
-        g = Grid1D(-32.0, 32.0, 64)
+        # the oracle places its packets at `center`; the twist has no center
+        # to take, so the off-center cases check translation invariance
         cases = [
             (2, 1, 0.7, 0.0), (3, 1, 1.0, 0.5), (3, 2, 1.3, -0.8), (4, 2, 0.9, 1.1),
         ]
         for n, j, width, center in cases:
             plan_m = SlicingPlan(n, 0.8, MINKOWSKI)
             plan_e = SlicingPlan(n, 0.8, EUCLIDEAN)
-            got_m = commutator_expectation(plan_m, g, PHYS, j, width, center)
-            got_e = commutator_expectation(plan_e, g, PHYS, j, width, center)
+            got_m = commutator_expectation(plan_m, PHYS, j, width)
+            got_e = commutator_expectation(plan_e, PHYS, j, width)
             ref_m = twist_expectation_oracle(n, j, plan_m.epsilon, "minkowski", width, center)
             ref_e = twist_expectation_oracle(n, j, plan_e.epsilon, "euclidean", width, center)
             assert got_m == pytest.approx(ref_m, abs=1e-10)
@@ -328,37 +327,27 @@ class TestTwistExpectation:
         # converged in its order
         ref = twist_expectation_gauss_euclidean(eps=0.2)
         assert abs(twist_expectation_gauss_euclidean(eps=0.2, order=96) - ref) < 1e-13
-        g = Grid1D(-16.0, 16.0, 64)
-        val = commutator_expectation(SlicingPlan(2, 0.4, EUCLIDEAN), g, PHYS, 1)
+        val = commutator_expectation(SlicingPlan(2, 0.4, EUCLIDEAN), PHYS, 1)
         assert val.real == pytest.approx(ref, abs=1e-9)
         assert abs(val.imag) < 1e-12
 
     def test_interior_slice_independence(self):
-        g = Grid1D(-16.0, 16.0, 64)
         plan = SlicingPlan(8, 1.0, MINKOWSKI)
-        vals = [commutator_expectation(plan, g, PHYS, j) for j in range(2, 7)]
+        vals = [commutator_expectation(plan, PHYS, j) for j in range(2, 7)]
         assert max(abs(v - vals[0]) for v in vals) < 1e-12
 
     def test_rejects_boundary_slice_index(self):
-        g = Grid1D(-16.0, 16.0, 64)
         plan = SlicingPlan(4, 1.0, MINKOWSKI)
         for j in (0, 4):
             with pytest.raises(ValueError, match="slice index"):
-                commutator_expectation(plan, g, PHYS, j)
-
-    def test_rejects_packet_outside_grid(self):
-        g = Grid1D(-4.0, 4.0, 64)
-        plan = SlicingPlan(4, 1.0, EUCLIDEAN)
-        with pytest.raises(ValueError, match="grid"):
-            commutator_expectation(plan, g, PHYS, 2, boundary_width=1.0, boundary_center=3.5)
+                commutator_expectation(plan, PHYS, j)
 
     def test_couplings_past_float_range_are_exact(self):
         # a subnormal slice gives a free end (hbar eps / (m width^2) = 0), a
         # width whose inverse square overflows a pinned one (coupling inf)
-        g = Grid1D(-16.0, 16.0, 64)
-        val = commutator_expectation(SlicingPlan(8, 1e-310, EUCLIDEAN), g, PHYS, 2)
+        val = commutator_expectation(SlicingPlan(8, 1e-310, EUCLIDEAN), PHYS, 2)
         assert val == PHYS.hbar
-        val = commutator_expectation(SlicingPlan(8, 1.0, MINKOWSKI), g, PHYS, 2, boundary_width=1e-160)
+        val = commutator_expectation(SlicingPlan(8, 1.0, MINKOWSKI), PHYS, 2, boundary_width=1e-160)
         assert val == 1j * PHYS.hbar
 
     def test_exact_over_slice_lengths_and_widths(self):
@@ -367,7 +356,6 @@ class TestTwistExpectation:
         times = [*np.logspace(-300, 300, 121), 5e-324, 1.7e308]
         widths = np.logspace(-200, 200, 9)
         cases = [(2, 1), (3, 1), (8, 1), (8, 4), (8, 7), (64, 31), (10**5, 5 * 10**4)]
-        g = Grid1D(-1e201, 1e201, 64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for regime, exact in ((EUCLIDEAN, PHYS.hbar), (MINKOWSKI, 1j * PHYS.hbar)):
@@ -375,10 +363,9 @@ class TestTwistExpectation:
                     for t in times:
                         plan = SlicingPlan(n, float(t), regime)
                         for width in widths:
-                            val = commutator_expectation(plan, g, PHYS, j, float(width))
+                            val = commutator_expectation(plan, PHYS, j, float(width))
                             assert abs(val - exact) <= 1e-15, (regime, n, j, t, width)
 
     def test_rejects_nonpositive_width(self):
-        g = Grid1D(-16.0, 16.0, 64)
         with pytest.raises(ValueError, match="width"):
-            commutator_expectation(SlicingPlan(4, 1.0, EUCLIDEAN), g, PHYS, 2, boundary_width=0.0)
+            commutator_expectation(SlicingPlan(4, 1.0, EUCLIDEAN), PHYS, 2, boundary_width=0.0)

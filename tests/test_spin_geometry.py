@@ -197,27 +197,25 @@ class TestCoherentOverlap:
 class TestSphericalPath:
     def test_closed_needs_three_vertices(self):
         with pytest.raises(ValueError, match="3"):
-            SphericalPath((PLUS_X, PLUS_Y), closed=True)
-
-    def test_open_needs_two_vertices(self):
-        with pytest.raises(ValueError, match="2"):
-            SphericalPath((PLUS_X,), closed=False)
+            SphericalPath((PLUS_X, PLUS_Y))
 
     def test_rejects_non_unitvector_entries(self):
         with pytest.raises(TypeError, match="UnitVector"):
-            SphericalPath((PLUS_X, (0.0, 1.0, 0.0), PLUS_Z), closed=True)
+            SphericalPath((PLUS_X, (0.0, 1.0, 0.0), PLUS_Z))
 
     def test_rejects_antipodal_consecutive_vertices(self):
         with pytest.raises(ValueError, match="antipodal"):
-            SphericalPath(
-                (PLUS_X, UnitVector(-1.0, 0.0, 0.0), PLUS_Z), closed=True
-            )
+            SphericalPath((PLUS_X, UnitVector(-1.0, 0.0, 0.0), PLUS_Z))
 
     def test_closed_edges_wrap(self):
         path = octant_loop()
         edges = list(path.edges())
         assert len(edges) == 3
         assert edges[-1] == (PLUS_Z, PLUS_X)
+
+    def test_repeated_first_vertex_adds_no_wrap_edge(self):
+        path = SphericalPath((PLUS_X, PLUS_Y, PLUS_Z, PLUS_X))
+        assert path.edges() == octant_loop().edges()
 
 
 class TestLoopPhases:
@@ -248,7 +246,7 @@ class TestLoopPhases:
     def test_reversed_loop_negates_phase(self):
         path = latitude_loop(1.1, 17)
         fwd = wz_phase_closed_path(path)
-        rev = SphericalPath(path.vertices[::-1], closed=True)
+        rev = SphericalPath(path.vertices[::-1])
         assert wz_phase_closed_path(rev) == pytest.approx(-fwd, abs=1e-13)
 
     def test_loop_product_matches_wz_phase(self):
@@ -276,17 +274,10 @@ class TestLoopPhases:
         theta, n = 0.9, 16
         whole = latitude_loop(theta, n)
         verts = whole.vertices
-        half1 = SphericalPath(verts[: n // 2 + 1] + (PLUS_Z,), closed=True)
-        half2 = SphericalPath(verts[n // 2 :] + (verts[0], PLUS_Z), closed=True)
+        half1 = SphericalPath(verts[: n // 2 + 1] + (PLUS_Z,))
+        half2 = SphericalPath(verts[n // 2 :] + (verts[0], PLUS_Z))
         total = wz_phase_closed_path(half1) + wz_phase_closed_path(half2)
         assert total == pytest.approx(wz_phase_closed_path(whole), abs=1e-12)
-
-    def test_open_path_rejected(self):
-        path = SphericalPath((PLUS_X, PLUS_Y, PLUS_Z), closed=False)
-        with pytest.raises(ValueError, match="closed"):
-            path_loop_product(path)
-        with pytest.raises(ValueError, match="closed"):
-            wz_phase_closed_path(path)
 
     @settings(max_examples=30, deadline=None)
     @given(
