@@ -28,6 +28,7 @@ import numpy as np
 from wickbell import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams
 from wickbell.epr import (
     CorrelationWidth,
+    PairWaveFunction,
     epr_initial_pair,
     evolve_pair,
     joint_momentum_distribution,
@@ -50,15 +51,20 @@ def layers(n: int) -> dict:
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
     # T = 0.4 keeps the real-time alias shift 2 pi hbar T/(m dx) past the
     # 23-wide box from n = 256 on
-    pair = epr_initial_pair(Grid1D(-11.5, 11.5, n), CorrelationWidth(0.3), 1.0, PHYS)
+    box = Grid1D(-11.5, 11.5, n)
+    pair = epr_initial_pair(box, CorrelationWidth(0.3), 1.0, PHYS)  # float64
+    complex_pair = PairWaveFunction(box, pair.amplitudes.astype(np.complex128), PHYS)
     evolved = evolve_pair(pair, 0.4, MINKOWSKI)
     trap = harmonic_potential(1.0, PHYS)
     return {
         "wigner_transform": lambda: wigner_transform(psi),
         "wigner_of_density": lambda: wigner_of_density(rho, wide, PHYS),
         "hamiltonian+eigh": lambda: np.linalg.eigh(hamiltonian(wide, PHYS, trap).entries),
-        # the real pair takes the real-input path in imaginary time only
-        "evolve_pair minkowski": lambda: evolve_pair(pair, 0.4, MINKOWSKI),
+        "epr_initial_pair": lambda: epr_initial_pair(box, CorrelationWidth(0.3), 1.0, PHYS),
+        # a real pair's first real-time pass mirrors a real-input FFT; the
+        # same values stored as complex take the complex FFT in both passes
+        "evolve_pair minkowski real": lambda: evolve_pair(pair, 0.4, MINKOWSKI),
+        "evolve_pair minkowski cplx": lambda: evolve_pair(complex_pair, 0.4, MINKOWSKI),
         "evolve_pair euclidean": lambda: evolve_pair(pair, 0.4, EUCLIDEAN),
         "joint_momentum real": lambda: joint_momentum_distribution(pair),
         "joint_momentum complex": lambda: joint_momentum_distribution(evolved),

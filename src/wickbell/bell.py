@@ -90,14 +90,13 @@ def _as_density(state) -> np.ndarray:
     return rho
 
 
+# row 3 i + j is (sigma_i x sigma_j)^T flattened: its dot with rho flattened is the trace
+_PAULI_PRODUCTS = np.array([np.kron(a, b).T.reshape(16) for a in PAULI for b in PAULI])
+
+
 def correlation_matrix(state) -> np.ndarray:
     """T[i, j] = <(sigma_i x sigma_j)>, the full 3x3 correlation tensor."""
-    rho = _as_density(state)
-    t = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            t[i, j] = float(np.real(np.trace(rho @ np.kron(PAULI[i], PAULI[j]))))
-    return t
+    return (_PAULI_PRODUCTS @ _as_density(state).reshape(16)).real.reshape(3, 3)
 
 
 def correlation(state, a: MeasurementSetting, b: MeasurementSetting) -> float:

@@ -266,8 +266,8 @@ def _run_kernel_check(p: dict, outdir: str) -> list:
         # nothing n^2 outlives the call, so each sliced_kernel build runs
         # alone; the O(n^2) closed form is rebuilt beside the O(n^3) power
         plan = SlicingPlan(n_slices, t, EUCLIDEAN)
-        approx = sliced_kernel(grid, free_potential(), plan, phys).entries.real[box]
-        exact = free_kernel_euclidean(grid, t, phys).entries.real[box]
+        approx = sliced_kernel(grid, free_potential(), plan, phys).entries[box]
+        exact = free_kernel_euclidean(grid, t, phys).entries[box]
         return float(np.max(np.abs(approx - exact)))
 
     rows = [(n_slices, deviation(n_slices)) for n_slices in p["slice_counts"]]
@@ -294,19 +294,18 @@ def _run_commutator(p: dict, outdir: str) -> list:
 
 def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParams) -> float:
     """Largest deviation of the raw-weight ratio prob_e / prob_m from the
-    analytic damping factor, where prob_m holds more than 1e-12 of its peak."""
-    px = pgrid.x[:, None]
-    py = pgrid.x[None, :]
-    predicted = np.exp(-(px**2 + py**2) * t / (phys.hbar * phys.mass))
-    keep = prob_m > 1e-12 * prob_m.max()
-    return float(np.max(np.abs(prob_e[keep] / prob_m[keep] - predicted[keep])))
+    analytic damping factor, evaluated only where prob_m holds more than
+    1e-12 of its peak."""
+    kx, ky = np.nonzero(prob_m > 1e-12 * prob_m.max())
+    predicted = np.exp(-(pgrid.x[kx] ** 2 + pgrid.x[ky] ** 2) * t / (phys.hbar * phys.mass))
+    return float(np.max(np.abs(prob_e[kx, ky] / prob_m[kx, ky] - predicted)))
 
 
 # Array bytes each grid experiment holds at its peak on n points; the schema
 # checks them against MEMORY_BUDGET_BYTES before anything is allocated.
-# - epr: the initial pair, the minkowski-evolved pair and the momentum
-#   transform's full-spectrum intermediate (n^2 complex each) plus its
-#   density (n^2 float); second-pass FFT blocks and a first call's
+# - epr: the real initial pair (n^2 float), the minkowski-evolved pair and
+#   the momentum transform's full-spectrum intermediate (n^2 complex each)
+#   plus its density (n^2 float); second-pass FFT blocks and a first call's
 #   numpy.fft import stay under 1344 B per point; the euclidean arm holds less.
 # - wigner: wigner_transform's folded lag correlation (n x (n//2 + 1)
 #   complex) with a product temporary of its size, or with the real W and
@@ -314,14 +313,14 @@ def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParam
 #   call's numpy.fft import stay under 720 bytes per point from n = 256 on.
 # - negativity-decay: the real trap Hamiltonian and its eigenvectors (n^2
 #   float each) besides one wigner_transform; the shear regime holds less.
-# - kernel-check: one sliced_kernel build, about 33 bytes per cell; no
+# - kernel-check: one sliced_kernel build, about 32 bytes per cell; no
 #   kernel outlives its slice count. numpy's index buffers and the CSV stay
 #   under 128 KiB.
 _PEAK_BYTES = {
-    "epr": lambda n: 56 * n * n + 1344 * n,
+    "epr": lambda n: 48 * n * n + 1344 * n,
     "wigner": lambda n: 25 * n * n + 720 * n,
     "negativity-decay": lambda n: 41 * n * n + 1024 * n,
-    "kernel-check": lambda n: 33 * n * n + 2**17,
+    "kernel-check": lambda n: 32 * n * n + 2**17,
 }
 
 
@@ -380,8 +379,8 @@ def _run_epr(p: dict, outdir: str) -> list:
 
     out_main = os.path.join(outdir, "epr_momentum.csv")
     sub = Grid1D(float(pgrid.x[window][0]), float(pgrid.x[window][-1]), int(window.sum()))
-    normalized = prob_m / np.sum(prob_m) / pgrid.dx**2
-    momentum_distribution_to_csv(sub, normalized[np.ix_(window, window)], out_main)
+    normalized = prob_m[np.ix_(window, window)] / np.sum(prob_m) / pgrid.dx**2
+    momentum_distribution_to_csv(sub, normalized, out_main)
     out_metrics = os.path.join(outdir, "epr_metrics.csv")
     write_csv(
         out_metrics,

@@ -68,12 +68,14 @@ def epr_initial_pair(
         raise ValueError(
             f"correlation width {s} must be smaller than envelope {envelope_width}"
         )
-    x = grid.x[:, None]
-    y = grid.x[None, :]
-    amps = np.exp(
-        -((x - y) ** 2) / (4.0 * s**2) - ((x + y) ** 2) / (16.0 * envelope_width**2)
-    )
-    return PairWaveFunction(grid, amps, params).normalized()
+    # x - y = (i - j) dx and x + y = 2 x_min + (i + j) dx: an even Toeplitz
+    # factor times a Hankel one, each a sliding window over 2n - 1 samples
+    n, dx = grid.n_points, grid.dx
+    k = np.arange(2 * n - 1)
+    rel = np.exp(-(((k - (n - 1)) * dx) ** 2) / (4.0 * s**2))
+    com = np.exp(-((2.0 * grid.x_min + k * dx) ** 2) / (16.0 * envelope_width**2))
+    windows = np.lib.stride_tricks.sliding_window_view
+    return PairWaveFunction(grid, windows(rel, n)[::-1] * windows(com, n), params).normalized()
 
 
 def _border_escape(amps: np.ndarray) -> float:
@@ -95,6 +97,15 @@ def _blocked_pass(transform, src: np.ndarray, dtype=np.complex128, length: int =
     return out
 
 
+def _mirrored_fft(block: np.ndarray, length: int) -> np.ndarray:
+    """np.fft.fft(block, length) of real rows without a complex copy of them:
+    rfft's columns 0 .. length//2, the rest mirrored as X[length - k] = conj(X[k])."""
+    out = np.empty((len(block), length), dtype=np.complex128)
+    out[:, : length // 2 + 1] = np.fft.rfft(block, length)
+    np.conjugate(out[:, (length - 1) // 2 : 0 : -1], out=out[:, length // 2 + 1 :])
+    return out
+
+
 def evolve_pair(pair: PairWaveFunction, time_extent: float, regime: str) -> PairWaveFunction:
     """Free evolution applied independently along each tensor index.
 
@@ -102,8 +113,8 @@ def evolve_pair(pair: PairWaveFunction, time_extent: float, regime: str) -> Pair
     Toeplitz, so each index takes one O(n^2 log n) FFT convolution with the
     kernel's lag row; the n x n kernel is never built. Euclidean output keeps
     its damped raw weight (callers normalize when they need probabilities).
-    The Euclidean kernel is real, so a real pair stays real: it is evolved
-    with real-input FFTs, and the result has an exactly zero imaginary part.
+    The real Euclidean kernel keeps a float64 pair float64 (real-input FFTs);
+    in real time a float64 pair's first pass mirrors a real-input FFT.
 
     Real-time caution: the sampled chirp aliases into state copies displaced
     by 2 pi hbar T/(m dx) (see the kernels module note); the convolution is
@@ -118,22 +129,23 @@ def evolve_pair(pair: PairWaveFunction, time_extent: float, regime: str) -> Pair
     # points, and the zero-padded FFT convolution is the exact product
     # (Golub & Van Loan, Matrix Computations, section 4.7)
     embedded = np.concatenate((row, [0.0], row[:0:-1]))
-    amps, dtype = pair.amplitudes, np.complex128
-    if regime == EUCLIDEAN and not np.any(amps.imag):
+    real = not np.iscomplexobj(pair.amplitudes)
+    if regime == EUCLIDEAN and real:
         # the embedded row is real and even, so its spectrum is real
         fft, ifft, spectrum = np.fft.rfft, np.fft.irfft, np.fft.rfft(embedded).real
-        amps, dtype = amps.real, np.float64
+        first, dtype = fft, np.float64
     else:
         fft, ifft, spectrum = np.fft.fft, np.fft.ifft, np.fft.fft(embedded)
+        first, dtype = _mirrored_fft if real else fft, np.complex128
 
-    def convolve(block, spectrum):
-        padded = fft(block, 2 * n, axis=-1)
+    def convolve(block, spectrum, fft=fft):
+        padded = fft(block, 2 * n)
         padded *= spectrum
-        return ifft(padded, 2 * n, axis=-1)[:, :n]
+        return ifft(padded, 2 * n)[:, :n]
 
     # K A K = ((A K)^T K)^T: both passes run along contiguous rows, where the
     # FFT is fastest, and the second transposes the result back to C order
-    half = _blocked_pass(lambda block: convolve(block, spectrum), amps, dtype)
+    half = _blocked_pass(lambda block: convolve(block, spectrum, first), pair.amplitudes, dtype)
     scaled = dx * dx * spectrum
     out = _blocked_pass(lambda block: convolve(block, scaled), half, dtype)
     del half  # before the border check takes |out|
@@ -161,7 +173,7 @@ def joint_momentum_distribution(pair: PairWaveFunction) -> tuple[Grid1D, np.ndar
     def power(block):
         return np.abs(np.fft.fft(block, axis=-1)) ** 2
 
-    if np.any(amps.imag):
+    if np.iscomplexobj(amps):
         half = _blocked_pass(np.fft.fft, amps)
         prob = _blocked_pass(power, half, np.float64)
         del half
@@ -169,7 +181,7 @@ def joint_momentum_distribution(pair: PairWaveFunction) -> tuple[Grid1D, np.ndar
         # a real pair has |phi(-p)| = |phi(p)|: transform the n//2 + 1
         # columns k_y <= n/2 and fill the rest from (-k_x mod n, n - k_y)
         cols = n // 2 + 1
-        half = _blocked_pass(np.fft.rfft, amps.real, length=cols)
+        half = _blocked_pass(np.fft.rfft, amps, length=cols)
         kept = _blocked_pass(power, half, np.float64)
         del half
         prob = np.empty((n, n))

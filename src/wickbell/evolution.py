@@ -54,8 +54,7 @@ class Hamiltonian:
 
     def __post_init__(self):
         n = self.grid.n_points
-        dtype = np.result_type(np.asarray(self.entries), np.float64)
-        herm = _hermitian_residue(_set_checked(self, "entries", (n, n), dtype))
+        herm = _hermitian_residue(_set_checked(self, "entries", (n, n)))
         if herm > 1e-12:
             raise ValueError(f"Hamiltonian not Hermitian (relative residue {herm:.3g})")
 

@@ -82,10 +82,11 @@ def dual_grid(grid: Grid1D, params: PhysParams) -> Grid1D:
     return Grid1D(-m * dp, (n - 1 - m) * dp, n)
 
 
-def _set_checked(obj, name: str, shape: tuple, dtype) -> np.ndarray:
-    """Store obj.<name> on the frozen obj as a `dtype` array of `shape` with
-    finite entries, and return it."""
-    values = np.asarray(getattr(obj, name), dtype=dtype)
+def _set_checked(obj, name: str, shape: tuple, dtype=None) -> np.ndarray:
+    """Store obj.<name> on the frozen obj as a finite `dtype` array of `shape`
+    (default: float64 if real, else complex128), and return it."""
+    values = np.asarray(getattr(obj, name))
+    values = values.astype(dtype or np.result_type(values, np.float64), copy=False)
     label = f"{type(obj).__name__} {name}"
     if values.shape != shape:
         raise ValueError(f"{label} shape {values.shape} does not match {shape}")
@@ -103,7 +104,7 @@ def _hermitian_residue(values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class _Amplitudes:
-    """Complex amplitudes on `rank` copies of one grid, normed by the plain sum."""
+    """Amplitudes on `rank` copies of one grid (float64 when real), normed by the plain sum."""
 
     grid: Grid1D
     amplitudes: np.ndarray = field(repr=False, compare=False)
@@ -111,7 +112,7 @@ class _Amplitudes:
     rank: ClassVar[int] = 1
 
     def __post_init__(self):
-        _set_checked(self, "amplitudes", (self.grid.n_points,) * self.rank, np.complex128)
+        _set_checked(self, "amplitudes", (self.grid.n_points,) * self.rank)
 
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dx**self.rank)
@@ -125,7 +126,7 @@ class _Amplitudes:
 
 @dataclass(frozen=True)
 class WaveFunction(_Amplitudes):
-    """Complex amplitudes sampled on a Grid1D. Treat instances as immutable."""
+    """Amplitudes sampled on a Grid1D. Treat instances as immutable."""
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ class Kernel:
     """Dense propagation kernel K(x_f, x_i) on a shared grid.
 
     entries[f, i] multiplies psi(x_i); application is entries @ psi * dx.
-    Euclidean kernels must be real and non-negative entrywise.
+    Euclidean kernels must be real (float64) and non-negative entrywise.
     """
 
     grid: Grid1D
@@ -143,7 +144,7 @@ class Kernel:
 
     def __post_init__(self):
         n = self.grid.n_points
-        _check_kernel_values(_set_checked(self, "entries", (n, n), np.complex128), self.regime)
+        _check_kernel_values(_set_checked(self, "entries", (n, n)), self.regime)
         if not (self.time_extent >= 0.0):
             raise ValueError(f"time_extent must be >= 0, got {self.time_extent}")
 
@@ -153,9 +154,9 @@ def _check_kernel_values(values: np.ndarray, regime: str) -> None:
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
     if regime == EUCLIDEAN:
-        if np.any(values.imag != 0.0):
+        if np.iscomplexobj(values):
             raise ValueError("euclidean kernel entries must be real")
-        if np.any(values.real < 0.0):
+        if np.any(values < 0.0):
             raise ValueError("euclidean kernel entries must be non-negative")
 
 

@@ -337,6 +337,15 @@ def euclidean_weight_ratio(px, py, t, hbar=1.0, mass=1.0):
     return np.exp(-(px**2 + py**2) * t / (hbar * mass))
 
 
+def weight_ratio_error_full_grid(p, prob_m, prob_e, t, hbar=1.0, mass=1.0) -> float:
+    """Largest |prob_e / prob_m - exp(-(p_x^2 + p_y^2) t / hbar m)| where
+    prob_m holds more than 1e-12 of its peak, with the factor formed on the
+    whole grid and then masked."""
+    predicted = euclidean_weight_ratio(p[:, None], p[None, :], t, hbar, mass)
+    keep = prob_m > 1e-12 * prob_m.max()
+    return float(np.max(np.abs(prob_e[keep] / prob_m[keep] - predicted[keep])))
+
+
 # ---------------------------------------------------------------------------
 # sphere geometry
 # ---------------------------------------------------------------------------

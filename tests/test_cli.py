@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import weight_ratio_error_full_grid
 from wickbell.bell import chsh_maximize, singlet
 from wickbell.cli import (
     _PEAK_BYTES,
     _RESTART_BYTES,
     _SLICE_BYTES,
+    _weight_ratio_error,
     EXPERIMENTS,
     MEMORY_BUDGET_BYTES,
     build_config,
@@ -20,7 +22,8 @@ from wickbell.cli import (
     run,
 )
 from wickbell.csvio import read_csv
-from wickbell.grids import MINKOWSKI, PhysParams
+from wickbell.epr import CorrelationWidth, epr_initial_pair, evolve_pair, joint_momentum_distribution
+from wickbell.grids import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams
 from wickbell.kernels import SlicingPlan, commutator_expectation
 
 ALL_EXPERIMENTS = (
@@ -439,6 +442,19 @@ class TestConfigFile:
 
 
 class TestRunOutputs:
+    def test_weight_ratio_error_matches_full_grid_formula(self):
+        # the kept-cells evaluation is the full-grid formula, bit for bit,
+        # on an evolved pair and on random densities with many kept cells
+        phys, t = PhysParams(), 0.4
+        pair = epr_initial_pair(Grid1D(-11.5, 11.5, 256), CorrelationWidth(0.3), 1.0, phys)
+        pgrid, prob_m = joint_momentum_distribution(evolve_pair(pair, t, MINKOWSKI))
+        prob_e = joint_momentum_distribution(evolve_pair(pair, t, EUCLIDEAN))[1]
+        rng = np.random.default_rng(5)
+        noisy_m, noisy_e = rng.random((2, 256, 256)) ** 40
+        for dens_m, dens_e in ((prob_m, prob_e), (noisy_m, noisy_e)):
+            expected = weight_ratio_error_full_grid(pgrid.x, dens_m, dens_e, t)
+            assert _weight_ratio_error(pgrid, dens_m, dens_e, t, phys) == expected
+
     def test_written_paths_are_printed_and_exist(self, capsys, tmp_path):
         assert entry(["run", "spin-phase", "--out", str(tmp_path)]) == 0
         printed = capsys.readouterr().out.strip().splitlines()

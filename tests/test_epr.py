@@ -53,11 +53,14 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def product_pair(grid: Grid1D, a: dict, b: dict) -> PairWaveFunction:
-    """Unentangled pair of two Gaussian packets; a != b makes it asymmetric."""
+def product_pair(grid: Grid1D, a: dict, b: dict, real: bool = False) -> PairWaveFunction:
+    """Unentangled pair of two Gaussian packets; a != b makes it asymmetric.
+    `real` keeps the real part of the product, a float64 pair: the whole
+    product when both packets have zero momentum."""
     psi_a = gaussian_wavepacket(grid, PHYS, **a).amplitudes
     psi_b = gaussian_wavepacket(grid, PHYS, **b).amplitudes
-    return PairWaveFunction(grid, np.outer(psi_a, psi_b), PHYS)
+    amps = np.outer(psi_a, psi_b)
+    return PairWaveFunction(grid, amps.real if real else amps, PHYS)
 
 
 def assert_matches_dense_kernels(pair: PairWaveFunction, t: float, regime: str, builder) -> None:
@@ -151,6 +154,27 @@ class TestInitialPair:
         )
         peak = traced_peak(lambda: joint_momentum_distribution(pair))
         assert peak <= 1.75 * ARRAY_BYTES
+
+    @pytest.mark.parametrize(
+        "x_min, x_max, n_points, s",
+        [
+            (-11.5, 11.5, 256, 0.4),
+            (-6.0, 7.0, 255, 0.4),
+            (-11.5, 11.5, 1536, 0.05),
+            (-11.0, 12.0, 1537, 0.05),
+        ],
+    )
+    def test_factored_build_matches_direct_formula(self, x_min, x_max, n_points, s):
+        # the Toeplitz x Hankel build against exp of the whole exponent on
+        # the grid's x and y, normalized by the same plain sum
+        grid = Grid1D(x_min, x_max, n_points)
+        pair = epr_initial_pair(grid, CorrelationWidth(s), ENVELOPE, PHYS)
+        x, y = grid.x[:, None], grid.x[None, :]
+        direct = np.exp(-((x - y) ** 2) / (4.0 * s**2) - ((x + y) ** 2) / (16.0 * ENVELOPE**2))
+        direct /= np.sqrt(np.sum(direct**2) * grid.dx**2)
+        assert pair.amplitudes.dtype == np.float64
+        assert np.max(np.abs(pair.amplitudes - direct)) <= 1e-13 * np.max(direct)
+        assert np.array_equal(pair.amplitudes, pair.amplitudes.T)
 
     def test_amplitudes_symmetric_under_exchange(self):
         grid = Grid1D(-11.5, 11.5, 256)
@@ -271,25 +295,42 @@ class TestEvolvePair:
 
     @pytest.mark.parametrize("n_points", BLOCK_EDGE_SIZES)
     def test_real_pair_euclidean_matches_dense_kernel_at_block_edges(self, n_points):
-        # zero momenta leave both packets real: the real-input FFT path
+        # a float64 pair takes the real-input FFT path and stays float64
         grid = Grid1D(-4.0, 4.0, n_points)
         pair = product_pair(
             grid,
             dict(center=-0.2, width=0.6, momentum=0.0),
             dict(center=0.15, width=0.55, momentum=0.0),
+            real=True,
         )
-        assert not np.any(pair.amplitudes.imag)
+        assert pair.amplitudes.dtype == np.float64
         assert_matches_dense_kernels(pair, 0.1, EUCLIDEAN, free_kernel_euclidean)
-        assert not np.any(evolve_pair(pair, 0.1, EUCLIDEAN).amplitudes.imag)
+        assert evolve_pair(pair, 0.1, EUCLIDEAN).amplitudes.dtype == np.float64
+
+    @pytest.mark.parametrize("n_points", BLOCK_EDGE_SIZES)
+    def test_real_pair_minkowski_matches_dense_kernel_at_block_edges(self, n_points):
+        # the first pass mirrors the real-input FFT into the full spectrum;
+        # widths near sqrt(T) keep the spread packets off the 8-wide box's
+        # border, which the alias shift of T = 0.4 clears from 28 points
+        grid = Grid1D(-4.0, 4.0, n_points)
+        pair = product_pair(
+            grid,
+            dict(center=-0.1, width=0.6, momentum=0.0),
+            dict(center=0.05, width=0.66, momentum=0.0),
+            real=True,
+        )
+        assert pair.amplitudes.dtype == np.float64
+        assert_matches_dense_kernels(pair, 0.4, MINKOWSKI, free_kernel_minkowski)
 
     def test_real_pair_euclidean_memory(self):
-        # the real passes hold two n x n float arrays, then the real result
-        # beside its complex copy in the returned pair
+        # the real passes hold two n x n float arrays, and the real result
+        # is returned as it is
         grid = Grid1D(-8.0, 8.0, MEMORY_N)
         pair = product_pair(
             grid,
             dict(center=-0.5, width=0.8, momentum=0.0),
             dict(center=0.7, width=1.1, momentum=0.0),
+            real=True,
         )
         peak = traced_peak(lambda: evolve_pair(pair, 0.1, EUCLIDEAN))
         assert peak <= 1.75 * ARRAY_BYTES

@@ -123,6 +123,24 @@ class TestWaveFunction:
             cat_state(g, PHYS, separation=3.0, parity="mixed")
 
 
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            (np.ones(16), np.float64),
+            (np.ones(16, dtype=np.float32), np.float64),
+            (np.arange(16), np.float64),
+            (np.ones(16, dtype=complex), np.complex128),  # zero imaginary part
+            (np.ones(16, dtype=np.complex64), np.complex128),
+        ],
+    )
+    def test_stored_dtype_follows_input(self, values, dtype):
+        # real input is stored as float64; complex input stays complex even
+        # when its imaginary part is zero
+        g = Grid1D(-1.0, 1.0, 16)
+        assert WaveFunction(g, values).amplitudes.dtype == dtype
+        assert WaveFunction(g, values).normalized().amplitudes.dtype == dtype
+        assert Kernel(g, np.outer(values, values), 1.0).entries.dtype == dtype
+
     def test_strided_amplitudes_checked(self):
         # the finiteness check must not depend on memory layout
         g = Grid1D(-1.0, 1.0, 16)

@@ -124,6 +124,16 @@ class TestFreeKernels:
         with pytest.raises(ValueError, match="non-negative"):
             Kernel(g, -np.ones((8, 8)), 1.0, EUCLIDEAN)
 
+    def test_euclidean_kernel_type_rejects_complex_dtype(self):
+        # real is a dtype property: a zero imaginary part is still complex
+        g = Grid1D(-1.0, 1.0, 8)
+        from wickbell.grids import Kernel
+
+        with pytest.raises(ValueError, match="must be real"):
+            Kernel(g, np.ones((8, 8), dtype=complex), 1.0, EUCLIDEAN)
+        assert Kernel(g, np.ones((8, 8)), 1.0, EUCLIDEAN).entries.dtype == np.float64
+        assert free_kernel_euclidean(g, 1.0, PHYS).entries.dtype == np.float64
+
 
 def composed(later, earlier) -> np.ndarray:
     """sum_y later(x_f, y) earlier(y, x_i) dy on the shared grid."""
