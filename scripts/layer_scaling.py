@@ -68,6 +68,9 @@ def layers(n: int) -> dict:
         "evolve_pair euclidean": lambda: evolve_pair(pair, 0.4, EUCLIDEAN),
         "joint_momentum real": lambda: joint_momentum_distribution(pair),
         "joint_momentum complex": lambda: joint_momentum_distribution(evolved),
+        # the density of the evolved pair, evolved block by block inside it
+        "evolved density minkowski": lambda: joint_momentum_distribution(pair, 0.4, MINKOWSKI),
+        "evolved density euclidean": lambda: joint_momentum_distribution(pair, 0.4, EUCLIDEAN),
         "sliced_kernel": lambda: sliced_kernel(
             wide, free_potential(), SlicingPlan(16, 1.0, EUCLIDEAN), PHYS
         ),

@@ -47,7 +47,6 @@ from .epr import (
     _conditional,
     _pearson,
     epr_initial_pair,
-    evolve_pair,
     joint_momentum_distribution,
     momentum_anticorrelation,
     momentum_distribution_to_csv,
@@ -303,10 +302,11 @@ def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParam
 
 # Array bytes each grid experiment holds at its peak on n points; the schema
 # checks them against MEMORY_BUDGET_BYTES before anything is allocated.
-# - epr: the real initial pair (n^2 float), the minkowski-evolved pair and
-#   the momentum transform's full-spectrum intermediate (n^2 complex each)
-#   plus its density (n^2 float); second-pass FFT blocks and a first call's
-#   numpy.fft import stay under 1344 B per point; the euclidean arm holds less.
+# - epr: the float64 initial pair beside one evolved density's arrays, about
+#   32 bytes per cell: the minkowski arm's complex intermediate and density,
+#   or the euclidean arm's float64 first pass and half-spectrum rows beside
+#   the minkowski density. Convolution blocks and a first call's numpy.fft
+#   import stay under 2432 B per point.
 # - wigner: wigner_transform's folded lag correlation (n x (n//2 + 1)
 #   complex) with a product temporary of its size, or with the real W and
 #   its shifted copy: about 25 bytes per cell. The CSV rows and the first
@@ -317,7 +317,7 @@ def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParam
 #   kernel outlives its slice count. numpy's index buffers and the CSV stay
 #   under 128 KiB.
 _PEAK_BYTES = {
-    "epr": lambda n: 48 * n * n + 1344 * n,
+    "epr": lambda n: 32 * n * n + 2432 * n,
     "wigner": lambda n: 25 * n * n + 720 * n,
     "negativity-decay": lambda n: 41 * n * n + 1024 * n,
     "kernel-check": lambda n: 32 * n * n + 2**17,
@@ -367,10 +367,10 @@ def _run_epr(p: dict, outdir: str) -> list:
         lambda: epr_initial_pair(grid, CorrelationWidth(p["s"]), p["envelope"], phys),
     )
     pearson_initial = momentum_anticorrelation(pair)
-    # each evolved pair is dropped as soon as its momentum density exists
-    prob_m = joint_momentum_distribution(evolve_pair(pair, t, MINKOWSKI))[1]
+    # each evolved pair exists only block by block, inside its momentum density
+    prob_m = joint_momentum_distribution(pair, t, MINKOWSKI)[1]
     ratio_err = _weight_ratio_error(
-        pgrid, prob_m, joint_momentum_distribution(evolve_pair(pair, t, EUCLIDEAN))[1], t, phys
+        pgrid, prob_m, joint_momentum_distribution(pair, t, EUCLIDEAN)[1], t, phys
     )
 
     # both metrics renormalize, so the raw-weight prob_m serves as it is

@@ -23,7 +23,7 @@ import numpy as np
 
 from .csvio import _write_grid
 from .errors import GridEscapeError
-from .grids import EUCLIDEAN, Grid1D, PhysParams, _Amplitudes, dual_grid
+from .grids import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams, _Amplitudes, dual_grid
 from .kernels import free_kernel_row
 
 # relative border amplitude above which an evolved pair is considered to
@@ -78,19 +78,11 @@ def epr_initial_pair(
     return PairWaveFunction(grid, windows(rel, n)[::-1] * windows(com, n), params).normalized()
 
 
-def _border_escape(amps: np.ndarray) -> float:
-    peak = float(np.max(np.abs(amps)))
-    border = max(float(np.max(np.abs(amps[[0, -1]]))), float(np.max(np.abs(amps[:, [0, -1]]))))
-    return border / peak if peak > 0.0 else 0.0
-
-
-def _blocked_pass(transform, src: np.ndarray, dtype=np.complex128, length: int = 0) -> np.ndarray:
+def _blocked_pass(transform, src: np.ndarray, dtype=np.complex128) -> np.ndarray:
     """transform(src).T for a `transform` along the last axis, taken over
     blocks of _BLOCK_ROWS rows: each block's result is written transposed
-    into one preallocated array. The transform's rows come out `length`
-    long (default: as long as src's rows). Two passes apply a transform
-    along both indices and leave the result in C order."""
-    out = np.empty((length or src.shape[1], src.shape[0]), dtype=dtype)
+    into one preallocated array."""
+    out = np.empty(src.shape[::-1], dtype=dtype)
     for start in range(0, src.shape[0], _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         out[:, rows] = transform(src[rows]).T
@@ -106,21 +98,16 @@ def _mirrored_fft(block: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-def evolve_pair(pair: PairWaveFunction, time_extent: float, regime: str) -> PairWaveFunction:
-    """Free evolution applied independently along each tensor index.
+def _evolved_rows(pair: PairWaveFunction, time_extent: float, regime: str, transform, out=None):
+    """Free evolution E = K A K dx^2, made and consumed one block of E^T's
+    rows (index y, then x) at a time: transform(block) goes into the same
+    rows of `out` (default: in place over the first pass's result).
 
-    The two-particle kernel factorizes, and the single-particle kernel is
-    Toeplitz, so each index takes one O(n^2 log n) FFT convolution with the
-    kernel's lag row; the n x n kernel is never built. Euclidean output keeps
-    its damped raw weight (callers normalize when they need probabilities).
-    The real Euclidean kernel keeps a float64 pair float64 (real-input FFTs);
-    in real time a float64 pair's first pass mirrors a real-input FFT.
-
-    Real-time caution: the sampled chirp aliases into state copies displaced
-    by 2 pi hbar T/(m dx) (see the kernels module note); the convolution is
-    the same linear map as the dense product. Keep that shift larger than the
-    box so the copies land outside; the border-amplitude guard below catches
-    the contamination when it does not.
+    Returns `out` and E's border/peak ratio, folded blockwise from E^T's
+    columns 0 and n-1 and its first and last rows; raises GridEscapeError
+    when the ratio exceeds _ESCAPE_THRESHOLD. The real Euclidean kernel
+    keeps a float64 pair float64 (real-input FFTs); in real time a float64
+    pair's first pass mirrors a real-input FFT.
     """
     row = free_kernel_row(pair.grid, time_extent, pair.params, regime)
     n, dx = pair.grid.n_points, pair.grid.dx
@@ -143,54 +130,86 @@ def evolve_pair(pair: PairWaveFunction, time_extent: float, regime: str) -> Pair
         padded *= spectrum
         return ifft(padded, 2 * n)[:, :n]
 
-    # K A K = ((A K)^T K)^T: both passes run along contiguous rows, where the
-    # FFT is fastest, and the second transposes the result back to C order
+    # K A K = ((A K)^T K)^T: the first pass writes (A K)^T, and each of its
+    # row blocks convolved along x is a block of E^T's rows
     half = _blocked_pass(lambda block: convolve(block, spectrum, first), pair.amplitudes, dtype)
     scaled = dx * dx * spectrum
-    out = _blocked_pass(lambda block: convolve(block, scaled), half, dtype)
-    del half  # before the border check takes |out|
-    escape = _border_escape(out)
+    out = half if out is None else out
+    border = peak = 0.0
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        block = convolve(half[rows], scaled)
+        mag = np.abs(block)
+        last = start + _BLOCK_ROWS >= n
+        rims = (mag[:, [0, -1]], mag[0] if start == 0 else 0.0, mag[-1] if last else 0.0)
+        border = max(border, *(float(np.max(rim)) for rim in rims))
+        peak = max(peak, float(np.max(mag)))
+        out[rows] = transform(block)
+    escape = border / peak if peak > 0.0 else 0.0
     if escape > _ESCAPE_THRESHOLD:
         raise GridEscapeError(
-            f"evolved pair reaches the grid border at relative amplitude "
-            f"{escape:.3g} (threshold {_ESCAPE_THRESHOLD:g}); enlarge the grid "
-            f"or shorten the time"
+            f"evolved pair reaches the grid border at relative amplitude {escape:.3g} "
+            f"(threshold {_ESCAPE_THRESHOLD:g}); enlarge the grid or shorten the time"
         )
-    return PairWaveFunction(pair.grid, out, pair.params)
+    return out, escape
 
 
-def joint_momentum_distribution(pair: PairWaveFunction) -> tuple[Grid1D, np.ndarray]:
-    """|phi(p_x, p_y)|^2 on the dual grid, carrying the pair's raw weight.
+def evolve_pair(pair: PairWaveFunction, time_extent: float, regime: str) -> PairWaveFunction:
+    """Free evolution applied independently along each tensor index.
 
-    phi is the dft_matrix map along both indices: an FFT along y, then
-    along x, times dx / sqrt(2 pi hbar) and a grid-offset phase per index.
-    The phase has unit modulus and cancels in |phi|^2, so the density is
-    |FFT A|^2 (dx^2 / 2 pi hbar)^2, shifted once into the dual grid's order.
+    The two-particle kernel factorizes, and the single-particle kernel is
+    Toeplitz, so each index takes one O(n^2 log n) FFT convolution with the
+    kernel's lag row; the n x n kernel is never built. Euclidean output keeps
+    its damped raw weight (callers normalize when they need probabilities).
+    The amplitudes are the transpose of the C-ordered E^T the passes leave.
+
+    Real-time caution: the sampled chirp aliases into state copies displaced
+    by 2 pi hbar T/(m dx) (see the kernels module note); the convolution is
+    the same linear map as the dense product. Keep that shift larger than the
+    box so the copies land outside; the border-amplitude guard catches the
+    contamination when it does not.
+    """
+    evolved_t = _evolved_rows(pair, time_extent, regime, lambda block: block)[0]
+    return PairWaveFunction(pair.grid, evolved_t.T, pair.params)
+
+
+def joint_momentum_distribution(
+    pair: PairWaveFunction, time_extent: float = 0.0, regime: str = MINKOWSKI
+) -> tuple[Grid1D, np.ndarray]:
+    """|phi(p_x, p_y)|^2 on the dual grid after free evolution for
+    time_extent (none by default), carrying the pair's raw weight.
+
+    phi is the dft_matrix map along both indices: an FFT along each, times
+    dx / sqrt(2 pi hbar) and a grid-offset phase per index. The phase has
+    unit modulus and cancels in |phi|^2, so the density is |FFT A|^2
+    (dx^2 / 2 pi hbar)^2, shifted once into the dual grid's order. The
+    first FFT runs along A's rows, or on each block of the evolved pair as
+    _evolved_rows makes it, so that pair never exists whole; the second runs
+    on column blocks, each block's |.|^2 written transposed into the density.
+    A pair that stays real transforms the first index's n//2 + 1
+    non-negative frequencies and fills the rest from |phi(-p)| = |phi(p)|.
     """
     amps, grid = pair.amplitudes, pair.grid
     n = grid.n_points
-
-    def power(block):
-        return np.abs(np.fft.fft(block, axis=-1)) ** 2
-
-    if np.iscomplexobj(amps):
-        half = _blocked_pass(np.fft.fft, amps)
-        prob = _blocked_pass(power, half, np.float64)
-        del half
+    real = not np.iscomplexobj(amps) and (time_extent == 0.0 or regime == EUCLIDEAN)
+    fft = np.fft.rfft if real else np.fft.fft
+    if time_extent == 0.0:  # A's rows are x: the density comes out transposed
+        rows = fft(amps)
     else:
-        # a real pair has |phi(-p)| = |phi(p)|: transform the n//2 + 1
-        # columns k_y <= n/2 and fill the rest from (-k_x mod n, n - k_y)
-        cols = n // 2 + 1
-        half = _blocked_pass(np.fft.rfft, amps, length=cols)
-        kept = _blocked_pass(power, half, np.float64)
-        del half
-        prob = np.empty((n, n))
-        prob[:, :cols] = kept
-        prob[0, cols:] = kept[0, n - cols : 0 : -1]
-        prob[1:, cols:] = kept[:0:-1, n - cols : 0 : -1]
-        del kept
+        rows = np.empty((n, n // 2 + 1), np.complex128) if real else None  # else in place
+        rows = _evolved_rows(pair, time_extent, regime, fft, rows)[0]
+    kept = rows.shape[1]
+    prob = np.empty((n, n))
+    for start in range(0, kept, _BLOCK_ROWS):
+        cols = slice(start, min(start + _BLOCK_ROWS, kept))
+        prob[cols] = (np.abs(np.fft.fft(rows[:, cols], axis=0)) ** 2).T
+    del rows
+    # rows k > n/2 of a real pair are rows n - k with the other index reversed
+    # mod n (no rows remain when all n were transformed)
+    prob[kept:, 0] = prob[n - kept : 0 : -1, 0]
+    prob[kept:, 1:] = prob[n - kept : 0 : -1, :0:-1]
     prob *= (grid.dx**2 / (2.0 * np.pi * pair.params.hbar)) ** 2
-    return dual_grid(grid, pair.params), np.fft.fftshift(prob)
+    return dual_grid(grid, pair.params), np.fft.fftshift(prob.T if time_extent == 0.0 else prob)
 
 
 def momentum_anticorrelation(pair: PairWaveFunction) -> float:

@@ -164,8 +164,13 @@ def negativity_trajectory(
             f, trace, log_raw = _spectral_step(
                 w, populations, float(tau), regime, psi0.params.hbar, psi0.grid.dx
             )
-            y = v @ (f * c).view(np.float64).reshape(-1, 2)  # Re and Im: a real V stays real
-            psi = WaveFunction(psi0.grid, (y[:, 0] + 1j * y[:, 1]) / np.sqrt(trace), psi0.params)
+            amps = f * c  # real for a real state and V in imaginary time
+            if np.iscomplexobj(amps):
+                y = v @ amps.view(np.float64).reshape(-1, 2)  # Re and Im: a real V stays real
+                amps = y[:, 0] + 1j * y[:, 1]
+            else:
+                amps = v @ amps
+            psi = WaveFunction(psi0.grid, amps / np.sqrt(trace), psi0.params)
         points.append(
             TrajectoryPoint(
                 tau=float(tau),

@@ -115,7 +115,9 @@ class _Amplitudes:
         _set_checked(self, "amplitudes", (self.grid.n_points,) * self.rank)
 
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dx**self.rank)
+        a = self.amplitudes  # for float64, a * a has the bits of |a|^2 without its temporary
+        squares = a * a if a.dtype == np.float64 else np.abs(a) ** 2
+        return float(np.sum(squares) * self.grid.dx**self.rank)
 
     def normalized(self):
         n2 = self.norm_squared()

@@ -346,6 +346,15 @@ def weight_ratio_error_full_grid(p, prob_m, prob_e, t, hbar=1.0, mass=1.0) -> fl
     return float(np.max(np.abs(prob_e[keep] / prob_m[keep] - predicted[keep])))
 
 
+def border_escape(amps: np.ndarray) -> float:
+    """Grid-escape ratio of an evolved pair from the whole array: the
+    largest modulus on its first and last rows and columns over its peak
+    modulus (0 for a zero pair)."""
+    peak = float(np.max(np.abs(amps)))
+    border = max(float(np.max(np.abs(amps[[0, -1]]))), float(np.max(np.abs(amps[:, [0, -1]]))))
+    return border / peak if peak > 0.0 else 0.0
+
+
 # ---------------------------------------------------------------------------
 # sphere geometry
 # ---------------------------------------------------------------------------

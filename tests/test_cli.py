@@ -137,7 +137,7 @@ class TestMemoryBudget:
         assert _PEAK_BYTES["epr"](2048) <= MEMORY_BUDGET_BYTES
 
     def test_epr_over_budget_rejected_before_allocation(self, capsys, tmp_path):
-        # 10^5 points would need 640 GB: the schema rejects the grid unbuilt
+        # 10^5 points would need 320 GB: the schema rejects the grid unbuilt
         tracemalloc.start()
         try:
             code = entry(["run", "epr", "--out", str(tmp_path), "--set", "n_points=100000"])

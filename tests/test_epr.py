@@ -8,12 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import epr_moments, euclidean_weight_ratio
+from oracles import border_escape, epr_moments, euclidean_weight_ratio
 from wickbell import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams
 from wickbell.epr import (
     _BLOCK_ROWS,
     CorrelationWidth,
     PairWaveFunction,
+    _evolved_rows,
     condition_on_momentum_window,
     epr_initial_pair,
     evolve_pair,
@@ -79,6 +80,26 @@ def assert_matches_dense_dft(grid: Grid1D, seed: int, real: bool = False) -> Non
     ref = np.abs(fwd @ amps @ fwd.T) ** 2
     assert pgrid == ref_grid
     assert np.max(np.abs(prob - ref)) < 1e-12 * ref.max()
+
+
+def packet_pair(grid: Grid1D, real: bool, offset=(0.0, 0.0), width: float = 0.6) -> PairWaveFunction:
+    """Product of two packets displaced by `offset` from the centre: float64
+    with zero momenta, or complex with momenta 0.3 and -0.2."""
+    momenta = (0.0, 0.0) if real else (0.3, -0.2)
+    return product_pair(
+        grid,
+        dict(center=offset[0] - 0.1, width=width, momentum=momenta[0]),
+        dict(center=offset[1] + 0.05, width=1.1 * width, momentum=momenta[1]),
+        real,
+    )
+
+
+def dense_evolved_density(pair: PairWaveFunction, t: float, regime: str) -> np.ndarray:
+    """|F K A K F^T|^2 dx^4 from the dense kernel and DFT matrices."""
+    builder = free_kernel_minkowski if regime == MINKOWSKI else free_kernel_euclidean
+    k = builder(pair.grid, t, PHYS).entries
+    fwd = dft_matrix(pair.grid, PHYS)[1]
+    return np.abs(fwd @ (pair.grid.dx**2 * (k @ pair.amplitudes @ k)) @ fwd.T) ** 2
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +263,15 @@ class TestTightPairContrast:
         rel = np.abs(p_eucl[mask] / p_mink[mask] - ref[mask]) / ref[mask]
         assert float(np.max(rel)) < 1e-6
 
+    @pytest.mark.parametrize("regime", [MINKOWSKI, EUCLIDEAN])
+    def test_streamed_density_matches_density_of_evolved_pair(self, tight_pair, regime):
+        # the density evolved block by block against the density of the
+        # whole evolved pair: the two FFT axes run in the other order
+        pgrid, streamed = joint_momentum_distribution(tight_pair, T_SHORT, regime)
+        ref_grid, two_step = joint_momentum_distribution(evolve_pair(tight_pair, T_SHORT, regime))
+        assert pgrid == ref_grid
+        assert np.max(np.abs(streamed - two_step)) <= 1e-14 * two_step.max()
+
     def test_conditioning_commutes_with_unitary_evolution(
         self, tight_pair, tight_pair_minkowski
     ):
@@ -353,6 +383,52 @@ class TestEvolvePair:
         pair = epr_initial_pair(grid, CorrelationWidth(0.5), 1.5, PHYS)
         with pytest.raises(GridEscapeError, match="border"):
             evolve_pair(pair, 5.0, MINKOWSKI)
+        # the density path folds the same guard from its blocks
+        with pytest.raises(GridEscapeError, match="border"):
+            joint_momentum_distribution(pair, 5.0, MINKOWSKI)
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize(
+        "regime, t, box, n_points, offset, width",
+        # each displaced packet puts the largest border modulus on one edge,
+        # 1e-6 to 1e-4 of the peak; real time needs the 16-wide box at T = 0.8
+        [(EUCLIDEAN, 0.1, 4.0, n, 0.7, 0.6) for n in BLOCK_EDGE_SIZES]
+        + [(MINKOWSKI, 0.8, 8.0, n, 2.0, 0.8) for n in (64, 65, 3 * _BLOCK_ROWS + 5)],
+    )
+    def test_blockwise_guard_ratio_matches_whole_array(
+        self, regime, t, box, n_points, offset, width, real
+    ):
+        grid = Grid1D(-box, box, n_points)
+        for shift in [(-offset, 0.0), (offset, 0.0), (0.0, -offset), (0.0, offset)]:
+            pair = packet_pair(grid, real, shift, width)
+            ratio = _evolved_rows(pair, t, regime, lambda block: block)[1]
+            assert ratio == border_escape(evolve_pair(pair, t, regime).amplitudes)
+            assert 1e-6 < ratio < 1e-4
+
+    @pytest.mark.parametrize("n_points", BLOCK_EDGE_SIZES)
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("regime, t", [(MINKOWSKI, 0.4), (EUCLIDEAN, 0.1)])
+    def test_evolved_density_matches_dense_products(self, regime, t, real, n_points):
+        # an 8-wide box keeps the real-time alias shift past the border
+        # down to 28 points; a float64 pair keeps half the spectrum in the
+        # euclidean regime and mirrors the rest
+        grid = Grid1D(-4.0, 4.0, n_points)
+        pair = packet_pair(grid, real)
+        pgrid, prob = joint_momentum_distribution(pair, t, regime)
+        ref = dense_evolved_density(pair, t, regime)
+        assert pgrid == dft_matrix(grid, PHYS)[0]
+        assert np.max(np.abs(prob - ref)) < 1e-12 * ref.max()
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("regime, t", [(MINKOWSKI, 0.8), (EUCLIDEAN, 0.1)])
+    def test_evolved_density_memory(self, regime, t, real):
+        # the evolved pair exists one block at a time: the density holds one
+        # n x n complex intermediate (or a float64 one and the half-spectrum
+        # rows) beside the float result; the input was allocated before
+        grid = Grid1D(-8.0, 8.0, MEMORY_N)
+        pair = packet_pair(grid, real, width=0.8)
+        peak = traced_peak(lambda: joint_momentum_distribution(pair, t, regime))
+        assert peak <= 1.8 * ARRAY_BYTES
 
     def test_unknown_regime_rejected(self):
         grid = Grid1D(-8.0, 8.0, 64)

@@ -289,6 +289,22 @@ class TestTrajectories:
             assert b.purity == pytest.approx(a.purity, abs=1e-12)
             assert b.trace_raw == pytest.approx(a.trace_raw, abs=1e-12)
 
+    @pytest.mark.parametrize("regime", [MINKOWSKI, EUCLIDEAN])
+    def test_float64_state_gives_same_trajectory_as_complex(self, regime):
+        # a float64 state has real coefficients in the real trap's eigenbasis,
+        # so imaginary time takes the real branch of the basis change
+        grid = Grid1D(-8.0, 8.0, 64)
+        h = hamiltonian(grid, PHYS, harmonic_potential(1.0, PHYS))
+        amps = np.exp(-((grid.x - 2.0) ** 2) / 2.0) + np.exp(-((grid.x + 2.0) ** 2) / 2.0)
+        taus = [0.0, 0.3, 1.2, 5.0]
+        states = [WaveFunction(grid, amps.astype(dtype), PHYS) for dtype in (np.float64, np.complex128)]
+        real_pts, complex_pts = (negativity_trajectory(psi, h, taus, regime) for psi in states)
+        for a, b in zip(real_pts, complex_pts):
+            assert a.tau == b.tau
+            assert a.negativity == pytest.approx(b.negativity, abs=1e-12)
+            assert a.purity == pytest.approx(b.purity, abs=1e-12)
+            assert a.trace_raw == pytest.approx(b.trace_raw, abs=1e-12)
+
     def test_trace_collapse_guard(self):
         # diagonal H: eigh returns the identity basis, so a state on level 5
         # alone has no ground-state weight and its shifted weight

@@ -141,6 +141,12 @@ class TestWaveFunction:
         assert WaveFunction(g, values).normalized().amplitudes.dtype == dtype
         assert Kernel(g, np.outer(values, values), 1.0).entries.dtype == dtype
 
+    def test_float64_norm_is_sum_of_squared_moduli(self):
+        # the float64 norm sums a * a: bit for bit the sum of |a|^2
+        g = Grid1D(-1.0, 1.0, 1001)
+        amps = np.random.default_rng(3).normal(size=1001)
+        assert WaveFunction(g, amps).norm_squared() == float(np.sum(np.abs(amps) ** 2) * g.dx)
+
     def test_strided_amplitudes_checked(self):
         # the finiteness check must not depend on memory layout
         g = Grid1D(-1.0, 1.0, 16)
