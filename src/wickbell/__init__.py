@@ -25,7 +25,6 @@ from .grids import (
     cat_state,
     dual_grid,
     gaussian_wavepacket,
-    inner_product,
     momentum_representation,
 )
 from .kernels import (
@@ -71,12 +70,9 @@ from .spin_geometry import (
     wz_phase_closed_path,
 )
 from .bell import (
-    MeasurementSetting,
     TwoQubitState,
     chsh_maximize,
-    chsh_value,
     cnot,
-    correlation,
     euclidean_chsh_decay,
     minkowski_chsh_control,
     singlet,
@@ -98,7 +94,6 @@ __all__ = [
     "cat_state",
     "dual_grid",
     "gaussian_wavepacket",
-    "inner_product",
     "momentum_representation",
     "Potential",
     "SlicingPlan",
@@ -132,12 +127,9 @@ __all__ = [
     "free_spin_kernel_pair",
     "spherical_triangle_area",
     "wz_phase_closed_path",
-    "MeasurementSetting",
     "TwoQubitState",
     "chsh_maximize",
-    "chsh_value",
     "cnot",
-    "correlation",
     "euclidean_chsh_decay",
     "minkowski_chsh_control",
     "singlet",

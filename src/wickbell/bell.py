@@ -54,24 +54,6 @@ class TwoQubitState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
-    direction: UnitVector
-
-    @classmethod
-    def of(cls, x: float, y: float, z: float) -> "MeasurementSetting":
-        return cls(UnitVector.of(x, y, z))
-
-    @property
-    def angles(self) -> tuple[float, float]:
-        """(theta, phi) of the analyzer direction."""
-        d = self.direction
-        return (
-            float(np.arccos(np.clip(d.n_z, -1.0, 1.0))),
-            float(np.arctan2(d.n_y, d.n_x)),
-        )
-
-
 def singlet() -> TwoQubitState:
     return TwoQubitState(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0))
 
@@ -99,28 +81,6 @@ def correlation_matrix(state) -> np.ndarray:
     return (_PAULI_PRODUCTS @ _as_density(state).reshape(16)).real.reshape(3, 3)
 
 
-def correlation(state, a: MeasurementSetting, b: MeasurementSetting) -> float:
-    """E(a, b), real in [-1, 1]."""
-    t = correlation_matrix(state)
-    val = float(a.direction.array @ t @ b.direction.array)
-    return float(np.clip(val, -1.0, 1.0))
-
-
-def chsh_value(
-    state,
-    a: MeasurementSetting,
-    a_alt: MeasurementSetting,
-    b: MeasurementSetting,
-    b_alt: MeasurementSetting,
-) -> float:
-    t = correlation_matrix(state)
-
-    def e(u: MeasurementSetting, v: MeasurementSetting) -> float:
-        return float(u.direction.array @ t @ v.direction.array)
-
-    return e(a, b) - e(a, b_alt) + e(a_alt, b) + e(a_alt, b_alt)
-
-
 def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Sums of u * v over the last axis in a fixed order (batch-independent)."""
     w = u * v
@@ -139,7 +99,7 @@ def _unit_rows(vecs: np.ndarray, fallback: np.ndarray) -> np.ndarray:
 
 def chsh_maximize(
     state, restarts: int = 16, seed: int = 0
-) -> tuple[tuple[MeasurementSetting, ...], float]:
+) -> tuple[tuple[UnitVector, ...], float]:
     """Best CHSH value by coordinate ascent over the four analyzer directions.
 
     Each half-step has a closed-form optimum: for fixed (b, b') the best a
@@ -147,6 +107,7 @@ def chsh_maximize(
     (a, a'). The ascent never decreases S, so it converges; restarts guard
     the rare start in a flat direction. The restarts run as one batch, each
     until its step gains under 1e-14 or for 256 steps; the first best wins.
+    Returns its directions (a, a', b, b') and S.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -170,7 +131,7 @@ def chsh_maximize(
         if live.size == 0:
             break
     best = int(np.argmax(s))
-    settings = tuple(MeasurementSetting(UnitVector.of(*v)) for v in vecs[best])
+    settings = tuple(UnitVector.of(*v) for v in vecs[best])
     return settings, float(s[best])
 
 
@@ -198,12 +159,8 @@ class DecayPoint:
 
 def _diagonal_energies(h) -> np.ndarray:
     arr = np.asarray(h, dtype=np.float64)
-    if arr.shape == (4, 4):
-        if float(np.max(np.abs(arr - np.diag(np.diag(arr))))) > 0.0:
-            raise ValueError("decay Hamiltonian must be diagonal in the computational basis")
-        arr = np.diag(arr)
     if arr.shape != (4,):
-        raise ValueError(f"expected 4 level energies or a diagonal 4x4 matrix, got {arr.shape}")
+        raise ValueError(f"expected 4 level energies, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("level energies must be finite")
     return arr

@@ -416,7 +416,7 @@ def _run_negativity_decay(p: dict, outdir: str) -> list:
         # commensurate times: each step shifts every row by a whole cell count
         t_star = phys.mass * grid.n_points * grid.dx**2 / (2.0 * np.pi * phys.hbar)
         times = t_star * np.arange(p["n_samples"])
-        points = shear_negativity_trajectory(wig, times, phys)
+        points = shear_negativity_trajectory(wig, times)
     trajectory_to_csv(points, out)
     return [out]
 
@@ -437,9 +437,10 @@ def _run_spin_phase(p: dict, outdir: str) -> list:
 
 
 def _angles_line(label: str, settings) -> str:
+    """The analyzer directions (a, a', b, b') as polar angles theta and phi."""
     parts = []
-    for name, setting in zip(("a", "a'", "b", "b'"), settings):
-        theta, phi = setting.angles
+    for name, d in zip(("a", "a'", "b", "b'"), settings):
+        theta, phi = np.arccos(np.clip(d.n_z, -1.0, 1.0)), np.arctan2(d.n_y, d.n_x)
         parts.append(f"{name}=(theta={theta:.6f}, phi={phi:.6f})")
     return f"{label}: " + "  ".join(parts)
 
@@ -467,8 +468,6 @@ def _run_chsh(p: dict, outdir: str) -> list:
 def _run_chsh_decay(p: dict, outdir: str) -> list:
     taus = np.linspace(0.0, p["tau_max"], p["n_samples"])
     energies = p["energies"]
-    if len(energies) != 4:
-        raise ConfigError(f"energies needs exactly 4 values, got {len(energies)}")
     # bounds the decay's exponents (E - floor) tau and the control's phases
     # E tau; Python floats round an overflow to inf without a warning
     exponent = 2.0 * float(np.max(np.abs(energies))) * p["tau_max"]
@@ -613,7 +612,12 @@ EXPERIMENTS = {
                 "int", 33, "number of schedule samples",
                 _budgeted("n_samples", 2, "samples", lambda n: _CHSH_SAMPLE_BYTES * n),
             ),
-            "energies": ParamSpec("floats", (0.0, 1.0, 2.0, 3.0), "diagonal level energies"),
+            "energies": ParamSpec(
+                "floats",
+                (0.0, 1.0, 2.0, 3.0),
+                "diagonal level energies",
+                lambda e: None if len(e) == 4 else f"energies needs exactly 4 values, got {len(e)}",
+            ),
         },
         _run_chsh_decay,
     ),

@@ -34,21 +34,3 @@ def _write_grid(path: str | os.PathLike, header: Sequence[str], axis_a, axis_b, 
         fh.write(",".join(header) + "\n")
         for a, row in zip(axis_a, values):
             fh.write(format_float(a).join(cells_b) % tuple(row.tolist()))
-
-
-def read_csv(path: str | os.PathLike, expected_header: Sequence[str]) -> list[list[str]]:
-    """Read a CSV written by write_csv. Checks the header, returns raw cells."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if header != list(expected_header):
-        raise ValueError(f"{path}: expected header {','.join(expected_header)}, got {lines[0]}")
-    rows = []
-    for i, ln in enumerate(lines[1:], start=2):
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"{path}: line {i}: expected {len(header)} cells, got {len(cells)}")
-        rows.append(cells)
-    return rows

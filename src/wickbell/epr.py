@@ -223,17 +223,16 @@ def _pearson(pgrid: Grid1D, prob: np.ndarray) -> float:
     total = float(np.sum(prob))
     if total <= 0.0:
         raise ValueError("momentum distribution vanishes")
-    prob = prob / total
     p = pgrid.x
-    px_marg = np.sum(prob, axis=1)
-    py_marg = np.sum(prob, axis=0)
+    px_marg = np.sum(prob, axis=1) / total
+    py_marg = np.sum(prob, axis=0) / total
     mean_x = float(p @ px_marg)
     mean_y = float(p @ py_marg)
     var_x = float((p - mean_x) ** 2 @ px_marg)
     var_y = float((p - mean_y) ** 2 @ py_marg)
     if var_x <= 0.0 or var_y <= 0.0:
         raise ValueError("degenerate momentum distribution: zero variance")
-    cov = float((p - mean_x) @ prob @ (p - mean_y))
+    cov = float((p - mean_x) @ prob @ (p - mean_y)) / total
     return cov / np.sqrt(var_x * var_y)
 
 

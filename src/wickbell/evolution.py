@@ -78,6 +78,8 @@ def hamiltonian(grid: Grid1D, params: PhysParams, potential: Potential | None = 
 def _check_operands(state, h: Hamiltonian) -> None:
     if state.grid != h.grid:
         raise ValueError("state and Hamiltonian live on different grids")
+    if state.params != h.params:
+        raise ValueError(f"state has {state.params} but the Hamiltonian has {h.params}")
 
 
 def _spectral_step(w, populations, t, regime, hbar, dx) -> tuple[np.ndarray, float, float]:
@@ -105,8 +107,8 @@ def _spectral_step(w, populations, t, regime, hbar, dx) -> tuple[np.ndarray, flo
     return f, shifted_trace, float(np.log(shifted_trace) - 2.0 * w_min * t / hbar)
 
 
-def free_wigner_shear(w: WignerGrid, t: float, params: PhysParams) -> WignerGrid:
-    """Free evolution in phase space: W(x, p; t) = W(x - p t / m, p; 0).
+def free_wigner_shear(w: WignerGrid, t: float) -> WignerGrid:
+    """Free evolution in phase space: W(x, p; t) = W(x - p t / m, p; 0), m from w.params.
 
     Linear interpolation along x, zero beyond the rectangle. Rejected when a
     populated momentum row (one holding more than 1e-12 of the peak |W|)
@@ -118,7 +120,7 @@ def free_wigner_shear(w: WignerGrid, t: float, params: PhysParams) -> WignerGrid
     if t == 0.0:
         return w
     x = w.x_axis.x
-    shifts = w.p_axis.x * t / params.mass
+    shifts = w.p_axis.x * t / w.params.mass
     row_peak = np.max(np.abs(w.values), axis=0)
     populated = row_peak > 1e-12 * row_peak.max()
     max_shift = float(np.max(np.abs(shifts[populated]), initial=0.0))
@@ -182,9 +184,7 @@ def negativity_trajectory(
     return points
 
 
-def shear_negativity_trajectory(
-    w0: WignerGrid, t_samples, params: PhysParams
-) -> list[TrajectoryPoint]:
+def shear_negativity_trajectory(w0: WignerGrid, t_samples) -> list[TrajectoryPoint]:
     """Free-particle control: shear the initial Wigner function to each time.
 
     Each sample shears the original rectangle (not the previous sample), so
@@ -194,14 +194,14 @@ def shear_negativity_trajectory(
     taus = _check_schedule(t_samples)
     points: list[TrajectoryPoint] = []
     for t in taus:
-        wt = free_wigner_shear(w0, float(t), params)
+        wt = free_wigner_shear(w0, float(t))
         area = wt.cell_area
         points.append(
             TrajectoryPoint(
                 tau=float(t),
                 negativity=negativity_ratio(wt),
                 purity=float(
-                    2.0 * np.pi * params.hbar * np.sum(wt.values**2) * area
+                    2.0 * np.pi * w0.params.hbar * np.sum(wt.values**2) * area
                 ),
                 trace_raw=float(np.sum(wt.values) * area),
             )

@@ -141,14 +141,11 @@ class Kernel:
 
     grid: Grid1D
     entries: np.ndarray = field(repr=False, compare=False)
-    time_extent: float = 0.0
     regime: str = MINKOWSKI
 
     def __post_init__(self):
         n = self.grid.n_points
         _check_kernel_values(_set_checked(self, "entries", (n, n)), self.regime)
-        if not (self.time_extent >= 0.0):
-            raise ValueError(f"time_extent must be >= 0, got {self.time_extent}")
 
 
 def _check_kernel_values(values: np.ndarray, regime: str) -> None:
@@ -231,13 +228,6 @@ def apply_kernel(kernel: Kernel, psi: WaveFunction) -> WaveFunction:
         raise ValueError("kernel and wavefunction live on different grids")
     out = kernel.entries @ psi.amplitudes * psi.grid.dx
     return WaveFunction(psi.grid, out, psi.params)
-
-
-def inner_product(phi: WaveFunction, psi: WaveFunction) -> complex:
-    """<phi|psi> = sum conj(phi_j) psi_j dx. Conjugates the first argument."""
-    if phi.grid != psi.grid:
-        raise ValueError("wavefunctions live on different grids")
-    return complex(np.vdot(phi.amplitudes, psi.amplitudes) * phi.grid.dx)
 
 
 def dft_matrix(grid: Grid1D, params: PhysParams) -> tuple[Grid1D, np.ndarray]:

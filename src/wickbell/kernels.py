@@ -121,13 +121,13 @@ def free_kernel_row(grid: Grid1D, time_extent: float, params: PhysParams, regime
 def free_kernel_minkowski(grid: Grid1D, time_extent: float, params: PhysParams) -> Kernel:
     """Analytic real-time free kernel on the grid."""
     entries = _toeplitz(free_kernel_row(grid, time_extent, params, MINKOWSKI))
-    return Kernel(grid, entries, time_extent, MINKOWSKI)
+    return Kernel(grid, entries, MINKOWSKI)
 
 
 def free_kernel_euclidean(grid: Grid1D, time_extent: float, params: PhysParams) -> Kernel:
     """Analytic imaginary-time free kernel (the heat kernel) on the grid."""
     entries = _toeplitz(free_kernel_row(grid, time_extent, params, EUCLIDEAN))
-    return Kernel(grid, entries, time_extent, EUCLIDEAN)
+    return Kernel(grid, entries, EUCLIDEAN)
 
 
 def _slice_matrix(
@@ -182,7 +182,7 @@ def sliced_kernel(
     a = _slice_matrix(grid, potential, eps, plan.regime, params) * grid.dx
     power = _nonnegative_power if plan.regime == EUCLIDEAN else np.linalg.matrix_power
     entries = power(a, plan.n_slices) / grid.dx
-    return Kernel(grid, entries, plan.total_time, plan.regime)
+    return Kernel(grid, entries, plan.regime)
 
 
 def commutator_expectation(

@@ -305,6 +305,24 @@ def per_cell_grid_csv(header, axis_a, axis_b, values) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def read_csv(path, expected_header) -> list[list[str]]:
+    """Read a CSV written by the package. Checks the header, returns raw cells."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    header = lines[0].split(",")
+    if header != list(expected_header):
+        raise ValueError(f"{path}: expected header {','.join(expected_header)}, got {lines[0]}")
+    rows = []
+    for i, ln in enumerate(lines[1:], start=2):
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path}: line {i}: expected {len(header)} cells, got {len(cells)}")
+        rows.append(cells)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # EPR pair moments (pure Gaussian algebra)
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def test_acceptance_04_negativity_survives_unitary_dies_under_damping():
     gs = offset_grid(12.0, 256)
     w0 = wigner_transform(cat_state(gs, PHYS, 3.0, 1.0, "odd"))
     t_cell = PHYS.mass * gs.n_points * gs.dx**2 / (2.0 * np.pi * PHYS.hbar)
-    shear_pts = shear_negativity_trajectory(w0, t_cell * np.arange(1, 6), PHYS)
+    shear_pts = shear_negativity_trajectory(w0, t_cell * np.arange(1, 6))
     sf = [p.negativity for p in shear_pts] + [negativity_ratio(w0)]
     assert max(sf) - min(sf) < 1e-4
 
@@ -190,10 +190,10 @@ def test_acceptance_05_shear_agrees_with_kernel_evolution():
     cat = cat_state(g, PHYS, 3.0, 1.0, "odd")
     t_cell = PHYS.mass * g.n_points * g.dx**2 / (2.0 * np.pi * PHYS.hbar)
     t = 2.0 * t_cell
-    sheared = shear_negativity_trajectory(wigner_transform(cat), [t], PHYS)
+    sheared = shear_negativity_trajectory(wigner_transform(cat), [t])
     direct_state = apply_kernel(free_kernel_minkowski(g, t, PHYS), cat).normalized()
     direct = wigner_transform(direct_state)
-    shear_w = free_wigner_shear(wigner_transform(cat), t, PHYS)
+    shear_w = free_wigner_shear(wigner_transform(cat), t)
     l1 = float(np.sum(np.abs(shear_w.values - direct.values)) * direct.cell_area)
     assert l1 < 1e-4
     assert sheared[0].negativity == pytest.approx(negativity_ratio(shear_w), abs=1e-12)

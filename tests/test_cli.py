@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import weight_ratio_error_full_grid
+from oracles import read_csv, weight_ratio_error_full_grid
 from wickbell.bell import chsh_maximize, singlet
 from wickbell.cli import (
     _PEAK_BYTES,
     _RESTART_BYTES,
     _SLICE_BYTES,
+    _angles_line,
     _weight_ratio_error,
     EXPERIMENTS,
     MEMORY_BUDGET_BYTES,
@@ -21,10 +22,11 @@ from wickbell.cli import (
     entry,
     run,
 )
-from wickbell.csvio import read_csv
+from wickbell.errors import ConfigError
 from wickbell.epr import CorrelationWidth, epr_initial_pair, evolve_pair, joint_momentum_distribution
 from wickbell.grids import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams
 from wickbell.kernels import SlicingPlan, commutator_expectation
+from wickbell.spin_geometry import UnitVector
 
 ALL_EXPERIMENTS = (
     "wigner",
@@ -233,6 +235,17 @@ class TestValidation:
         code = entry(["run", "wigner", "--out", str(tmp_path), "--set", f"{key}={value}"])
         assert code == 2
         assert f"config error: parameter {key}: {key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("energies", ["0,1,2", "0,1,2,3,4"])
+    def test_energy_count_is_a_schema_check(self, capsys, tmp_path, energies):
+        # the level count is rejected by the schema, before any run starts
+        count = len(energies.split(","))
+        with pytest.raises(ConfigError, match=f"parameter energies: .* got {count}$"):
+            build_config("chsh-decay", {"energies": energies})
+        out = tmp_path / "out"
+        assert entry(["run", "chsh-decay", "--out", str(out), "--set", f"energies={energies}"]) == 2
+        assert capsys.readouterr().err.startswith("config error: parameter energies:")
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment", ["chsh", "chsh-decay"])
     def test_negative_seed(self, capsys, tmp_path, experiment):
@@ -515,6 +528,19 @@ class TestRunOutputs:
         values = {q: float(v) for q, v in rows}
         assert values["singlet_chsh_max"] == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-6)
         assert values["cnot_bell_chsh_max"] == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-6)
+
+    def test_angles_line(self):
+        # theta = arccos(n_z), clipped to [-1, 1]; phi = arctan2(n_y, n_x)
+        settings = (
+            UnitVector(1.0, 0.0, 0.0),
+            UnitVector(0.0, 0.0, 1.0 + 2.0**-52),
+            UnitVector(0.0, -1.0, 0.0),
+            UnitVector(-0.6, 0.0, -0.8),
+        )
+        assert _angles_line("singlet", settings) == (
+            "singlet: a=(theta=1.570796, phi=0.000000)  a'=(theta=0.000000, phi=0.000000)  "
+            "b=(theta=1.570796, phi=-1.570796)  b'=(theta=2.498092, phi=3.141593)"
+        )
 
     def test_negativity_decay_reduced_schedule(self, capsys, tmp_path):
         code = entry(

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import border_escape, epr_moments, euclidean_weight_ratio
+from oracles import border_escape, epr_moments, euclidean_weight_ratio, read_csv
 from wickbell import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams
 from wickbell.epr import (
     _BLOCK_ROWS,
@@ -468,8 +468,6 @@ class TestValidationAndCsv:
             condition_on_momentum_window(pair, 500.0, 500.1)
 
     def test_csv_header(self, tmp_path):
-        from wickbell.csvio import read_csv
-
         grid = Grid1D(-8.0, 8.0, 16)
         pgrid, prob = joint_momentum_distribution(
             epr_initial_pair(Grid1D(-8.0, 8.0, 16), CorrelationWidth(0.5), 1.2, PHYS)

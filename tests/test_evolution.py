@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from oracles import read_csv
 from wickbell import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams, WaveFunction
 from wickbell.errors import GridEscapeError, TraceCollapseError
 from wickbell.evolution import (
@@ -23,7 +24,7 @@ from wickbell.evolution import (
 from wickbell.grids import cat_state, dft_matrix, gaussian_wavepacket
 from wickbell.kernels import free_kernel_minkowski, harmonic_potential
 from wickbell.grids import apply_kernel
-from wickbell.phase_space import negativity_ratio, wigner_transform
+from wickbell.phase_space import WignerGrid, negativity_ratio, wigner_transform
 
 PHYS = PhysParams()
 
@@ -139,6 +140,14 @@ class TestMinkowskiEvolution:
         with pytest.raises(ValueError, match="grid"):
             negativity_trajectory(psi, HARMONIC, [1.0], MINKOWSKI)
 
+    @pytest.mark.parametrize("regime", [MINKOWSKI, EUCLIDEAN])
+    def test_params_mismatch_rejected(self, regime):
+        # one hbar and one mass per run: a state built with hbar = 2 must not
+        # evolve under a Hamiltonian built with hbar = 1
+        psi = gaussian_wavepacket(GRID, PhysParams(hbar=2.0))
+        with pytest.raises(ValueError, match="Hamiltonian has"):
+            negativity_trajectory(psi, HARMONIC, [1.0], regime)
+
     def test_phase_past_float_range_rejected(self):
         # a finite time whose phase max|E| t / hbar overflows on a 16-point trap
         grid = offset_grid(4.0, 16)
@@ -170,14 +179,14 @@ class TestEuclideanEvolution:
 class TestFreeWignerShear:
     def test_zero_time_is_identity(self):
         w0 = wigner_transform(gaussian_wavepacket(GRID, PHYS))
-        assert free_wigner_shear(w0, 0.0, PHYS) is w0
+        assert free_wigner_shear(w0, 0.0) is w0
 
     def test_commensurate_shift_preserves_integrals(self):
         # at t = k m n dx^2 / (2 pi hbar) every momentum row shifts by an
         # integer cell count, so interpolation is exact
         w0 = wigner_transform(cat_state(GRID, PHYS, 3.0, 1.0, "odd"))
         t_cell = PHYS.mass * GRID.n_points * GRID.dx**2 / (2.0 * np.pi * PHYS.hbar)
-        wt = free_wigner_shear(w0, 2.0 * t_cell, PHYS)
+        wt = free_wigner_shear(w0, 2.0 * t_cell)
         assert np.sum(wt.values) == pytest.approx(np.sum(w0.values), abs=1e-10)
         assert np.sum(np.abs(wt.values)) == pytest.approx(
             np.sum(np.abs(w0.values)), abs=1e-10
@@ -190,17 +199,30 @@ class TestFreeWignerShear:
         cat = cat_state(GRID, PHYS, 3.0, 1.0, "odd")
         t_cell = PHYS.mass * GRID.n_points * GRID.dx**2 / (2.0 * np.pi * PHYS.hbar)
         t = 2.0 * t_cell
-        sheared = free_wigner_shear(wigner_transform(cat), t, PHYS)
+        sheared = free_wigner_shear(wigner_transform(cat), t)
         evolved = apply_kernel(free_kernel_minkowski(GRID, t, PHYS), cat).normalized()
         direct = wigner_transform(evolved)
         l1 = float(np.sum(np.abs(sheared.values - direct.values)) * sheared.cell_area)
         assert l1 < 1e-4
 
+    def test_mass_and_hbar_come_from_the_grid(self):
+        # W(x - p t / m, p): mass 5 at time 5 t shears as mass 1 at time t,
+        # and the result keeps the heavy grid's parameters
+        heavy = PhysParams(mass=5.0)
+        w0 = wigner_transform(cat_state(GRID, PHYS, 3.0, 1.0, "odd"))
+        w_heavy = WignerGrid(w0.x_axis, w0.p_axis, w0.values, heavy)
+        out = free_wigner_shear(w_heavy, 1.5)
+        assert out.params == heavy
+        assert np.allclose(out.values, free_wigner_shear(w0, 0.3).values, rtol=0.0, atol=1e-12)
+        # the purity reads hbar off the grid: 2 pi hbar int int W^2 = 1
+        w2 = wigner_transform(gaussian_wavepacket(GRID, PhysParams(hbar=2.0)))
+        assert shear_negativity_trajectory(w2, [0.0])[0].purity == pytest.approx(1.0, abs=1e-9)
+
     def test_escape_guard(self):
         g = offset_grid(6.0, 64)
         w0 = wigner_transform(gaussian_wavepacket(g, PHYS, momentum=2.0))
         with pytest.raises(GridEscapeError, match="populated"):
-            free_wigner_shear(w0, 50.0, PHYS)
+            free_wigner_shear(w0, 50.0)
 
 
 class TestTrajectories:
@@ -229,14 +251,14 @@ class TestTrajectories:
     def test_shear_trajectory_constant_at_commensurate_times(self):
         w0 = wigner_transform(cat_state(GRID, PHYS, 3.0, 1.0, "odd"))
         t_cell = PHYS.mass * GRID.n_points * GRID.dx**2 / (2.0 * np.pi * PHYS.hbar)
-        pts = shear_negativity_trajectory(w0, [t_cell, 2 * t_cell, 3 * t_cell], PHYS)
+        pts = shear_negativity_trajectory(w0, [t_cell, 2 * t_cell, 3 * t_cell])
         f0 = negativity_ratio(w0)
         for p in pts:
             assert p.negativity == pytest.approx(f0, abs=1e-12)
 
     def test_shear_trajectory_gaussian_stays_classical(self):
         w0 = wigner_transform(gaussian_wavepacket(GRID, PHYS, width=1.0))
-        pts = shear_negativity_trajectory(w0, [0.3, 0.7, 1.1], PHYS)
+        pts = shear_negativity_trajectory(w0, [0.3, 0.7, 1.1])
         for p in pts:
             assert p.negativity == pytest.approx(1.0, abs=1e-12)
             assert abs(p.trace_raw - 1.0) < 1e-6
@@ -330,10 +352,8 @@ class TestTrajectories:
             negativity_trajectory(psi0, HARMONIC, [0.5], "thermal")
 
     def test_csv_header(self, tmp_path):
-        from wickbell.csvio import read_csv
-
         w0 = wigner_transform(gaussian_wavepacket(GRID, PHYS))
-        pts = shear_negativity_trajectory(w0, [0.2, 0.4], PHYS)
+        pts = shear_negativity_trajectory(w0, [0.2, 0.4])
         path = tmp_path / "traj.csv"
         trajectory_to_csv(pts, path)
         rows = read_csv(path, ("tau", "f", "purity", "trace_raw"))

@@ -27,7 +27,6 @@ from wickbell.grids import (
     dft_matrix,
     dual_grid,
     gaussian_wavepacket,
-    inner_product,
     momentum_representation,
 )
 from wickbell.kernels import free_kernel_euclidean, free_kernel_minkowski
@@ -119,8 +118,20 @@ class TestWaveFunction:
         # parity is exact on the symmetric grid: x -> -x is index reversal
         assert np.allclose(odd.amplitudes, -odd.amplitudes[::-1], atol=1e-14)
         assert np.allclose(even.amplitudes, even.amplitudes[::-1], atol=1e-14)
+        # opposite parities are orthogonal: <odd|even> = sum conj(odd) even dx
+        assert abs(np.vdot(odd.amplitudes, even.amplitudes) * g.dx) < 1e-14
         with pytest.raises(ValueError, match="parity"):
             cat_state(g, PHYS, separation=3.0, parity="mixed")
+
+    def test_displaced_pair_overlap(self):
+        # unit-norm packets at +-a with amplitude width w overlap at
+        # exp(-a^2/w^2); frozen from the Gaussian-integral oracle for a=1.5
+        g = Grid1D(-16.0, 16.0, 1024)
+        plus = gaussian_wavepacket(g, PHYS, center=1.5, width=1.0)
+        minus = gaussian_wavepacket(g, PHYS, center=-1.5, width=1.0)
+        overlap = np.vdot(plus.amplitudes, minus.amplitudes) * g.dx
+        assert overlap.real == pytest.approx(0.10539922456186433, abs=1e-12)
+        assert abs(overlap.imag) < 1e-14
 
 
     @pytest.mark.parametrize(
@@ -139,7 +150,7 @@ class TestWaveFunction:
         g = Grid1D(-1.0, 1.0, 16)
         assert WaveFunction(g, values).amplitudes.dtype == dtype
         assert WaveFunction(g, values).normalized().amplitudes.dtype == dtype
-        assert Kernel(g, np.outer(values, values), 1.0).entries.dtype == dtype
+        assert Kernel(g, np.outer(values, values)).entries.dtype == dtype
 
     def test_float64_norm_is_sum_of_squared_moduli(self):
         # the float64 norm sums a * a: bit for bit the sum of |a|^2
@@ -157,51 +168,22 @@ class TestWaveFunction:
             WaveFunction(g, amps[::2])
 
 
-class TestInnerProduct:
-    def test_self_inner_product_is_norm(self):
-        g = Grid1D(-12.0, 12.0, 512)
-        psi = gaussian_wavepacket(g, PHYS, width=0.9, momentum=1.2)
-        assert inner_product(psi, psi) == pytest.approx(1.0, abs=1e-12)
-
-    def test_conjugate_symmetry(self):
-        g = Grid1D(-12.0, 12.0, 256)
-        a = gaussian_wavepacket(g, PHYS, center=-1.0, momentum=0.7)
-        b = gaussian_wavepacket(g, PHYS, center=0.5, width=1.4)
-        assert inner_product(a, b) == pytest.approx(np.conj(inner_product(b, a)), abs=1e-14)
-
-    def test_displaced_pair_overlap(self):
-        # unit-norm packets at +-a with amplitude width w overlap at
-        # exp(-a^2/w^2); frozen from the Gaussian-integral oracle for a=1.5
-        g = Grid1D(-16.0, 16.0, 1024)
-        plus = gaussian_wavepacket(g, PHYS, center=1.5, width=1.0)
-        minus = gaussian_wavepacket(g, PHYS, center=-1.5, width=1.0)
-        overlap = inner_product(plus, minus)
-        assert overlap.real == pytest.approx(0.10539922456186433, abs=1e-12)
-        assert abs(overlap.imag) < 1e-14
-
-    def test_grid_mismatch_rejected(self):
-        a = gaussian_wavepacket(Grid1D(-8.0, 8.0, 128), PHYS)
-        b = gaussian_wavepacket(Grid1D(-8.0, 8.0, 256), PHYS)
-        with pytest.raises(ValueError, match="grid"):
-            inner_product(a, b)
-
-
 class TestApplyKernel:
     def test_identity_kernel_returns_state(self):
         g = Grid1D(-10.0, 10.0, 256)
         psi = gaussian_wavepacket(g, PHYS, center=0.3, width=1.1, momentum=0.9)
         # Kronecker delta over dx: the unit of the dy quadrature
-        out = apply_kernel(Kernel(g, np.eye(g.n_points) / g.dx, 0.0), psi)
+        out = apply_kernel(Kernel(g, np.eye(g.n_points) / g.dx), psi)
         assert np.max(np.abs(out.amplitudes - psi.amplitudes)) < 1e-12
 
     def test_transposed_entries_checked(self):
         g = Grid1D(-10.0, 10.0, 64)
         k = free_kernel_minkowski(g, 0.5, PHYS)
-        assert np.array_equal(Kernel(g, k.entries.T, 0.5).entries, k.entries.T)
+        assert np.array_equal(Kernel(g, k.entries.T).entries, k.entries.T)
         bad = free_kernel_euclidean(g, 0.5, PHYS).entries.copy()
         bad[2, 3] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            Kernel(g, bad.T, 0.5, EUCLIDEAN)
+            Kernel(g, bad.T, EUCLIDEAN)
 
     def test_minkowski_matches_quadrature_oracle(self):
         g = Grid1D(-16.0, 16.0, 1024)

@@ -122,7 +122,7 @@ class TestFreeKernels:
         from wickbell.grids import Kernel
 
         with pytest.raises(ValueError, match="non-negative"):
-            Kernel(g, -np.ones((8, 8)), 1.0, EUCLIDEAN)
+            Kernel(g, -np.ones((8, 8)), EUCLIDEAN)
 
     def test_euclidean_kernel_type_rejects_complex_dtype(self):
         # real is a dtype property: a zero imaginary part is still complex
@@ -130,8 +130,8 @@ class TestFreeKernels:
         from wickbell.grids import Kernel
 
         with pytest.raises(ValueError, match="must be real"):
-            Kernel(g, np.ones((8, 8), dtype=complex), 1.0, EUCLIDEAN)
-        assert Kernel(g, np.ones((8, 8)), 1.0, EUCLIDEAN).entries.dtype == np.float64
+            Kernel(g, np.ones((8, 8), dtype=complex), EUCLIDEAN)
+        assert Kernel(g, np.ones((8, 8)), EUCLIDEAN).entries.dtype == np.float64
         assert free_kernel_euclidean(g, 1.0, PHYS).entries.dtype == np.float64
 
 

@@ -18,9 +18,9 @@ from oracles import (
     dense_wigner_of_density,
     excited_state_negativity,
     gaussian_wigner_point,
+    read_csv,
 )
 from wickbell import Grid1D, PhysParams
-from wickbell.csvio import read_csv
 from wickbell.grids import (
     WaveFunction,
     cat_state,

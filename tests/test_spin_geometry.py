@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import latitude_solid_angle, lhuilier_area, spinor_by_expm
+from oracles import latitude_solid_angle, lhuilier_area, read_csv, spinor_by_expm
 from wickbell.spin_geometry import (
     PLUS_X,
     PLUS_Y,
@@ -299,8 +299,6 @@ class TestLoopPhases:
 
 class TestCsv:
     def test_phases_header(self, tmp_path):
-        from wickbell.csvio import read_csv
-
         file = tmp_path / "phases.csv"
         phases_to_csv([("octant", np.pi / 2.0, np.pi / 4.0)], file)
         rows = read_csv(file, ("loop_id", "solid_angle", "wz_phase"))
