@@ -4,7 +4,8 @@
 Each experiment writes its CSV outputs and a manifest into its own
 subdirectory of --out. Overrides apply to every experiment that accepts the
 given key; keys unknown to an experiment are skipped rather than rejected, so
-`--set seed=3` tweaks only the experiments that take a seed.
+`--set n_samples=6` shortens only the schedules of `negativity-decay` and
+`chsh-decay`.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Two-qubit correlations, CHSH optimization, and kernel-filtering experiments.
+"""Two-qubit correlations, the CHSH maximum, and kernel-filtering experiments.
 
 Basis order everywhere: (up-up, up-down, down-up, down-down), first label is
 qubit 1. The CHSH combination used is
@@ -9,12 +9,12 @@ with E(a, b) the expectation of (sigma.a) x (sigma.b). Any product state
 obeys |S| <= 2; quantum states reach at most 2 sqrt(2).
 
 The decay experiment applies the entrywise non-negative diagonal kernel
-exp(-H tau / hbar) to the state and re-optimizes the settings at each step:
-a real positive kernel can only concentrate weight on one basis state, and
-a single basis state is a product state, so the optimized value is driven
-from 2 sqrt(2) down to the classical boundary 2. The real-time control
-applies exp(-i H t / hbar), which for diagonal H is a pair of local phase
-rotations and leaves the optimized value pinned at 2 sqrt(2).
+exp(-H tau) (units with hbar = 1) to the state and re-maximizes over the
+settings at each step: a real positive kernel can only concentrate weight on
+one basis state, and a single basis state is a product state, so the maximum
+is driven from 2 sqrt(2) down to the classical boundary 2. The real-time
+control applies exp(-i H t), which for diagonal H is a pair of local phase
+rotations and leaves the maximum pinned at 2 sqrt(2).
 """
 
 from __future__ import annotations
@@ -81,58 +81,21 @@ def correlation_matrix(state) -> np.ndarray:
     return (_PAULI_PRODUCTS @ _as_density(state).reshape(16)).real.reshape(3, 3)
 
 
-def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sums of u * v over the last axis in a fixed order (batch-independent)."""
-    w = u * v
-    return w[..., 0] + w[..., 1] + w[..., 2]
+def chsh_maximize(state) -> tuple[tuple[UnitVector, ...], float]:
+    """Best CHSH value in closed form, with its directions (a, a', b, b').
 
-
-def _images(m: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    return _dots(vecs[..., None, :], m)
-
-
-def _unit_rows(vecs: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Rows of vecs normalized, or the fallback rows where the norm is < 1e-300."""
-    norms = np.sqrt(_dots(vecs, vecs))[..., None]
-    return np.where(norms < 1e-300, fallback, vecs / np.maximum(norms, 1e-300))
-
-
-def chsh_maximize(
-    state, restarts: int = 16, seed: int = 0
-) -> tuple[tuple[UnitVector, ...], float]:
-    """Best CHSH value by coordinate ascent over the four analyzer directions.
-
-    Each half-step has a closed-form optimum: for fixed (b, b') the best a
-    and a' are the normalized images T(b -+ b'), and symmetrically for fixed
-    (a, a'). The ascent never decreases S, so it converges; restarts guard
-    the rare start in a flat direction. The restarts run as one batch, each
-    until its step gains under 1e-14 or for 256 steps; the first best wins.
-    Returns its directions (a, a', b, b') and S.
+    Take the SVD T = U diag(s1, s2, s3) V^T of the correlation tensor. The
+    settings a = u2, a' = u1 and b, b' = cos(phi) v1 +- sin(phi) v2 with
+    tan(phi) = s2 / s1 give S = a.T(b - b') + a'.T(b + b') =
+    2 sqrt(s1^2 + s2^2), the maximum over all settings (R., P. & M.
+    Horodecki, Phys. Lett. A 200, 340 (1995)). The SVD's columns are unit
+    vectors even for T = 0, which scores 0.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    t = correlation_matrix(state)
-    starts = np.random.default_rng(seed).standard_normal((restarts, 2, 3))
-    vecs = np.empty((restarts, 4, 3))  # rows a, a', b, b' of every restart
-    vecs[:, 2:] = _unit_rows(starts, np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
-    sign = np.array([[-1.0], [1.0]])  # x0 + sign x1 = (x0 - x1, x0 + x1)
-    s = np.full(restarts, -np.inf)
-    live = np.arange(restarts)
-    for _ in range(256):
-        b = vecs[live, 2:]
-        a = _unit_rows(_images(t, b[:, :1] + sign * b[:, 1:]), b)
-        b = _unit_rows(_images(t.T, a[:, 1:] - sign * a[:, :1]), b)
-        # S = a.t(b - b') + a'.t(b + b')
-        s_live = _dots(a, _images(t, b[:, :1] + sign * b[:, 1:])).sum(1)
-        vecs[live] = np.concatenate((a, b), axis=1)
-        keep = ~(s_live - s[live] < 1e-14)
-        s[live] = s_live
-        live = live[keep]
-        if live.size == 0:
-            break
-    best = int(np.argmax(s))
-    settings = tuple(UnitVector.of(*v) for v in vecs[best])
-    return settings, float(s[best])
+    u, sigma, vt = np.linalg.svd(correlation_matrix(state))
+    phi = np.arctan2(sigma[1], sigma[0])
+    along, across = np.cos(phi) * vt[0], np.sin(phi) * vt[1]
+    directions = (u[:, 1], u[:, 0], along + across, along - across)
+    return tuple(UnitVector.of(*v) for v in directions), float(2.0 * np.hypot(sigma[0], sigma[1]))
 
 
 _CNOT = np.array(
@@ -166,10 +129,8 @@ def _diagonal_energies(h) -> np.ndarray:
     return arr
 
 
-def _decay_curve(
-    state0: TwoQubitState, h, tau_samples, hbar: float, restarts: int, seed: int, damped: bool
-) -> list[DecayPoint]:
-    """Apply the diagonal kernel at each sample, then re-optimize CHSH."""
+def _decay_curve(state0: TwoQubitState, h, tau_samples, damped: bool) -> list[DecayPoint]:
+    """Apply the diagonal kernel at each sample, then re-maximize CHSH."""
     energies = _diagonal_energies(h)
     taus = _check_schedule(tau_samples, nonnegative=True)
     amps0 = state0.amplitudes
@@ -181,44 +142,30 @@ def _decay_curve(
             # only the support is damped: a level below the floor would grow
             # past the float range, and its amplitude is 0 anyway
             amps = np.zeros_like(amps0)
-            amps[support] = amps0[support] * np.exp(-(energies[support] - floor) * tau / hbar)
+            amps[support] = amps0[support] * np.exp(-(energies[support] - floor) * tau)
             state = TwoQubitState(amps / float(np.linalg.norm(amps)))
         else:
-            state = TwoQubitState(amps0 * np.exp(-1j * energies * tau / hbar))
-        _, s = chsh_maximize(state, restarts=restarts, seed=seed)
+            state = TwoQubitState(amps0 * np.exp(-1j * energies * tau))
+        _, s = chsh_maximize(state)
         fidelity = float(np.abs(np.vdot(amps0, state.amplitudes)) ** 2)
-        points.append(DecayPoint(float(tau), abs(s), fidelity))
+        points.append(DecayPoint(float(tau), s, fidelity))
     return points
 
 
-def euclidean_chsh_decay(
-    state0: TwoQubitState,
-    h,
-    tau_samples,
-    hbar: float = 1.0,
-    restarts: int = 16,
-    seed: int = 0,
-) -> list[DecayPoint]:
-    """Damp with the non-negative kernel exp(-H tau/hbar), renormalize, re-optimize.
+def euclidean_chsh_decay(state0: TwoQubitState, h, tau_samples) -> list[DecayPoint]:
+    """Damp with the non-negative kernel exp(-H tau), renormalize, re-maximize.
 
     Energies are shifted by the minimum on the state's support before
     exponentiating, so arbitrarily late times stay representable; the shift
     cancels in the renormalization. A state supported only on degenerate
     levels is simply constant along the trajectory.
     """
-    return _decay_curve(state0, h, tau_samples, hbar, restarts, seed, damped=True)
+    return _decay_curve(state0, h, tau_samples, damped=True)
 
 
-def minkowski_chsh_control(
-    state0: TwoQubitState,
-    h,
-    t_samples,
-    hbar: float = 1.0,
-    restarts: int = 16,
-    seed: int = 0,
-) -> list[DecayPoint]:
-    """Same schedule under the unitary exp(-iHt/hbar): pure phases, no decay."""
-    return _decay_curve(state0, h, t_samples, hbar, restarts, seed, damped=False)
+def minkowski_chsh_control(state0: TwoQubitState, h, t_samples) -> list[DecayPoint]:
+    """Same schedule under the unitary exp(-iHt): pure phases, no decay."""
+    return _decay_curve(state0, h, t_samples, damped=False)
 
 
 def decay_to_csv(points, path) -> None:

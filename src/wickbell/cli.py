@@ -324,19 +324,20 @@ _PEAK_BYTES = {
 }
 
 
-# counts that only lengthen a list or a batch, in bytes per loop vertex,
-# schedule sample, optimizer restart or time slice: the traced peak's slope
-# from 1e4 to 1e5 segments or restarts, from 200 to 2000 samples, or from
-# 1e5 to 1e6 slices, rounded up
+# counts that only lengthen a list, in bytes per loop vertex, schedule
+# sample or time slice: the traced peak's slope from 1e4 to 1e5 segments,
+# from 200 to 2000 samples, or from 1e5 to 1e6 slices, rounded up
 _SEGMENT_BYTES = 272
 _CHSH_SAMPLE_BYTES = 360  # both curves
 _DAMPING_SAMPLE_BYTES = 224
-_RESTART_BYTES = 512  # chsh_maximize holds all restarts in one batch
 _SLICE_BYTES = 16  # the path solve's right-hand side and its running sum
-_OPTIMIZER_PARAMS = {
-    "seed": ParamSpec("int", 0, "optimizer seed", _at_least("seed", 0)),
-    "restarts": ParamSpec(
-        "int", 16, "optimizer restarts", _budgeted("restarts", 1, "restarts", lambda n: _RESTART_BYTES * n)
+_SEED_PARAM = {
+    "seed": ParamSpec(
+        "int",
+        0,
+        "ignored: the CHSH maximum is closed-form; accepted until ROADMAP item 4 "
+        "drops it from the benchmark plan",
+        _at_least("seed", 0),
     ),
 }
 
@@ -446,11 +447,9 @@ def _angles_line(label: str, settings) -> str:
 
 
 def _run_chsh(p: dict, outdir: str) -> list:
-    seed, restarts = p["seed"], p["restarts"]
-    settings_s, s_singlet = chsh_maximize(singlet(), restarts=restarts, seed=seed)
+    settings_s, s_singlet = chsh_maximize(singlet())
     plus_down = TwoQubitState.of(0.0, 1.0, 0.0, 1.0)  # (up+down) x down
-    bell = cnot(plus_down)
-    settings_c, s_bell = chsh_maximize(bell, restarts=restarts, seed=seed)
+    settings_c, s_bell = chsh_maximize(cnot(plus_down))
     print(_angles_line("singlet", settings_s))
     print(_angles_line("cnot-bell", settings_c))
     out = os.path.join(outdir, "chsh.csv")
@@ -477,12 +476,8 @@ def _run_chsh_decay(p: dict, outdir: str) -> list:
             f"leave a non-finite kernel exponent: 2 max|E| tau_max = {exponent}"
         )
     state0 = singlet()
-    decay = euclidean_chsh_decay(
-        state0, energies, taus, restarts=p["restarts"], seed=p["seed"]
-    )
-    control = minkowski_chsh_control(
-        state0, energies, taus, restarts=p["restarts"], seed=p["seed"]
-    )
+    decay = euclidean_chsh_decay(state0, energies, taus)
+    control = minkowski_chsh_control(state0, energies, taus)
     out_decay = os.path.join(outdir, "chsh_decay.csv")
     decay_to_csv(decay, out_decay)
     out_control = os.path.join(outdir, "chsh_control.csv")
@@ -600,13 +595,13 @@ EXPERIMENTS = {
     ),
     "chsh": Experiment(
         "optimized CHSH for the singlet and the CNOT-generated Bell state",
-        _OPTIMIZER_PARAMS,
+        _SEED_PARAM,
         _run_chsh,
     ),
     "chsh-decay": Experiment(
         "CHSH under a positive diagonal kernel, with the unitary control run",
         {
-            **_OPTIMIZER_PARAMS,
+            **_SEED_PARAM,
             "tau_max": ParamSpec("float", 8.0, "final (imaginary) time", _positive("tau_max")),
             "n_samples": ParamSpec(
                 "int", 33, "number of schedule samples",

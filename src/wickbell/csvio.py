@@ -1,7 +1,7 @@
 """Small CSV helpers.
 
 Every float goes through the .17g conversion of format_float so that reruns
-under a fixed seed are byte-identical: 17 significant digits round-trip any
+of one configuration are byte-identical: 17 significant digits round-trip any
 float64 exactly, and the formatting never depends on locale or line endings.
 """
 

@@ -2,10 +2,11 @@
 
 Every function here recomputes a quantity through a different route than the
 package uses: adaptive quadrature instead of grid matrix products, continuant
-recursions instead of the path flux solve, closed forms instead of
-optimizers, the l'Huilier excess instead of the vertex arctan formula. Tests
-compare package output against these, and a handful of scalars computed here
-are frozen as literals next to their uses.
+recursions instead of the path flux solve, the concurrence and a coordinate
+ascent instead of the correlation tensor's SVD, the l'Huilier excess instead
+of the vertex arctan formula. Tests compare package output against these,
+and a handful of scalars computed here are frozen as literals next to their
+uses.
 
 Run as a script to print the frozen constants:
 
@@ -444,6 +445,47 @@ def chsh_horodecki(amplitudes: np.ndarray) -> float:
     t = correlation_tensor(amplitudes)
     lam = np.sort(np.linalg.eigvalsh(t.T @ t))
     return 2.0 * np.sqrt(lam[-1] + lam[-2])
+
+
+def chsh_concurrence(amplitudes: np.ndarray) -> float:
+    """Maximum CHSH value of a pure state, 2 sqrt(1 + C^2), from its
+    concurrence C = 2 |ad - bc| (Gisin, Phys. Lett. A 154, 201 (1991);
+    Wootters, PRL 80, 2245 (1998)); no correlation tensor."""
+    a, b, c, d = np.asarray(amplitudes, dtype=np.complex128)
+    concurrence = 2.0 * abs(a * d - b * c)
+    return 2.0 * np.sqrt(1.0 + concurrence**2)
+
+
+def _unit_or(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    norm = np.linalg.norm(v)
+    return fallback if norm < 1e-300 else v / norm
+
+
+def chsh_ascent(t: np.ndarray, restarts: int = 16, seed: int = 0) -> float:
+    """CHSH value S = a.T(b - b') + a'.T(b + b') by coordinate ascent from
+    seeded random (b, b').
+
+    For fixed (b, b') the best a and a' are the normalized images T(b -+ b'),
+    and for fixed (a, a') the best b and b' are the normalized T^T(a' +- a),
+    so no half-step lowers S. Each start ascends until a step gains under
+    1e-14 or for 256 steps; the best start wins. Every value is S at unit
+    settings, so it can only fall short of the maximum.
+    """
+    rng = np.random.default_rng(seed)
+    best = -np.inf
+    for start in rng.standard_normal((restarts, 2, 3)):
+        b, b_alt = (v / np.linalg.norm(v) for v in start)
+        s = -np.inf
+        for _ in range(256):
+            a, a_alt = _unit_or(t @ (b - b_alt), b), _unit_or(t @ (b + b_alt), b_alt)
+            b, b_alt = _unit_or(t.T @ (a_alt + a), b), _unit_or(t.T @ (a_alt - a), b_alt)
+            gained = a @ t @ (b - b_alt) + a_alt @ t @ (b + b_alt)
+            if gained - s < 1e-14:
+                s = max(s, gained)
+                break
+            s = gained
+        best = max(best, s)
+    return float(best)
 
 
 def singlet_chsh_coplanar(ta, ta_alt, tb, tb_alt) -> float:

@@ -9,10 +9,8 @@ import numpy as np
 import pytest
 
 from oracles import read_csv, weight_ratio_error_full_grid
-from wickbell.bell import chsh_maximize, singlet
 from wickbell.cli import (
     _PEAK_BYTES,
-    _RESTART_BYTES,
     _SLICE_BYTES,
     _angles_line,
     _weight_ratio_error,
@@ -119,13 +117,6 @@ class TestMemoryBudget:
         assert err.startswith("config error: parameter n_slices: ")
         assert "budget" in err and "Traceback" not in err
 
-    def test_restart_bytes_bound_traced_slope(self):
-        # chsh_maximize holds its restarts as one batch: the peak grows by
-        # at most _RESTART_BYTES per restart, and by at least 0.9 of it
-        peaks = [traced_peak(lambda: chsh_maximize(singlet(), r, 0))[1] for r in (10**4, 10**5)]
-        slope = (peaks[1] - peaks[0]) / (10**5 - 10**4)
-        assert 0.9 * _RESTART_BYTES <= slope <= _RESTART_BYTES
-
     def test_shear_regime_within_negativity_estimate(self, tmp_path):
         # four samples keep the last shear of the populated rows inside the box
         overrides = {"n_points": "256", "regime": "minkowski-shear", "n_samples": "4"}
@@ -206,7 +197,10 @@ class TestValidation:
     @pytest.mark.parametrize(
         "experiment, key, valid",
         [
-            ("chsh", "bogus", "restarts"),
+            ("chsh", "bogus", "seed"),
+            # the closed-form maximum takes no restarts
+            ("chsh", "restarts", "seed"),
+            ("chsh-decay", "restarts", "n_samples"),
             # the twist integrates its paths over the whole real line
             ("commutator", "n_points", "boundary_width"),
             ("commutator", "x_min", "boundary_width"),
@@ -247,11 +241,14 @@ class TestValidation:
         assert capsys.readouterr().err.startswith("config error: parameter energies:")
         assert not out.exists()
 
-    @pytest.mark.parametrize("experiment", ["chsh", "chsh-decay"])
-    def test_negative_seed(self, capsys, tmp_path, experiment):
-        code = entry(["run", experiment, "--out", str(tmp_path), "--set", "seed=-1"])
+    @pytest.mark.parametrize(
+        "experiment, key, bound",
+        [("chsh-decay", "n_samples", 2), ("spin-phase", "equator_segments", 3)],
+    )
+    def test_negative_count(self, capsys, tmp_path, experiment, key, bound):
+        code = entry(["run", experiment, "--out", str(tmp_path), "--set", f"{key}=-1"])
         assert code == 2
-        assert "config error: parameter seed: seed must be >= 0" in capsys.readouterr().err
+        assert f"config error: parameter {key}: {key} must be >= {bound}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", ["center=100", "width=0.001"])
     def test_state_vanishing_on_grid(self, capsys, tmp_path, override):
@@ -322,9 +319,11 @@ class TestValidation:
             ("spin-phase", ["latitude_segments=100000000000000"], "parameter latitude_segments:"),
             ("chsh-decay", ["n_samples=100000000000000"], "parameter n_samples:"),
             ("negativity-decay", ["n_samples=100000000000000"], "parameter n_samples:"),
-            ("chsh", ["restarts=100000000000000"], "parameter restarts:"),
-            ("chsh-decay", ["restarts=100000000000000"], "parameter restarts:"),
             ("spin-phase", ["equator_segments=10000000"], "parameter equator_segments: 10000000 segments would hold"),
+            ("wigner", ["state=bogus"], "parameter state: state must be one of gaussian, cat-odd"),
+            ("negativity-decay", ["regime=thermal"], "parameter regime: regime must be one of euclidean"),
+            ("chsh", ["=1"], "--set needs a parameter name, got '=1'"),
+            ("kernel-check", ["margin=1e308"], "margin 1e+308 leaves no interior grid points"),
         ],
         ids=[
             "slice_counts",
@@ -337,15 +336,17 @@ class TestValidation:
             "latitude-segments",
             "chsh-decay-samples",
             "damping-samples",
-            "chsh-restarts",
-            "chsh-decay-restarts",
             "segments-estimate",
+            "state-choice",
+            "regime-choice",
+            "empty-name",
+            "margin",
         ],
     )
     def test_bad_value_rejected_as_config_error(
         self, capsys, tmp_path, experiment, overrides, named
     ):
-        # each value is out of range for a check inside the run, which
+        # each value fails a check in the schema or inside the run, which
         # reports it as a configuration error naming the parameter
         argv = ["run", experiment, "--out", str(tmp_path)]
         for item in overrides:
@@ -385,12 +386,12 @@ class TestValidation:
         ]
 
     def test_unparsable_value(self, capsys, tmp_path):
-        code = entry(["run", "chsh", "--out", str(tmp_path), "--set", "seed=many"])
+        code = entry(["run", "spin-phase", "--out", str(tmp_path), "--set", "equator_segments=many"])
         assert code == 2
         assert "cannot parse" in capsys.readouterr().err
 
     def test_malformed_override(self, capsys, tmp_path):
-        code = entry(["run", "chsh", "--out", str(tmp_path), "--set", "seed"])
+        code = entry(["run", "spin-phase", "--out", str(tmp_path), "--set", "equator_segments"])
         assert code == 2
         assert "KEY=VALUE" in capsys.readouterr().err
 
@@ -410,8 +411,8 @@ class TestConfigFile:
 
     def test_duplicate_key_reports_location(self, capsys, tmp_path):
         cfg = tmp_path / "dup.cfg"
-        cfg.write_text("seed=1\nseed=2\n")
-        assert entry(["run", "chsh", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        cfg.write_text("equator_segments=64\nequator_segments=32\n")
+        assert entry(["run", "spin-phase", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"{cfg}:2" in err and "duplicate" in err
 
@@ -479,13 +480,13 @@ class TestRunOutputs:
             assert os.path.exists(path)
 
     def test_manifest_layout(self, tmp_path):
-        assert entry(["run", "chsh", "--out", str(tmp_path)]) == 0
-        lines = (tmp_path / "chsh_manifest.txt").read_text().strip().splitlines()
-        assert lines[0] == "experiment=chsh"
+        assert entry(["run", "chsh-decay", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "chsh-decay_manifest.txt").read_text().strip().splitlines()
+        assert lines[0] == "experiment=chsh-decay"
         assert lines[-1].startswith("version=")
         params = [line for line in lines if line.startswith("param.")]
         assert params == sorted(params)
-        assert "param.restarts=16" in params and "param.seed=0" in params
+        assert "param.energies=0,1,2,3" in params and "param.n_samples=33" in params
 
     def test_outdir_env_honored(self, capsys, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
@@ -520,14 +521,27 @@ class TestRunOutputs:
         for name in ("chsh.csv", "chsh_manifest.txt", "spin_phases.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "experiment, names",
+        [("chsh", ["chsh.csv"]), ("chsh-decay", ["chsh_decay.csv", "chsh_control.csv"])],
+    )
+    def test_seed_is_ignored(self, capsys, tmp_path, experiment, names):
+        # the CHSH maximum draws nothing: the seed is checked and otherwise unused
+        for seed in ("0", "3"):
+            assert entry(["run", experiment, "--out", str(tmp_path / seed), "--set", f"seed={seed}"]) == 0
+        for name in names:
+            assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
+        assert entry(["run", experiment, "--out", str(tmp_path), "--set", "seed=-1"]) == 2
+        assert "config error: parameter seed: seed must be >= 0" in capsys.readouterr().err
+
     def test_chsh_scores(self, capsys, tmp_path):
         assert entry(["run", "chsh", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "singlet: a=(theta=" in out and "cnot-bell:" in out
         rows = read_csv(tmp_path / "chsh.csv", ("quantity", "value"))
         values = {q: float(v) for q, v in rows}
-        assert values["singlet_chsh_max"] == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-6)
-        assert values["cnot_bell_chsh_max"] == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-6)
+        assert values["singlet_chsh_max"] == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-14)
+        assert values["cnot_bell_chsh_max"] == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-14)
 
     def test_angles_line(self):
         # theta = arccos(n_z), clipped to [-1, 1]; phi = arctan2(n_y, n_x)
@@ -612,9 +626,9 @@ class TestRunOutputs:
         header = ("tau", "chsh_max", "fidelity_to_initial")
         decay = read_csv(tmp_path / "chsh_decay.csv", header)
         control = read_csv(tmp_path / "chsh_control.csv", header)
-        assert float(decay[-1][1]) == pytest.approx(2.0, abs=1e-6)
+        assert float(decay[-1][1]) == pytest.approx(2.0, abs=1e-14)
         assert float(decay[-1][2]) == pytest.approx(0.5, abs=1e-12)
-        assert float(control[-1][1]) == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-6)
+        assert float(control[-1][1]) == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-14)
 
     @pytest.mark.parametrize(
         "experiment, overrides",
