@@ -44,8 +44,7 @@ from .evolution import (
 )
 from .epr import (
     CorrelationWidth,
-    _conditional,
-    _pearson,
+    condition_on_momentum_window,
     epr_initial_pair,
     joint_momentum_distribution,
     momentum_anticorrelation,
@@ -80,7 +79,7 @@ class ParamSpec:
     kind: str  # int | float | str | ints | floats
     default: object
     help: str
-    check: Callable[[object], str | None] | None = None
+    check: Callable[[str, object], str | None] | None = None
 
 
 @dataclass(frozen=True)
@@ -89,88 +88,64 @@ class ExperimentConfig:
     parameters: dict
 
 
-def _positive(name: str):
-    def check(v):
-        if not (0 < v < np.inf):
-            return f"{name} must be positive and finite, got {v}"
-        return None
-
-    return check
+def _positive(key: str, v) -> str | None:
+    if not (0 < v < np.inf):
+        return f"{key} must be positive and finite, got {v}"
+    return None
 
 
-def _finite(name: str):
-    def check(v):
-        if not np.isfinite(v):
-            return f"{name} must be finite, got {v}"
-        return None
-
-    return check
+def _finite(key: str, v) -> str | None:
+    if not np.isfinite(v):
+        return f"{key} must be finite, got {v}"
+    return None
 
 
-def _at_least(name: str, bound: int):
-    def check(v):
+def _at_least(bound: int):
+    def check(key, v):
         if v < bound:
-            return f"{name} must be >= {bound}, got {v}"
+            return f"{key} must be >= {bound}, got {v}"
         return None
 
     return check
 
 
-def _choice(name: str, options: tuple):
-    def check(v):
+def _choice(*options: str):
+    def check(key, v):
         if v not in options:
-            return f"{name} must be one of {', '.join(options)}; got {v!r}"
+            return f"{key} must be one of {', '.join(options)}; got {v!r}"
         return None
 
     return check
 
 
-def _budgeted(name: str, bound: int, unit: str, peak_bytes: Callable[[int], int]):
-    """Count check: at least `bound`, and peak_bytes(count) within the memory
-    budget."""
-    at_least = _at_least(name, bound)
+def _over_budget(count: int, unit: str, peak_bytes: Callable[[int], int]) -> str | None:
+    """The message for a count whose peak_bytes(count) is over the memory
+    budget, else None."""
     budget = f"the {MEMORY_BUDGET_BYTES >> 20} MiB budget"
-
-    def check(count):
-        if count < bound:
-            return at_least(count)
-        # every estimate is at least a byte per count: a larger count is over
-        # the budget without computing, or printing, its huge estimate
-        if count > MEMORY_BUDGET_BYTES:
-            return f"more than {MEMORY_BUDGET_BYTES} {unit} are over {budget}"
-        if peak_bytes(count) > MEMORY_BUDGET_BYTES:
-            return f"{count} {unit} would hold {peak_bytes(count) >> 20} MiB of arrays, over {budget}"
-        return None
-
-    return check
+    # every estimate is at least a byte per count: a larger count is over
+    # the budget without computing, or printing, its huge estimate
+    if count > MEMORY_BUDGET_BYTES:
+        return f"more than {MEMORY_BUDGET_BYTES} {unit} are over {budget}"
+    if peak_bytes(count) > MEMORY_BUDGET_BYTES:
+        return f"{count} {unit} would hold {peak_bytes(count) >> 20} MiB of arrays, over {budget}"
+    return None
 
 
-def _grid_params(
-    peak_bytes: Callable[[int], int],
-    n_points: int = 256,
-    x_min: float = -16.0,
-    x_max: float = 16.0,
-) -> dict:
-    """Grid schema; n_points is also held to the memory budget through
-    peak_bytes(n_points)."""
+def _grid_params(n_points: int = 256, x_min: float = -16.0, x_max: float = 16.0) -> dict:
     return {
-        "n_points": ParamSpec(
-            "int", n_points, "grid sample count", _budgeted("n_points", 8, "points", peak_bytes)
-        ),
-        "x_min": ParamSpec("float", x_min, "left grid edge", _finite("x_min")),
-        "x_max": ParamSpec("float", x_max, "right grid edge", _finite("x_max")),
+        "n_points": ParamSpec("int", n_points, "grid sample count", _at_least(8)),
+        "x_min": ParamSpec("float", x_min, "left grid edge", _finite),
+        "x_max": ParamSpec("float", x_max, "right grid edge", _finite),
     }
 
 
 def _state_params(state: str = "cat-odd", state_help: str = "initial state kind") -> dict:
     return {
-        "state": ParamSpec(
-            "str", state, state_help, _choice("state", ("gaussian", "cat-odd", "cat-even"))
-        ),
-        "width": ParamSpec("float", 1.0, "Gaussian width", _positive("width")),
-        "center": ParamSpec("float", 0.0, "packet center (gaussian only)", _finite("center")),
-        "momentum": ParamSpec("float", 0.0, "packet momentum (gaussian only)", _finite("momentum")),
-        "separation": ParamSpec("float", 3.0, "cat branch offset", _positive("separation")),
+        "state": ParamSpec("str", state, state_help, _choice("gaussian", "cat-odd", "cat-even")),
+        "width": ParamSpec("float", 1.0, "Gaussian width", _positive),
+        "center": ParamSpec("float", 0.0, "packet center (gaussian only)", _finite),
+        "momentum": ParamSpec("float", 0.0, "packet momentum (gaussian only)", _finite),
+        "separation": ParamSpec("float", 3.0, "cat branch offset", _positive),
     }
 
 
@@ -300,8 +275,11 @@ def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParam
     return float(np.max(np.abs(prob_e[kx, ky] / prob_m[kx, ky] - predicted)))
 
 
-# Array bytes each grid experiment holds at its peak on n points; the schema
-# checks them against MEMORY_BUDGET_BYTES before anything is allocated.
+# Array bytes an experiment holds at its peak, as a function of one int
+# parameter: (experiment, parameter) -> (unit, estimate). build_config checks
+# each estimate against MEMORY_BUDGET_BYTES once the parameter passes its own
+# check, before anything is allocated.
+# Grid experiments, on n points:
 # - epr: the float64 initial pair beside one evolved density's arrays, about
 #   32 bytes per cell: the minkowski arm's complex intermediate and density,
 #   or the euclidean arm's float64 first pass and half-spectrum rows beside
@@ -316,28 +294,30 @@ def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParam
 # - kernel-check: one sliced_kernel build, about 32 bytes per cell; no
 #   kernel outlives its slice count. numpy's index buffers and the CSV stay
 #   under 128 KiB.
+# Counts that only lengthen a list, in bytes per time slice, loop vertex or
+# schedule sample: the traced peak's slope of the run from 1e5 to 1e6
+# slices, from 2000 to 10000 segments or from 200 to 2000 samples, taken
+# with the interpreter's free lists emptied, rounded up to 16 bytes.
 _PEAK_BYTES = {
-    "epr": lambda n: 32 * n * n + 2432 * n,
-    "wigner": lambda n: 25 * n * n + 720 * n,
-    "negativity-decay": lambda n: 41 * n * n + 1024 * n,
-    "kernel-check": lambda n: 32 * n * n + 2**17,
+    ("epr", "n_points"): ("points", lambda n: 32 * n * n + 2432 * n),
+    ("wigner", "n_points"): ("points", lambda n: 25 * n * n + 720 * n),
+    ("negativity-decay", "n_points"): ("points", lambda n: 41 * n * n + 1024 * n),
+    ("kernel-check", "n_points"): ("points", lambda n: 32 * n * n + 2**17),
+    # the path solve's right-hand side and its running sum
+    ("commutator", "n_slices"): ("slices", lambda n: 16 * n),
+    ("spin-phase", "equator_segments"): ("segments", lambda n: 272 * n),
+    ("spin-phase", "latitude_segments"): ("segments", lambda n: 272 * n),
+    ("chsh-decay", "n_samples"): ("samples", lambda n: 432 * n),  # both curves
+    ("negativity-decay", "n_samples"): ("samples", lambda n: 224 * n),
 }
 
-
-# counts that only lengthen a list, in bytes per loop vertex, schedule
-# sample or time slice: the traced peak's slope from 1e4 to 1e5 segments,
-# from 200 to 2000 samples, or from 1e5 to 1e6 slices, rounded up
-_SEGMENT_BYTES = 272
-_CHSH_SAMPLE_BYTES = 360  # both curves
-_DAMPING_SAMPLE_BYTES = 224
-_SLICE_BYTES = 16  # the path solve's right-hand side and its running sum
 _SEED_PARAM = {
     "seed": ParamSpec(
         "int",
         0,
         "ignored: the CHSH maximum is closed-form; accepted until ROADMAP item 4 "
         "drops it from the benchmark plan",
-        _at_least("seed", 0),
+        _at_least(0),
     ),
 }
 
@@ -367,15 +347,15 @@ def _run_epr(p: dict, outdir: str) -> list:
         grid,
         lambda: epr_initial_pair(grid, CorrelationWidth(p["s"]), p["envelope"], phys),
     )
-    pearson_initial = momentum_anticorrelation(pair)
+    pearson_initial = momentum_anticorrelation(*joint_momentum_distribution(pair))
     # each evolved pair exists only block by block, inside its momentum density
     prob_m = joint_momentum_distribution(pair, t, MINKOWSKI)[1]
     ratio_err = _weight_ratio_error(
         pgrid, prob_m, joint_momentum_distribution(pair, t, EUCLIDEAN)[1], t, phys
     )
 
-    # both metrics renormalize, so the raw-weight prob_m serves as it is
-    cond_grid, cond = _conditional(pgrid, prob_m, lo, hi)
+    # both statistics take a density of any weight: the raw prob_m serves as it is
+    cond_grid, cond = condition_on_momentum_window(pgrid, prob_m, lo, hi)
     peak = float(cond_grid.x[int(np.argmax(cond))])
 
     out_main = os.path.join(outdir, "epr_momentum.csv")
@@ -388,7 +368,7 @@ def _run_epr(p: dict, outdir: str) -> list:
         ("quantity", "value"),
         [
             ("pearson_initial", pearson_initial),
-            ("pearson_minkowski", _pearson(pgrid, prob_m)),
+            ("pearson_minkowski", momentum_anticorrelation(pgrid, prob_m)),
             ("ratio_max_abs_error", ratio_err),
             ("conditional_peak", peak),
             ("conditional_peak_offset", abs(peak + center)),
@@ -495,22 +475,22 @@ class Experiment:
 EXPERIMENTS = {
     "wigner": Experiment(
         "Wigner function of a chosen 1-D state with negativity metrics",
-        {**_grid_params(_PEAK_BYTES["wigner"]), **_state_params()},
+        {**_grid_params(), **_state_params()},
         _run_wigner,
     ),
     "kernel-check": Experiment(
         "sliced imaginary-time kernel against the closed form as slices double",
         {
-            **_grid_params(_PEAK_BYTES["kernel-check"], 512, -16.0, 16.0),
-            "total_time": ParamSpec("float", 1.0, "total propagation time", _positive("total_time")),
+            **_grid_params(512, -16.0, 16.0),
+            "total_time": ParamSpec("float", 1.0, "total propagation time", _positive),
             "slice_counts": ParamSpec(
                 "ints",
                 (16, 32, 64, 128),
                 "slice counts to compare",
-                lambda counts: _at_least("slice_counts", 2)(min(counts)),
+                lambda key, counts: _at_least(2)(key, min(counts)),
             ),
             "margin": ParamSpec(
-                "float", 5.0, "interior margin in units of sqrt(hbar T / m)", _positive("margin")
+                "float", 5.0, "interior margin in units of sqrt(hbar T / m)", _positive
             ),
         },
         _run_kernel_check,
@@ -518,15 +498,10 @@ EXPERIMENTS = {
     "commutator": Experiment(
         "position-momentum twist expectation on sliced free paths in both regimes",
         {
-            "n_slices": ParamSpec(
-                "int", 8, "number of time slices",
-                _budgeted("n_slices", 2, "slices", lambda n: _SLICE_BYTES * n),
-            ),
-            "total_time": ParamSpec("float", 1.0, "total time", _positive("total_time")),
+            "n_slices": ParamSpec("int", 8, "number of time slices", _at_least(2)),
+            "total_time": ParamSpec("float", 1.0, "total time", _positive),
             "slice_indices": ParamSpec("ints", (2, 5), "interior slice indices to probe"),
-            "boundary_width": ParamSpec(
-                "float", 1.0, "endpoint wavepacket width", _positive("boundary_width")
-            ),
+            "boundary_width": ParamSpec("float", 1.0, "endpoint wavepacket width", _positive),
         },
         _run_commutator,
     ),
@@ -536,15 +511,15 @@ EXPERIMENTS = {
             # needs artifacts below ~1e-13 of peak for a clean weight ratio:
             # envelope tail exp(-x_max^2/4E^2) ~ 1e-15 at the border, and the
             # chirp alias shift 2 pi hbar T/(m dx) = 25 clears the whole box
-            **_grid_params(_PEAK_BYTES["epr"], 1536, -11.5, 11.5),
-            "s": ParamSpec("float", 0.05, "relative-coordinate width", _positive("s")),
-            "envelope": ParamSpec("float", 1.0, "center-of-mass envelope width", _positive("envelope")),
-            "time": ParamSpec("float", 0.06, "propagation time", _positive("time")),
+            **_grid_params(1536, -11.5, 11.5),
+            "s": ParamSpec("float", 0.05, "relative-coordinate width", _positive),
+            "envelope": ParamSpec("float", 1.0, "center-of-mass envelope width", _positive),
+            "time": ParamSpec("float", 0.06, "propagation time", _positive),
             "condition_momentum": ParamSpec(
                 "float", 2.0, "momentum window center for the conditioning check"
             ),
             "p_window": ParamSpec(
-                "float", 20.0, "half-width of the momentum box written to CSV", _positive("p_window")
+                "float", 20.0, "half-width of the momentum box written to CSV", _positive
             ),
         },
         _run_epr,
@@ -554,7 +529,7 @@ EXPERIMENTS = {
         {
             # wide box: dp = 2 pi hbar / span must resolve the |cos(2 a p)|
             # fringe integral, or the f column picks up aliasing wiggles
-            **_grid_params(_PEAK_BYTES["negativity-decay"], 512, -48.0, 48.0),
+            **_grid_params(512, -48.0, 48.0),
             **_state_params(
                 "cat-even", "initial state kind (even parity decays to the nodeless ground state)"
             ),
@@ -562,33 +537,24 @@ EXPERIMENTS = {
                 "str",
                 "euclidean",
                 "euclidean damping, or minkowski-shear on a narrow fine grid",
-                _choice("regime", ("euclidean", "minkowski-shear")),
+                _choice("euclidean", "minkowski-shear"),
             ),
-            "omega": ParamSpec("float", 1.0, "harmonic trap frequency (euclidean)", _positive("omega")),
-            "tau_max": ParamSpec("float", 6.0, "final imaginary time (euclidean)", _positive("tau_max")),
-            "n_samples": ParamSpec(
-                "int", 32, "number of schedule samples",
-                _budgeted("n_samples", 2, "samples", lambda n: _DAMPING_SAMPLE_BYTES * n),
-            ),
+            "omega": ParamSpec("float", 1.0, "harmonic trap frequency (euclidean)", _positive),
+            "tau_max": ParamSpec("float", 6.0, "final imaginary time (euclidean)", _positive),
+            "n_samples": ParamSpec("int", 32, "number of schedule samples", _at_least(2)),
         },
         _run_negativity_decay,
     ),
     "spin-phase": Experiment(
         "geometric phases of closed sphere loops: equator, octant, latitude",
         {
-            "equator_segments": ParamSpec(
-                "int", 256, "equator discretization",
-                _budgeted("equator_segments", 3, "segments", lambda n: _SEGMENT_BYTES * n),
-            ),
-            "latitude_segments": ParamSpec(
-                "int", 256, "latitude discretization",
-                _budgeted("latitude_segments", 3, "segments", lambda n: _SEGMENT_BYTES * n),
-            ),
+            "equator_segments": ParamSpec("int", 256, "equator discretization", _at_least(3)),
+            "latitude_segments": ParamSpec("int", 256, "latitude discretization", _at_least(3)),
             "latitude_theta": ParamSpec(
                 "float",
                 1.0471975511965976,
                 "polar angle of the latitude loop",
-                lambda v: None if 0.0 < v < np.pi else f"latitude_theta must be in (0, pi), got {v}",
+                lambda key, v: None if 0.0 < v < np.pi else f"{key} must be in (0, pi), got {v}",
             ),
         },
         _run_spin_phase,
@@ -602,16 +568,13 @@ EXPERIMENTS = {
         "CHSH under a positive diagonal kernel, with the unitary control run",
         {
             **_SEED_PARAM,
-            "tau_max": ParamSpec("float", 8.0, "final (imaginary) time", _positive("tau_max")),
-            "n_samples": ParamSpec(
-                "int", 33, "number of schedule samples",
-                _budgeted("n_samples", 2, "samples", lambda n: _CHSH_SAMPLE_BYTES * n),
-            ),
+            "tau_max": ParamSpec("float", 8.0, "final (imaginary) time", _positive),
+            "n_samples": ParamSpec("int", 33, "number of schedule samples", _at_least(2)),
             "energies": ParamSpec(
                 "floats",
                 (0.0, 1.0, 2.0, 3.0),
                 "diagonal level energies",
-                lambda e: None if len(e) == 4 else f"energies needs exactly 4 values, got {len(e)}",
+                lambda key, e: None if len(e) == 4 else f"{key} needs exactly 4 values, got {len(e)}",
             ),
         },
         _run_chsh_decay,
@@ -679,10 +642,11 @@ def build_config(experiment: str, raw_values: dict) -> ExperimentConfig:
             value = _parse_scalar(spec.kind, key, raw_values[key])
         else:
             value = spec.default
-        if spec.check is not None:
-            message = spec.check(value)
-            if message:
-                raise ConfigError(f"parameter {key}: {message}")
+        message = spec.check(key, value) if spec.check else None
+        if message is None and (experiment, key) in _PEAK_BYTES:
+            message = _over_budget(value, *_PEAK_BYTES[experiment, key])
+        if message:
+            raise ConfigError(f"parameter {key}: {message}")
         parameters[key] = value
     return ExperimentConfig(experiment, parameters)
 

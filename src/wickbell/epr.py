@@ -212,14 +212,9 @@ def joint_momentum_distribution(
     return dual_grid(grid, pair.params), np.fft.fftshift(prob.T if time_extent == 0.0 else prob)
 
 
-def momentum_anticorrelation(pair: PairWaveFunction) -> float:
-    """Pearson correlation of (p_x, p_y) under the joint momentum distribution."""
-    if abs(pair.norm_squared() - 1.0) > 1e-8:
-        raise ValueError("momentum_anticorrelation expects a normalized pair")
-    return _pearson(*joint_momentum_distribution(pair))
-
-
-def _pearson(pgrid: Grid1D, prob: np.ndarray) -> float:
+def momentum_anticorrelation(pgrid: Grid1D, prob: np.ndarray) -> float:
+    """Pearson correlation of (p_x, p_y) under a joint momentum density of
+    any total weight, as joint_momentum_distribution returns it."""
     total = float(np.sum(prob))
     if total <= 0.0:
         raise ValueError("momentum distribution vanishes")
@@ -237,16 +232,13 @@ def _pearson(pgrid: Grid1D, prob: np.ndarray) -> float:
 
 
 def condition_on_momentum_window(
-    pair: PairWaveFunction, p_lo: float, p_hi: float
+    pgrid: Grid1D, prob: np.ndarray, p_lo: float, p_hi: float
 ) -> tuple[Grid1D, np.ndarray]:
-    """Post-select particle 1 into p_x in [p_lo, p_hi]; return the renormalized
-    conditional momentum distribution of particle 2."""
+    """Post-select particle 1 into p_x in [p_lo, p_hi] under a joint momentum
+    density of any total weight; return the normalized conditional momentum
+    distribution of particle 2."""
     if not (p_hi > p_lo):
         raise ValueError(f"empty momentum window [{p_lo}, {p_hi}]")
-    return _conditional(*joint_momentum_distribution(pair), p_lo, p_hi)
-
-
-def _conditional(pgrid: Grid1D, prob: np.ndarray, p_lo: float, p_hi: float) -> tuple:
     mask = (pgrid.x >= p_lo) & (pgrid.x <= p_hi)
     if not np.any(mask):
         raise ValueError(

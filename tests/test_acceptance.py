@@ -208,11 +208,13 @@ def test_acceptance_06_epr_anticorrelation_and_euclidean_reweighting():
     grid = Grid1D(-11.5, 11.5, 1536)
     pair = epr_initial_pair(grid, CorrelationWidth(0.05), 1.0, PHYS)
     t = 0.06
-    r0 = momentum_anticorrelation(pair)
+    r0 = momentum_anticorrelation(*joint_momentum_distribution(pair))
     assert r0 < -0.99
     assert r0 == pytest.approx(-0.99875078076202373, abs=1e-6)
     evolved_m = evolve_pair(pair, t, MINKOWSKI)
-    assert momentum_anticorrelation(evolved_m) == pytest.approx(r0, abs=1e-6)
+    assert momentum_anticorrelation(*joint_momentum_distribution(evolved_m)) == pytest.approx(
+        r0, abs=1e-6
+    )
 
     pgrid, p_mink = joint_momentum_distribution(evolved_m)
     _, p_eucl = joint_momentum_distribution(evolve_pair(pair, t, EUCLIDEAN))

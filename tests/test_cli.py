@@ -1,5 +1,7 @@
 """Command-line runner: catalog, validation, determinism, manifests, guards."""
 
+import ast
+import gc
 import os
 import re
 import tracemalloc
@@ -11,7 +13,6 @@ import pytest
 from oracles import read_csv, weight_ratio_error_full_grid
 from wickbell.cli import (
     _PEAK_BYTES,
-    _SLICE_BYTES,
     _angles_line,
     _weight_ratio_error,
     EXPERIMENTS,
@@ -23,7 +24,6 @@ from wickbell.cli import (
 from wickbell.errors import ConfigError
 from wickbell.epr import CorrelationWidth, epr_initial_pair, evolve_pair, joint_momentum_distribution
 from wickbell.grids import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams
-from wickbell.kernels import SlicingPlan, commutator_expectation
 from wickbell.spin_geometry import UnitVector
 
 ALL_EXPERIMENTS = (
@@ -77,7 +77,7 @@ class TestMemoryBudget:
         # 256 points clear both guards with s = 0.3 resolved by dx = 0.09 and
         # a real-time alias shift 2 pi hbar T/(m dx) = 28 past the 23-wide box
         config = build_config("epr", {"n_points": "256", "s": "0.3", "time": "0.4"})
-        estimate = _PEAK_BYTES["epr"](256)
+        estimate = _PEAK_BYTES["epr", "n_points"][1](256)
         peak = traced_peak(lambda: run(config, str(tmp_path)))[1]
         assert 0.9 * estimate <= peak <= estimate
 
@@ -92,20 +92,69 @@ class TestMemoryBudget:
     )
     def test_grid_estimate_bounds_traced_peak(self, tmp_path, experiment, overrides):
         config = build_config(experiment, overrides)
-        estimate = _PEAK_BYTES[experiment](int(overrides["n_points"]))
+        estimate = _PEAK_BYTES[experiment, "n_points"][1](int(overrides["n_points"]))
         peak = traced_peak(lambda: run(config, str(tmp_path)))[1]
         assert 0.9 * estimate <= peak <= estimate
 
-    def test_slice_bytes_bound_traced_slope(self):
-        # the commutator's path solve grows with n_slices: its peak grows by
-        # at most _SLICE_BYTES per slice, and by at least 0.9 of it
-        def peak(n_slices):
-            plan = SlicingPlan(n_slices, 1.0, MINKOWSKI)
-            return traced_peak(lambda: commutator_expectation(plan, PhysParams(), 2))[1]
+    @pytest.mark.parametrize(
+        "experiment, key, counts, runs, fixed",
+        [
+            ("commutator", "n_slices", (10**5, 10**6), 1, {}),
+            ("spin-phase", "equator_segments", (2000, 10000), 1, {}),
+            ("spin-phase", "latitude_segments", (2000, 10000), 1, {}),
+            ("chsh-decay", "n_samples", (200, 2000), 1, {}),
+            # a 16-point grid holds less than 500 samples do; the peak varies
+            # by up to 20 kB from run to run, and now and then by a transient
+            # megabyte inside a wigner_transform call: the least of three counts
+            (
+                "negativity-decay",
+                "n_samples",
+                (500, 3000),
+                3,
+                {"n_points": "16", "x_min": "-8", "x_max": "8"},
+            ),
+        ],
+        ids=[
+            "commutator-slices",
+            "equator-segments",
+            "latitude-segments",
+            "chsh-decay-samples",
+            "damping-samples",
+        ],
+    )
+    def test_count_estimate_bounds_traced_slope(
+        self, tmp_path, experiment, key, counts, runs, fixed
+    ):
+        # a count that only lengthens a list: the run's peak grows by at most
+        # the table's bytes per count, and by at least 0.9 of them
+        def peak(count):
+            config = build_config(experiment, {**fixed, key: str(count)})
+            peaks = []
+            for _ in range(runs):
+                # emptied free lists: no run reuses an earlier run's objects
+                # untraced, so the peak does not depend on the test order
+                gc.collect()
+                peaks.append(traced_peak(lambda: run(config, str(tmp_path)))[1])
+            return min(peaks)
 
-        peaks = [peak(n) for n in (10**5, 10**6)]
-        slope = (peaks[1] - peaks[0]) / (10**6 - 10**5)
-        assert 0.9 * _SLICE_BYTES <= slope <= _SLICE_BYTES
+        lo, hi = counts
+        estimate = _PEAK_BYTES[experiment, key][1]
+        bound = (estimate(hi) - estimate(lo)) / (hi - lo)
+        # the smaller count runs first and warms the interpreter for the
+        # larger one: what the first run holds beyond the second lowers the slope
+        low = peak(lo)
+        slope = (peak(hi) - low) / (hi - lo)
+        assert 0.9 * bound <= slope <= bound
+
+    def test_every_budget_names_an_int_parameter(self):
+        # a mistyped key would drop its budget without a word
+        for experiment, key in _PEAK_BYTES:
+            assert experiment in EXPERIMENTS, experiment
+            schema = EXPERIMENTS[experiment].schema
+            assert key in schema and schema[key].kind == "int", (experiment, key)
+        for name, exp in EXPERIMENTS.items():
+            if "n_points" in exp.schema:
+                assert (name, "n_points") in _PEAK_BYTES, name
 
     def test_path_solve_over_budget_rejected_before_allocation(self, capsys, tmp_path):
         # 10^14 slices would need 1.6 PB: the schema rejects them unbuilt
@@ -123,11 +172,11 @@ class TestMemoryBudget:
         overrides.update(x_min="-16", x_max="16")
         config = build_config("negativity-decay", overrides)
         peak = traced_peak(lambda: run(config, str(tmp_path)))[1]
-        assert peak <= _PEAK_BYTES["negativity-decay"](256)
+        assert peak <= _PEAK_BYTES["negativity-decay", "n_points"][1](256)
 
     def test_readme_example_fits(self):
         build_config("epr", {"n_points": "2048", "time": "0.12"})
-        assert _PEAK_BYTES["epr"](2048) <= MEMORY_BUDGET_BYTES
+        assert _PEAK_BYTES["epr", "n_points"][1](2048) <= MEMORY_BUDGET_BYTES
 
     def test_epr_over_budget_rejected_before_allocation(self, capsys, tmp_path):
         # 10^5 points would need 320 GB: the schema rejects the grid unbuilt
@@ -702,3 +751,18 @@ class TestRunOutputs:
             argv += ["--set", item]
         assert entry(argv) == 3
         assert "slice duration too short for this grid" in capsys.readouterr().err
+
+
+def test_cli_imports_no_private_name():
+    # the runner is a client of the public API: no _-prefixed name of
+    # another wickbell module (dunders such as __version__ are public)
+    path = Path(__file__).resolve().parents[1] / "src" / "wickbell" / "cli.py"
+    private = [
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "wickbell")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []

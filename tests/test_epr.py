@@ -206,7 +206,7 @@ class TestInitialPair:
         grid = Grid1D(-11.5, 11.5, 256)
         s, env = 0.4, 1.0
         pair = epr_initial_pair(grid, CorrelationWidth(s), env, PHYS)
-        assert momentum_anticorrelation(pair) == pytest.approx(
+        assert momentum_anticorrelation(*joint_momentum_distribution(pair)) == pytest.approx(
             epr_moments(s, env)["pearson"], abs=1e-6
         )
 
@@ -215,7 +215,7 @@ class TestInitialPair:
         a = gaussian_wavepacket(grid, PHYS, center=-0.5, width=0.9, momentum=0.7)
         b = gaussian_wavepacket(grid, PHYS, center=0.8, width=1.3, momentum=-0.2)
         pair = PairWaveFunction(grid, np.outer(a.amplitudes, b.amplitudes), PHYS)
-        assert abs(momentum_anticorrelation(pair)) < 1e-8
+        assert abs(momentum_anticorrelation(*joint_momentum_distribution(pair))) < 1e-8
 
     def test_width_validation(self):
         grid = Grid1D(-11.5, 11.5, 256)
@@ -229,20 +229,20 @@ class TestInitialPair:
 
 class TestTightPairContrast:
     def test_initial_pearson(self, tight_pair):
-        assert momentum_anticorrelation(tight_pair) == pytest.approx(
+        assert momentum_anticorrelation(*joint_momentum_distribution(tight_pair)) == pytest.approx(
             PEARSON_TIGHT, abs=1e-6
         )
 
     def test_unitary_evolution_preserves_norm_and_pearson(self, tight_pair_minkowski):
         assert tight_pair_minkowski.norm_squared() == pytest.approx(1.0, abs=1e-6)
-        assert momentum_anticorrelation(tight_pair_minkowski) == pytest.approx(
-            PEARSON_TIGHT, abs=1e-6
-        )
+        pearson = momentum_anticorrelation(*joint_momentum_distribution(tight_pair_minkowski))
+        assert pearson == pytest.approx(PEARSON_TIGHT, abs=1e-6)
 
     def test_conditional_peak_tracks_the_window(self, tight_pair_minkowski):
         # post-selecting p_x near +2 must leave particle 2 peaked near -2
+        window = (2.0 - 2.0 * 0.2732, 2.0 + 2.0 * 0.2732)
         pgrid, cond = condition_on_momentum_window(
-            tight_pair_minkowski, 2.0 - 2.0 * 0.2732, 2.0 + 2.0 * 0.2732
+            *joint_momentum_distribution(tight_pair_minkowski), *window
         )
         peak = float(pgrid.x[np.argmax(cond)])
         assert abs(peak - (-2.0)) < pgrid.dx
@@ -276,8 +276,10 @@ class TestTightPairContrast:
         self, tight_pair, tight_pair_minkowski
     ):
         window = (2.0 - 2.0 * 0.2732, 2.0 + 2.0 * 0.2732)
-        _, before = condition_on_momentum_window(tight_pair, *window)
-        _, after = condition_on_momentum_window(tight_pair_minkowski, *window)
+        _, before = condition_on_momentum_window(*joint_momentum_distribution(tight_pair), *window)
+        _, after = condition_on_momentum_window(
+            *joint_momentum_distribution(tight_pair_minkowski), *window
+        )
         assert np.max(np.abs(after - before)) < 1e-8
 
 
@@ -438,12 +440,17 @@ class TestEvolvePair:
 
 
 class TestValidationAndCsv:
-    def test_anticorrelation_requires_normalized_pair(self):
+    def test_statistics_ignore_the_density_weight(self):
+        # doubling is exact in floating point, so both statistics of a
+        # doubled density come out bit for bit the same
         grid = Grid1D(-8.0, 8.0, 64)
-        pair = epr_initial_pair(grid, CorrelationWidth(0.5), 1.2, PHYS)
-        scaled = PairWaveFunction(grid, 2.0 * pair.amplitudes, PHYS)
-        with pytest.raises(ValueError, match="normalized"):
-            momentum_anticorrelation(scaled)
+        pgrid, prob = joint_momentum_distribution(
+            epr_initial_pair(grid, CorrelationWidth(0.5), 1.2, PHYS)
+        )
+        assert momentum_anticorrelation(pgrid, 2.0 * prob) == momentum_anticorrelation(pgrid, prob)
+        _, cond = condition_on_momentum_window(pgrid, prob, 0.5, 1.5)
+        _, doubled = condition_on_momentum_window(pgrid, 2.0 * prob, 0.5, 1.5)
+        assert np.array_equal(doubled, cond)
 
     def test_fortran_ordered_amplitudes_checked(self):
         grid = Grid1D(-8.0, 8.0, 64)
@@ -459,13 +466,13 @@ class TestValidationAndCsv:
         grid = Grid1D(-8.0, 8.0, 64)
         pair = epr_initial_pair(grid, CorrelationWidth(0.5), 1.2, PHYS)
         with pytest.raises(ValueError, match="window"):
-            condition_on_momentum_window(pair, 1.0, 1.0)
+            condition_on_momentum_window(*joint_momentum_distribution(pair), 1.0, 1.0)
 
     def test_window_outside_grid_rejected(self):
         grid = Grid1D(-8.0, 8.0, 64)
         pair = epr_initial_pair(grid, CorrelationWidth(0.5), 1.2, PHYS)
         with pytest.raises(ValueError, match="no grid samples"):
-            condition_on_momentum_window(pair, 500.0, 500.1)
+            condition_on_momentum_window(*joint_momentum_distribution(pair), 500.0, 500.1)
 
     def test_csv_header(self, tmp_path):
         grid = Grid1D(-8.0, 8.0, 16)
