@@ -294,10 +294,10 @@ def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParam
 # - kernel-check: one sliced_kernel build, about 32 bytes per cell; no
 #   kernel outlives its slice count. numpy's index buffers and the CSV stay
 #   under 128 KiB.
-# Counts that only lengthen a list, in bytes per time slice, loop vertex or
-# schedule sample: the traced peak's slope of the run from 1e5 to 1e6
-# slices, from 2000 to 10000 segments or from 200 to 2000 samples, taken
-# with the interpreter's free lists emptied, rounded up to 16 bytes.
+# Counts that only lengthen an array or a list, in bytes per time slice,
+# loop vertex or schedule sample: the traced peak's slope of the run from
+# 1e5 to 1e6 slices, from 2000 to 10000 segments or from 200 to 2000
+# samples, taken with the interpreter's free lists emptied, rounded up to 16 bytes.
 _PEAK_BYTES = {
     ("epr", "n_points"): ("points", lambda n: 32 * n * n + 2432 * n),
     ("wigner", "n_points"): ("points", lambda n: 25 * n * n + 720 * n),
@@ -305,8 +305,9 @@ _PEAK_BYTES = {
     ("kernel-check", "n_points"): ("points", lambda n: 32 * n * n + 2**17),
     # the path solve's right-hand side and its running sum
     ("commutator", "n_slices"): ("slices", lambda n: 16 * n),
-    ("spin-phase", "equator_segments"): ("segments", lambda n: 272 * n),
-    ("spin-phase", "latitude_segments"): ("segments", lambda n: 272 * n),
+    # 16 floats a segment: the path, its roll, and np.cross's output, input copies and row temporary
+    ("spin-phase", "equator_segments"): ("segments", lambda n: 128 * n),
+    ("spin-phase", "latitude_segments"): ("segments", lambda n: 128 * n),
     ("chsh-decay", "n_samples"): ("samples", lambda n: 432 * n),  # both curves
     ("negativity-decay", "n_samples"): ("samples", lambda n: 224 * n),
 }
@@ -315,8 +316,8 @@ _SEED_PARAM = {
     "seed": ParamSpec(
         "int",
         0,
-        "ignored: the CHSH maximum is closed-form; accepted until ROADMAP item 4 "
-        "drops it from the benchmark plan",
+        "ignored: the CHSH maximum is closed-form; accepted until the benchmark "
+        "plans stop passing it",
         _at_least(0),
     ),
 }

@@ -7,9 +7,8 @@ Conventions, fixed once and used by every operation here:
 * rotation from the reference direction n0 to n uses the axis n0 x n and
   the operator exp(-i theta a.sigma / 2), which reproduces the canonical
   chart exactly when n0 = +z;
-* signed areas come from the Van Oosterom-Strackee form
-  2 atan2(n1.(n2 x n3), 1 + n1.n2 + n2.n3 + n3.n1), positive for
-  counterclockwise triangles seen from outside the sphere;
+* signed areas come from the Van Oosterom-Strackee form in _fan_areas,
+  positive for counterclockwise triangles seen from outside the sphere;
 * overlaps obey <n_f|n_i> = exp(-i Area(n_i, n_f, n0)/2) sqrt((1+n_i.n_f)/2),
   e.g. <+y|+x> = e^{-i pi/4}/sqrt(2) in the +z gauge;
 * a closed loop's sequential product is the identity-insertion chain
@@ -20,7 +19,7 @@ Conventions, fixed once and used by every operation here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,17 +48,9 @@ class UnitVector:
             raise ValueError("cannot normalize a zero or non-finite vector")
         return cls(x / norm, y / norm, z / norm)
 
-    @classmethod
-    def from_spherical(cls, theta: float, phi: float) -> "UnitVector":
-        st = np.sin(theta)
-        return cls.of(st * np.cos(phi), st * np.sin(phi), np.cos(theta))
-
     @property
     def array(self) -> np.ndarray:
         return np.array([self.n_x, self.n_y, self.n_z])
-
-    def dot(self, other: "UnitVector") -> float:
-        return float(self.array @ other.array)
 
 PLUS_Z = UnitVector(0.0, 0.0, 1.0)
 PLUS_X = UnitVector(1.0, 0.0, 0.0)
@@ -85,33 +76,45 @@ class SpinorState:
         return complex(np.vdot(self.vector, other.vector))
 
 
-@dataclass(frozen=True)
-class SphericalPath:
-    """Closed loop of ordered vertices on the sphere: the last edge wraps to
-    the first vertex, unless the vertices already end on it."""
+def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products of the last axes, broadcast over the leading ones."""
+    return np.einsum("...i,...i->...", u, v)
 
-    vertices: tuple
+
+def _fan_areas(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Signed areas of the geodesic triangles (r, a, b), row by row:
+    2 atan2(r.(a x b), 1 + r.a + a.b + b.r) (Van Oosterom and Strackee,
+    IEEE Trans. Biomed. Eng. 30, 125 (1983)). A flat triangle gives +-0; a
+    triangle with an antipodal vertex pair is rejected."""
+    triple = _rowdot(r, np.cross(a, b))  # np.cross copies a and b: before the dots
+    ra, ab, br = _rowdot(r, a), _rowdot(a, b), _rowdot(b, r)
+    if np.any(np.minimum(np.minimum(ra, ab), br) <= -1.0 + 1e-12):
+        raise ValueError("triangle has an antipodal vertex pair; area is ambiguous")
+    return 2.0 * np.arctan2(triple, 1.0 + ra + ab + br)
+
+
+@dataclass(frozen=True, eq=False)
+class SphericalPath:
+    """Closed loop on the sphere: a read-only float64 (N, 3) array of unit
+    vertices, N >= 3, whose last edge wraps to the first vertex. A closing
+    vertex that repeats the first is dropped."""
+
+    vertices: np.ndarray
 
     def __post_init__(self):
-        verts = tuple(self.vertices)
+        verts = np.array(self.vertices, dtype=np.float64)
+        if verts.ndim != 2 or verts.shape[1] != 3:
+            raise ValueError(f"path vertices must form an (N, 3) array, got shape {verts.shape}")
+        if len(verts) > 1 and np.array_equal(verts[0], verts[-1]):
+            verts = verts[:-1]
         if len(verts) < 3:
             raise ValueError(f"closed path needs >= 3 vertices, got {len(verts)}")
-        if not all(isinstance(v, UnitVector) for v in verts):
-            raise TypeError("path vertices must be UnitVector instances")
+        if not np.all(np.abs(np.sqrt(_rowdot(verts, verts)) - 1.0) <= 1e-12):
+            raise ValueError("path vertices must have norm 1 within 1e-12")
+        if np.any(_rowdot(verts, np.roll(verts, -1, axis=0)) <= -1.0 + 1e-12):
+            raise ValueError("consecutive path vertices are antipodal; their geodesic is not unique")
+        verts.flags.writeable = False
         object.__setattr__(self, "vertices", verts)
-        for a, b in self.edges():
-            if a.dot(b) <= -1.0 + 1e-12:
-                raise ValueError(
-                    "consecutive path vertices are antipodal; the connecting "
-                    "geodesic is not unique"
-                )
-
-    def edges(self):
-        verts = self.vertices
-        pairs = list(zip(verts[:-1], verts[1:]))
-        if verts[0] != verts[-1]:
-            pairs.append((verts[-1], verts[0]))
-        return pairs
 
 
 def canonical_spinor(n: UnitVector) -> SpinorState:
@@ -159,15 +162,7 @@ def spherical_triangle_area(n1: UnitVector, n2: UnitVector, n3: UnitVector) -> f
     Degenerate triangles (a repeated vertex, or all three on one geodesic)
     return 0; an antipodal vertex pair is rejected.
     """
-    a1, a2, a3 = n1.array, n2.array, n3.array
-    for u, v in ((a1, a2), (a2, a3), (a3, a1)):
-        if float(u @ v) <= -1.0 + 1e-12:
-            raise ValueError("triangle has an antipodal vertex pair; area is ambiguous")
-    triple = float(a1 @ np.cross(a2, a3))
-    denom = 1.0 + float(a1 @ a2) + float(a2 @ a3) + float(a3 @ a1)
-    if triple == 0.0 and denom == 0.0:
-        return 0.0
-    return 2.0 * float(np.arctan2(triple, denom))
+    return float(_fan_areas(n1.array, n2.array, n3.array))
 
 
 def coherent_overlap(n_i: UnitVector, n_f: UnitVector, n0: UnitVector = PLUS_Z) -> complex:
@@ -175,7 +170,7 @@ def coherent_overlap(n_i: UnitVector, n_f: UnitVector, n0: UnitVector = PLUS_Z) 
 
     Antipodal endpoints give modulus 0 and, by convention, phase 1.
     """
-    cos_gamma = n_i.dot(n_f)
+    cos_gamma = float(n_i.array @ n_f.array)
     if cos_gamma <= -1.0 + 1e-12:
         return 0.0 + 0.0j
     modulus = np.sqrt(0.5 * (1.0 + cos_gamma))
@@ -197,11 +192,13 @@ def free_spin_kernel_pair(
 
 
 def path_loop_product(path: SphericalPath, n0: UnitVector = PLUS_Z) -> complex:
-    """Identity-insertion chain <v_0|v_1><v_1|v_2>...<v_{N-1}|v_0>."""
-    product = 1.0 + 0.0j
-    for a, b in path.edges():
-        product *= coherent_overlap(b, a, n0)  # <a|b>: ket is the later vertex
-    return product
+    """Identity-insertion chain <v_0|v_1><v_1|v_2>...<v_{N-1}|v_0>: the
+    factor <a|b> has modulus sqrt((1 + a.b)/2) and phase half the signed area
+    of the fan triangle (n0, a, b)."""
+    a = path.vertices
+    b = np.roll(a, -1, axis=0)
+    moduli = np.sqrt(0.5 * (1.0 + _rowdot(a, b)))
+    return complex(np.prod(moduli * np.exp(0.5j * _fan_areas(n0.array, a, b))))
 
 
 def wz_phase_closed_path(path: SphericalPath, reference: UnitVector = PLUS_Z) -> float:
@@ -212,35 +209,34 @@ def wz_phase_closed_path(path: SphericalPath, reference: UnitVector = PLUS_Z) ->
     contains its first vertex's antipode and the fan would degenerate).
     Matches the accumulated phase of path_loop_product for the same loop.
     """
-    total = 0.0
-    for a, b in path.edges():
-        total += spherical_triangle_area(reference, a, b)
-    return 0.5 * total
+    v = path.vertices
+    return 0.5 * float(np.sum(_fan_areas(reference.array, v, np.roll(v, -1, axis=0))))
+
+
+def _ring(n_segments: int, sin_theta: float, cos_theta: float) -> SphericalPath:
+    """n_segments equally spaced counterclockwise vertices at one latitude."""
+    if n_segments < 3:
+        raise ValueError(f"need >= 3 segments, got {n_segments}")
+    phi = 2.0 * np.pi * np.arange(n_segments) / n_segments
+    z = np.full(n_segments, cos_theta)
+    return SphericalPath(np.column_stack((sin_theta * np.cos(phi), sin_theta * np.sin(phi), z)))
 
 
 def equator_loop(n_segments: int) -> SphericalPath:
     """Counterclockwise great-circle loop in the x-y plane (seen from +z)."""
-    if n_segments < 3:
-        raise ValueError(f"need >= 3 segments, got {n_segments}")
-    angles = 2.0 * np.pi * np.arange(n_segments) / n_segments
-    verts = tuple(UnitVector.of(np.cos(t), np.sin(t), 0.0) for t in angles)
-    return SphericalPath(verts)
+    return _ring(n_segments, 1.0, 0.0)
 
 
 def latitude_loop(theta: float, n_segments: int) -> SphericalPath:
     """Counterclockwise small circle at polar angle theta; encloses the cap
     around +z with solid angle 2 pi (1 - cos theta)."""
-    if n_segments < 3:
-        raise ValueError(f"need >= 3 segments, got {n_segments}")
     if not (0.0 < theta < np.pi):
         raise ValueError(f"polar angle must lie strictly between 0 and pi, got {theta}")
-    angles = 2.0 * np.pi * np.arange(n_segments) / n_segments
-    verts = tuple(UnitVector.from_spherical(theta, t) for t in angles)
-    return SphericalPath(verts)
+    return _ring(n_segments, np.sin(theta), np.cos(theta))
 
 
 def octant_loop() -> SphericalPath:
-    return SphericalPath((PLUS_X, PLUS_Y, PLUS_Z))
+    return SphericalPath(np.eye(3))
 
 
 def phases_to_csv(records, path) -> None:

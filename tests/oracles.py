@@ -4,9 +4,11 @@ Every function here recomputes a quantity through a different route than the
 package uses: adaptive quadrature instead of grid matrix products, continuant
 recursions instead of the path flux solve, the concurrence and a coordinate
 ascent instead of the correlation tensor's SVD, the l'Huilier excess instead
-of the vertex arctan formula. Tests compare package output against these,
-and a handful of scalars computed here are frozen as literals next to their
-uses.
+of the vertex arctan formula, a closed-form polygon phase, a scalar loop over
+edges and a chain of chart spinors instead of the vectorized fan. Tests
+compare package output against these, and a handful of scalars computed here
+are frozen as literals next to their uses. `traced_peak` is the tests' one
+tracemalloc wrapper.
 
 Run as a script to print the frozen constants:
 
@@ -14,6 +16,9 @@ Run as a script to print the frozen constants:
 """
 
 from __future__ import annotations
+
+import math
+import tracemalloc
 
 import numpy as np
 from scipy import integrate
@@ -306,6 +311,17 @@ def per_cell_grid_csv(header, axis_a, axis_b, values) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def traced_peak(fn) -> tuple:
+    """fn's result and the peak bytes allocated while it runs, that result
+    included."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def read_csv(path, expected_header) -> list[list[str]]:
     """Read a CSV written by the package. Checks the header, returns raw cells."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -422,6 +438,54 @@ def spinor_by_expm(n: np.ndarray, n0: np.ndarray = np.array([0.0, 0.0, 1.0])) ->
 def latitude_solid_angle(theta: float) -> float:
     """Cap solid angle enclosed by the circle at polar angle theta."""
     return 2.0 * np.pi * (1.0 - np.cos(theta))
+
+
+def latitude_polygon_phase(theta: float, n_segments: int) -> float:
+    """Half the signed solid angle of the geodesic polygon through n_segments
+    equally spaced points at polar angle theta, in closed form.
+
+    Fanned from the pole, the polygon is n congruent isosceles triangles with
+    legs theta and apex angle A = 2 pi / n. A triangle with sides b, c and
+    included angle A has excess E given by
+    tan(E/2) = t sin A / (1 + t cos A), t = tan(b/2) tan(c/2); here
+    t = tan^2(theta/2), and the phase is n E / 2.
+    """
+    apex = 2.0 * np.pi / n_segments
+    t = np.tan(0.5 * theta) ** 2
+    return n_segments * float(np.arctan2(t * np.sin(apex), 1.0 + t * np.cos(apex)))
+
+
+def fan_phase_per_edge(vertices, reference) -> float:
+    """Half the signed solid angle of the closed loop through the rows of
+    vertices (last row back to the first), one edge at a time in scalar
+    arithmetic: the fan triangle (r, a, b) from the reference has area
+    2 atan2(r.(a x b), 1 + r.a + a.b + b.r), summed in edge order."""
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    r = [float(c) for c in reference]
+    rows = [[float(c) for c in row] for row in vertices]
+    total = 0.0
+    for a, b in zip(rows, rows[1:] + rows[:1]):
+        cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+        total += 2.0 * math.atan2(dot(r, cross), 1.0 + dot(r, a) + dot(a, b) + dot(b, r))
+    return 0.5 * total
+
+
+def loop_product_by_spinors(vertices) -> complex:
+    """<v_0|v_1><v_1|v_2>...<v_{N-1}|v_0> from the chart spinors
+    (cos(theta/2), e^{i phi} sin(theta/2)) of the rows of vertices. Each
+    spinor enters once as a bra and once as a ket, so the closed chain does
+    not depend on the spinors' phases: any gauge gives the same product."""
+    v = np.asarray(vertices, dtype=np.float64)
+    theta = np.arccos(np.clip(v[:, 2], -1.0, 1.0))
+    phi = np.arctan2(v[:, 1], v[:, 0])
+    spinors = np.stack((np.cos(0.5 * theta), np.exp(1j * phi) * np.sin(0.5 * theta)), axis=1)
+    product = 1.0 + 0.0j
+    for k in range(len(spinors)):
+        product *= complex(np.vdot(spinors[k], spinors[(k + 1) % len(spinors)]))
+    return product
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,12 @@ import ast
 import gc
 import os
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import read_csv, weight_ratio_error_full_grid
+from oracles import read_csv, traced_peak, weight_ratio_error_full_grid
 from wickbell.cli import (
     _PEAK_BYTES,
     _angles_line,
@@ -60,16 +59,6 @@ class TestCatalog:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         rows = re.findall(r"^\| `([^`]+)` \| (.+) \|$", readme, re.MULTILINE)
         assert rows == [(name, exp.summary) for name, exp in EXPERIMENTS.items()]
-
-
-def traced_peak(fn) -> tuple:
-    """fn's result and the peak bytes allocated while it runs."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestMemoryBudget:
@@ -180,12 +169,8 @@ class TestMemoryBudget:
 
     def test_epr_over_budget_rejected_before_allocation(self, capsys, tmp_path):
         # 10^5 points would need 320 GB: the schema rejects the grid unbuilt
-        tracemalloc.start()
-        try:
-            code = entry(["run", "epr", "--out", str(tmp_path), "--set", "n_points=100000"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        argv = ["run", "epr", "--out", str(tmp_path), "--set", "n_points=100000"]
+        code, peak = traced_peak(lambda: entry(argv))
         assert code == 2
         assert peak < 2**20
         err = capsys.readouterr().err

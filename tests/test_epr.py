@@ -3,12 +3,10 @@ regime contrast (unitary evolution preserves the correlation; the real
 non-negative weight reweights the joint momentum distribution pointwise).
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from oracles import border_escape, epr_moments, euclidean_weight_ratio, read_csv
+from oracles import border_escape, epr_moments, euclidean_weight_ratio, read_csv, traced_peak
 from wickbell import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams
 from wickbell.epr import (
     _BLOCK_ROWS,
@@ -42,16 +40,6 @@ BLOCK_EDGE_SIZES = [_BLOCK_ROWS - 4, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_RO
 # bytes of one n x n complex array at the n of the memory tests
 MEMORY_N = 512
 ARRAY_BYTES = 16 * MEMORY_N**2
-
-
-def traced_peak(fn) -> int:
-    """Peak bytes allocated while fn runs, its returned value included."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def product_pair(grid: Grid1D, a: dict, b: dict, real: bool = False) -> PairWaveFunction:
@@ -156,7 +144,7 @@ class TestInitialPair:
         # intermediate and the float result, not whole shifted copies
         grid = Grid1D(-8.0, 8.0, MEMORY_N)
         pair = epr_initial_pair(grid, CorrelationWidth(0.5), 1.2, PHYS)
-        peak = traced_peak(lambda: joint_momentum_distribution(pair))
+        peak = traced_peak(lambda: joint_momentum_distribution(pair))[1]
         assert peak <= 1.75 * ARRAY_BYTES
 
     @pytest.mark.parametrize("n_points", BLOCK_EDGE_SIZES)
@@ -173,7 +161,7 @@ class TestInitialPair:
             dict(center=-0.5, width=0.8, momentum=0.6),
             dict(center=0.7, width=1.1, momentum=-0.9),
         )
-        peak = traced_peak(lambda: joint_momentum_distribution(pair))
+        peak = traced_peak(lambda: joint_momentum_distribution(pair))[1]
         assert peak <= 1.75 * ARRAY_BYTES
 
     @pytest.mark.parametrize(
@@ -364,7 +352,7 @@ class TestEvolvePair:
             dict(center=0.7, width=1.1, momentum=0.0),
             real=True,
         )
-        peak = traced_peak(lambda: evolve_pair(pair, 0.1, EUCLIDEAN))
+        peak = traced_peak(lambda: evolve_pair(pair, 0.1, EUCLIDEAN))[1]
         assert peak <= 1.75 * ARRAY_BYTES
 
     @pytest.mark.parametrize("regime, t", [(MINKOWSKI, 0.8), (EUCLIDEAN, 0.1)])
@@ -377,7 +365,7 @@ class TestEvolvePair:
             dict(center=-0.5, width=0.8, momentum=0.6),
             dict(center=0.7, width=1.1, momentum=-0.9),
         )
-        peak = traced_peak(lambda: evolve_pair(pair, t, regime))
+        peak = traced_peak(lambda: evolve_pair(pair, t, regime))[1]
         assert peak <= 2.5 * ARRAY_BYTES
 
     def test_escape_guard(self):
@@ -429,7 +417,7 @@ class TestEvolvePair:
         # rows) beside the float result; the input was allocated before
         grid = Grid1D(-8.0, 8.0, MEMORY_N)
         pair = packet_pair(grid, real, width=0.8)
-        peak = traced_peak(lambda: joint_momentum_distribution(pair, t, regime))
+        peak = traced_peak(lambda: joint_momentum_distribution(pair, t, regime))[1]
         assert peak <= 1.8 * ARRAY_BYTES
 
     def test_unknown_regime_rejected(self):

@@ -1,8 +1,9 @@
 """Spin-coherent states, triangle areas, geodesic loops and their phases.
 
-Cross-checks run three independent routes against each other: matrix
+Cross-checks run independent routes against each other: matrix
 exponentials for the states, the half-side (l'Huilier) formula for areas,
-and the discrete loop product for accumulated phases.
+the closed-form polygon phase, a scalar loop over edges and a chain of chart
+spinors for loops, and the discrete loop product for accumulated phases.
 """
 
 import numpy as np
@@ -10,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import latitude_solid_angle, lhuilier_area, read_csv, spinor_by_expm
+from oracles import (
+    fan_phase_per_edge,
+    latitude_polygon_phase,
+    latitude_solid_angle,
+    lhuilier_area,
+    loop_product_by_spinors,
+    read_csv,
+    spinor_by_expm,
+)
 from wickbell.spin_geometry import (
     PLUS_X,
     PLUS_Y,
@@ -44,6 +53,22 @@ def random_unit_vectors(rng, count):
     return [UnitVector.of(*row) for row in raw]
 
 
+def polar(theta, phi):
+    return UnitVector.of(np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
+
+
+def wobbly_loop(rng, n):
+    """Seeded closed loop of n vertices: a latitude circle whose polar angle
+    wanders with three random harmonics, turned by a random rotation."""
+    phi = 2.0 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n
+    theta = rng.uniform(0.4, 2.7) + sum(
+        0.15 * rng.normal() * np.cos(k * phi + rng.uniform(0.0, 2.0 * np.pi)) for k in (1, 2, 3)
+    )
+    ring = np.column_stack((np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)))
+    rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return ring @ rotation.T
+
+
 class TestUnitVector:
     def test_of_normalizes(self):
         v = UnitVector.of(3.0, 0.0, 4.0)
@@ -57,10 +82,6 @@ class TestUnitVector:
     def test_rejects_non_unit_components(self):
         with pytest.raises(ValueError, match="norm"):
             UnitVector(1.0, 1.0, 0.0)
-
-    def test_from_spherical(self):
-        v = UnitVector.from_spherical(np.pi / 2.0, np.pi / 2.0)
-        assert v.dot(PLUS_Y) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestSpinorState:
@@ -131,8 +152,8 @@ class TestTriangleArea:
         assert spherical_triangle_area(PLUS_X, PLUS_X, PLUS_Z) == pytest.approx(
             0.0, abs=1e-15
         )
-        on_meridian = UnitVector.from_spherical(0.7, 0.0)
-        other = UnitVector.from_spherical(1.9, 0.0)
+        on_meridian = polar(0.7, 0.0)
+        other = polar(1.9, 0.0)
         assert spherical_triangle_area(PLUS_Z, on_meridian, other) == pytest.approx(
             0.0, abs=1e-15
         )
@@ -171,14 +192,14 @@ class TestCoherentOverlap:
             val = abs(coherent_overlap(n_i, n_f))
             assert val <= 1.0 + 1e-14
             assert val == pytest.approx(
-                np.sqrt(0.5 * (1.0 + n_i.dot(n_f))), abs=1e-13
+                np.sqrt(0.5 * (1.0 + n_i.array @ n_f.array)), abs=1e-13
             )
 
     def test_real_positive_on_shared_meridian(self):
         # endpoints on the gauge meridian enclose no area with the reference
-        a = UnitVector.from_spherical(0.4, 1.1)
-        b = UnitVector.from_spherical(1.3, 1.1)
-        n0 = UnitVector.from_spherical(2.0, 1.1)
+        a = polar(0.4, 1.1)
+        b = polar(1.3, 1.1)
+        n0 = polar(2.0, 1.1)
         val = coherent_overlap(a, b, n0)
         assert val.imag == pytest.approx(0.0, abs=1e-14)
         assert val.real > 0.0
@@ -197,25 +218,42 @@ class TestCoherentOverlap:
 class TestSphericalPath:
     def test_closed_needs_three_vertices(self):
         with pytest.raises(ValueError, match="3"):
-            SphericalPath((PLUS_X, PLUS_Y))
+            SphericalPath(np.eye(3)[:2])
 
-    def test_rejects_non_unitvector_entries(self):
-        with pytest.raises(TypeError, match="UnitVector"):
-            SphericalPath((PLUS_X, (0.0, 1.0, 0.0), PLUS_Z))
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 3, 1), (3,)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=r"\(N, 3\)"):
+            SphericalPath(np.full(shape, 0.5))
+
+    def test_rejects_non_unit_row(self):
+        verts = np.eye(3)
+        verts[1] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="norm"):
+            SphericalPath(verts)
+        verts[1] = np.nan
+        with pytest.raises(ValueError, match="norm"):
+            SphericalPath(verts)
 
     def test_rejects_antipodal_consecutive_vertices(self):
         with pytest.raises(ValueError, match="antipodal"):
-            SphericalPath((PLUS_X, UnitVector(-1.0, 0.0, 0.0), PLUS_Z))
+            SphericalPath([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
-    def test_closed_edges_wrap(self):
-        path = octant_loop()
-        edges = list(path.edges())
-        assert len(edges) == 3
-        assert edges[-1] == (PLUS_Z, PLUS_X)
+    def test_rejects_antipodal_wrap_edge(self):
+        # +x -> +y -> -x: only the closing edge, last vertex to first, is antipodal
+        with pytest.raises(ValueError, match="antipodal"):
+            SphericalPath([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
 
-    def test_repeated_first_vertex_adds_no_wrap_edge(self):
-        path = SphericalPath((PLUS_X, PLUS_Y, PLUS_Z, PLUS_X))
-        assert path.edges() == octant_loop().edges()
+    def test_vertices_are_a_read_only_copy(self):
+        source = np.eye(3)
+        path = SphericalPath(source)
+        assert path.vertices.dtype == np.float64 and path.vertices.shape == (3, 3)
+        assert not path.vertices.flags.writeable
+        source[0] = [0.0, 0.0, -1.0]
+        assert np.array_equal(path.vertices, np.eye(3))
+
+    def test_repeated_closing_vertex_dropped(self):
+        path = SphericalPath(np.vstack((np.eye(3), np.eye(3)[:1])))
+        assert np.array_equal(path.vertices, octant_loop().vertices)
 
 
 class TestLoopPhases:
@@ -231,6 +269,37 @@ class TestLoopPhases:
         assert wz_phase_closed_path(octant_loop()) == pytest.approx(
             np.pi / 4.0, abs=1e-12
         )
+
+    def test_fine_equator_is_pi(self):
+        assert abs(wz_phase_closed_path(equator_loop(10**5)) - np.pi) <= 1e-14
+
+    @pytest.mark.parametrize("theta", [0.6, 1.0, np.pi / 3.0, 1.4, 2.5])
+    def test_fine_latitude_matches_closed_form_polygon(self, theta):
+        # a loop over edges that adds 1e5 terms in order errs by up to 6e-12
+        got = wz_phase_closed_path(latitude_loop(theta, 10**5))
+        assert abs(got - latitude_polygon_phase(theta, 10**5)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [3, 17, 256, 1000, 10**4])
+    def test_matches_per_edge_loop(self, n):
+        rng = np.random.default_rng(1000 + n)
+        path = SphericalPath(wobbly_loop(rng, n))
+        for reference in random_unit_vectors(rng, 3) + [PLUS_Z]:
+            got = wz_phase_closed_path(path, reference)
+            assert abs(got - fan_phase_per_edge(path.vertices, reference.array)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 17, 256, 1000])
+    def test_loop_product_matches_spinor_chain(self, n):
+        rng = np.random.default_rng(2000 + n)
+        path = SphericalPath(wobbly_loop(rng, n))
+        expected = loop_product_by_spinors(path.vertices)
+        for n0 in random_unit_vectors(rng, 3) + [PLUS_Z]:
+            assert path_loop_product(path, n0) == pytest.approx(expected, abs=1e-12)
+
+    def test_reference_antipodal_to_a_vertex_rejected(self):
+        with pytest.raises(ValueError, match="antipodal"):
+            wz_phase_closed_path(octant_loop(), UnitVector(0.0, 0.0, -1.0))
+        with pytest.raises(ValueError, match="antipodal"):
+            path_loop_product(octant_loop(), UnitVector(-1.0, 0.0, 0.0))
 
     def test_latitude_cap_refinement(self):
         # inscribed polygons underestimate the cap; error drops ~ 1/N^2
@@ -274,8 +343,8 @@ class TestLoopPhases:
         theta, n = 0.9, 16
         whole = latitude_loop(theta, n)
         verts = whole.vertices
-        half1 = SphericalPath(verts[: n // 2 + 1] + (PLUS_Z,))
-        half2 = SphericalPath(verts[n // 2 :] + (verts[0], PLUS_Z))
+        half1 = SphericalPath(np.vstack((verts[: n // 2 + 1], PLUS_Z.array)))
+        half2 = SphericalPath(np.vstack((verts[n // 2 :], verts[:1], PLUS_Z.array)))
         total = wz_phase_closed_path(half1) + wz_phase_closed_path(half2)
         assert total == pytest.approx(wz_phase_closed_path(whole), abs=1e-12)
 
