@@ -58,38 +58,23 @@ def singlet() -> TwoQubitState:
     return TwoQubitState(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0))
 
 
-def _as_density(state) -> np.ndarray:
-    if isinstance(state, TwoQubitState):
-        return state.density()
-    rho = np.asarray(state, dtype=np.complex128)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a TwoQubitState or 4x4 density matrix, got {rho.shape}")
-    if float(np.max(np.abs(rho - rho.conj().T))) > 1e-10:
-        raise ValueError("density matrix must be Hermitian")
-    tr = complex(np.trace(rho)).real
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"density trace {tr!r} is not 1")
-    return rho
-
-
 # row 3 i + j is (sigma_i x sigma_j)^T flattened: its dot with rho flattened is the trace
 _PAULI_PRODUCTS = np.array([np.kron(a, b).T.reshape(16) for a in PAULI for b in PAULI])
 
 
-def correlation_matrix(state) -> np.ndarray:
+def correlation_matrix(state: TwoQubitState) -> np.ndarray:
     """T[i, j] = <(sigma_i x sigma_j)>, the full 3x3 correlation tensor."""
-    return (_PAULI_PRODUCTS @ _as_density(state).reshape(16)).real.reshape(3, 3)
+    return (_PAULI_PRODUCTS @ state.density().reshape(16)).real.reshape(3, 3)
 
 
-def chsh_maximize(state) -> tuple[tuple[UnitVector, ...], float]:
+def chsh_maximize(state: TwoQubitState) -> tuple[tuple[UnitVector, ...], float]:
     """Best CHSH value in closed form, with its directions (a, a', b, b').
 
     Take the SVD T = U diag(s1, s2, s3) V^T of the correlation tensor. The
     settings a = u2, a' = u1 and b, b' = cos(phi) v1 +- sin(phi) v2 with
     tan(phi) = s2 / s1 give S = a.T(b - b') + a'.T(b + b') =
     2 sqrt(s1^2 + s2^2), the maximum over all settings (R., P. & M.
-    Horodecki, Phys. Lett. A 200, 340 (1995)). The SVD's columns are unit
-    vectors even for T = 0, which scores 0.
+    Horodecki, Phys. Lett. A 200, 340 (1995)).
     """
     u, sigma, vt = np.linalg.svd(correlation_matrix(state))
     phi = np.arctan2(sigma[1], sigma[0])

@@ -76,10 +76,16 @@ MEMORY_BUDGET_BYTES = 2**30
 
 @dataclass(frozen=True)
 class ParamSpec:
-    kind: str  # int | float | str | ints | floats
-    default: object
+    default: object  # an int, float or str, or a tuple of ints or of floats
     help: str
     check: Callable[[str, object], str | None] | None = None
+
+    @property
+    def kind(self) -> str:
+        """int, float or str; ints or floats for a tuple."""
+        if isinstance(self.default, tuple):
+            return type(self.default[0]).__name__ + "s"
+        return type(self.default).__name__
 
 
 @dataclass(frozen=True)
@@ -133,19 +139,19 @@ def _over_budget(count: int, unit: str, peak_bytes: Callable[[int], int]) -> str
 
 def _grid_params(n_points: int = 256, x_min: float = -16.0, x_max: float = 16.0) -> dict:
     return {
-        "n_points": ParamSpec("int", n_points, "grid sample count", _at_least(8)),
-        "x_min": ParamSpec("float", x_min, "left grid edge", _finite),
-        "x_max": ParamSpec("float", x_max, "right grid edge", _finite),
+        "n_points": ParamSpec(n_points, "grid sample count", _at_least(8)),
+        "x_min": ParamSpec(x_min, "left grid edge", _finite),
+        "x_max": ParamSpec(x_max, "right grid edge", _finite),
     }
 
 
 def _state_params(state: str = "cat-odd", state_help: str = "initial state kind") -> dict:
     return {
-        "state": ParamSpec("str", state, state_help, _choice("gaussian", "cat-odd", "cat-even")),
-        "width": ParamSpec("float", 1.0, "Gaussian width", _positive),
-        "center": ParamSpec("float", 0.0, "packet center (gaussian only)", _finite),
-        "momentum": ParamSpec("float", 0.0, "packet momentum (gaussian only)", _finite),
-        "separation": ParamSpec("float", 3.0, "cat branch offset", _positive),
+        "state": ParamSpec(state, state_help, _choice("gaussian", "cat-odd", "cat-even")),
+        "width": ParamSpec(1.0, "Gaussian width", _positive),
+        "center": ParamSpec(0.0, "packet center (gaussian only)", _finite),
+        "momentum": ParamSpec(0.0, "packet momentum (gaussian only)", _finite),
+        "separation": ParamSpec(3.0, "cat branch offset", _positive),
     }
 
 
@@ -314,7 +320,6 @@ _PEAK_BYTES = {
 
 _SEED_PARAM = {
     "seed": ParamSpec(
-        "int",
         0,
         "ignored: the CHSH maximum is closed-form; accepted until the benchmark "
         "plans stop passing it",
@@ -411,7 +416,11 @@ def _run_spin_phase(p: dict, outdir: str) -> list:
     ]
     rows = []
     for loop_id, loop in loops:
-        phase = wz_phase_closed_path(loop)
+        try:
+            phase = wz_phase_closed_path(loop)
+        except ValueError as exc:  # of the three, only a latitude loop can reach -z
+            theta = _canonical(p["latitude_theta"])
+            raise ConfigError(f"latitude_theta={theta} puts the loop too near -z: {exc}") from None
         rows.append((loop_id, 2.0 * phase, phase))
     out = os.path.join(outdir, "spin_phases.csv")
     phases_to_csv(rows, out)
@@ -483,26 +492,23 @@ EXPERIMENTS = {
         "sliced imaginary-time kernel against the closed form as slices double",
         {
             **_grid_params(512, -16.0, 16.0),
-            "total_time": ParamSpec("float", 1.0, "total propagation time", _positive),
+            "total_time": ParamSpec(1.0, "total propagation time", _positive),
             "slice_counts": ParamSpec(
-                "ints",
                 (16, 32, 64, 128),
                 "slice counts to compare",
                 lambda key, counts: _at_least(2)(key, min(counts)),
             ),
-            "margin": ParamSpec(
-                "float", 5.0, "interior margin in units of sqrt(hbar T / m)", _positive
-            ),
+            "margin": ParamSpec(5.0, "interior margin in units of sqrt(hbar T / m)", _positive),
         },
         _run_kernel_check,
     ),
     "commutator": Experiment(
         "position-momentum twist expectation on sliced free paths in both regimes",
         {
-            "n_slices": ParamSpec("int", 8, "number of time slices", _at_least(2)),
-            "total_time": ParamSpec("float", 1.0, "total time", _positive),
-            "slice_indices": ParamSpec("ints", (2, 5), "interior slice indices to probe"),
-            "boundary_width": ParamSpec("float", 1.0, "endpoint wavepacket width", _positive),
+            "n_slices": ParamSpec(8, "number of time slices", _at_least(2)),
+            "total_time": ParamSpec(1.0, "total time", _positive),
+            "slice_indices": ParamSpec((2, 5), "interior slice indices to probe"),
+            "boundary_width": ParamSpec(1.0, "endpoint wavepacket width", _positive),
         },
         _run_commutator,
     ),
@@ -513,15 +519,11 @@ EXPERIMENTS = {
             # envelope tail exp(-x_max^2/4E^2) ~ 1e-15 at the border, and the
             # chirp alias shift 2 pi hbar T/(m dx) = 25 clears the whole box
             **_grid_params(1536, -11.5, 11.5),
-            "s": ParamSpec("float", 0.05, "relative-coordinate width", _positive),
-            "envelope": ParamSpec("float", 1.0, "center-of-mass envelope width", _positive),
-            "time": ParamSpec("float", 0.06, "propagation time", _positive),
-            "condition_momentum": ParamSpec(
-                "float", 2.0, "momentum window center for the conditioning check"
-            ),
-            "p_window": ParamSpec(
-                "float", 20.0, "half-width of the momentum box written to CSV", _positive
-            ),
+            "s": ParamSpec(0.05, "relative-coordinate width", _positive),
+            "envelope": ParamSpec(1.0, "center-of-mass envelope width", _positive),
+            "time": ParamSpec(0.06, "propagation time", _positive),
+            "condition_momentum": ParamSpec(2.0, "momentum window center for the conditioning check"),
+            "p_window": ParamSpec(20.0, "half-width of the momentum box written to CSV", _positive),
         },
         _run_epr,
     ),
@@ -535,24 +537,22 @@ EXPERIMENTS = {
                 "cat-even", "initial state kind (even parity decays to the nodeless ground state)"
             ),
             "regime": ParamSpec(
-                "str",
                 "euclidean",
                 "euclidean damping, or minkowski-shear on a narrow fine grid",
                 _choice("euclidean", "minkowski-shear"),
             ),
-            "omega": ParamSpec("float", 1.0, "harmonic trap frequency (euclidean)", _positive),
-            "tau_max": ParamSpec("float", 6.0, "final imaginary time (euclidean)", _positive),
-            "n_samples": ParamSpec("int", 32, "number of schedule samples", _at_least(2)),
+            "omega": ParamSpec(1.0, "harmonic trap frequency (euclidean)", _positive),
+            "tau_max": ParamSpec(6.0, "final imaginary time (euclidean)", _positive),
+            "n_samples": ParamSpec(32, "number of schedule samples", _at_least(2)),
         },
         _run_negativity_decay,
     ),
     "spin-phase": Experiment(
         "geometric phases of closed sphere loops: equator, octant, latitude",
         {
-            "equator_segments": ParamSpec("int", 256, "equator discretization", _at_least(3)),
-            "latitude_segments": ParamSpec("int", 256, "latitude discretization", _at_least(3)),
+            "equator_segments": ParamSpec(256, "equator discretization", _at_least(3)),
+            "latitude_segments": ParamSpec(256, "latitude discretization", _at_least(3)),
             "latitude_theta": ParamSpec(
-                "float",
                 1.0471975511965976,
                 "polar angle of the latitude loop",
                 lambda key, v: None if 0.0 < v < np.pi else f"{key} must be in (0, pi), got {v}",
@@ -569,10 +569,9 @@ EXPERIMENTS = {
         "CHSH under a positive diagonal kernel, with the unitary control run",
         {
             **_SEED_PARAM,
-            "tau_max": ParamSpec("float", 8.0, "final (imaginary) time", _positive),
-            "n_samples": ParamSpec("int", 33, "number of schedule samples", _at_least(2)),
+            "tau_max": ParamSpec(8.0, "final (imaginary) time", _positive),
+            "n_samples": ParamSpec(33, "number of schedule samples", _at_least(2)),
             "energies": ParamSpec(
-                "floats",
                 (0.0, 1.0, 2.0, 3.0),
                 "diagonal level energies",
                 lambda key, e: None if len(e) == 4 else f"{key} needs exactly 4 values, got {len(e)}",
@@ -586,19 +585,15 @@ EXPERIMENTS = {
 # ------------------------------------------------------------- configuration
 
 
-def _parse_scalar(kind: str, key: str, text: str):
+def _parse_scalar(spec: ParamSpec, key: str, text: str):
+    """text as the type of spec's default, item by item for a tuple."""
+    default = spec.default
     try:
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return float(text)
-        if kind == "ints":
-            return tuple(int(part) for part in text.split(","))
-        if kind == "floats":
-            return tuple(float(part) for part in text.split(","))
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(part) for part in text.split(","))
+        return type(default)(text)
     except ValueError:
-        raise ConfigError(f"parameter {key}: cannot parse {text!r} as {kind}") from None
-    return text
+        raise ConfigError(f"parameter {key}: cannot parse {text!r} as {spec.kind}") from None
 
 
 def load_config_file(path: str) -> dict:
@@ -640,7 +635,7 @@ def build_config(experiment: str, raw_values: dict) -> ExperimentConfig:
     parameters = {}
     for key, spec in schema.items():
         if key in raw_values:
-            value = _parse_scalar(spec.kind, key, raw_values[key])
+            value = _parse_scalar(spec, key, raw_values[key])
         else:
             value = spec.default
         message = spec.check(key, value) if spec.check else None

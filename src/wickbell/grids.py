@@ -219,7 +219,7 @@ def cat_state(
     right = np.exp(-((x - separation) ** 2) / (2.0 * width**2))
     left = np.exp(-((x + separation) ** 2) / (2.0 * width**2))
     amps = right - left if parity == "odd" else right + left
-    return WaveFunction(grid, amps.astype(np.complex128), params).normalized()
+    return WaveFunction(grid, amps, params).normalized()
 
 
 def apply_kernel(kernel: Kernel, psi: WaveFunction) -> WaveFunction:

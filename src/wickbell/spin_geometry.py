@@ -4,9 +4,6 @@ Conventions, fixed once and used by every operation here:
 
 * canonical chart: the state at polar angle theta, azimuth phi is
   (cos(theta/2), e^{i phi} sin(theta/2));
-* rotation from the reference direction n0 to n uses the axis n0 x n and
-  the operator exp(-i theta a.sigma / 2), which reproduces the canonical
-  chart exactly when n0 = +z;
 * signed areas come from the Van Oosterom-Strackee form in _fan_areas,
   positive for counterclockwise triangles seen from outside the sphere;
 * overlaps obey <n_f|n_i> = exp(-i Area(n_i, n_f, n0)/2) sqrt((1+n_i.n_f)/2),
@@ -23,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-PAULI = (_PAULI_X, _PAULI_Y, _PAULI_Z)
+PAULI = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
+)
 
 
 @dataclass(frozen=True)
@@ -117,42 +115,11 @@ class SphericalPath:
         object.__setattr__(self, "vertices", verts)
 
 
-def canonical_spinor(n: UnitVector) -> SpinorState:
+def coherent_state(n: UnitVector) -> SpinorState:
     """Chart value (cos(theta/2), e^{i phi} sin(theta/2)) at n."""
     theta = np.arccos(np.clip(n.n_z, -1.0, 1.0))
     phi = np.arctan2(n.n_y, n.n_x)
     return SpinorState(complex(np.cos(theta / 2.0)), np.exp(1j * phi) * np.sin(theta / 2.0))
-
-
-def coherent_state(n: UnitVector, n0: UnitVector = PLUS_Z) -> SpinorState:
-    """Rotate the reference spinor at n0 onto n about the axis n0 x n.
-
-    Antipodal n = -n0 has no preferred axis; the convention here rotates
-    about +x (about +y if n0 itself is +-x).
-    """
-    a0 = n0.array
-    a1 = n.array
-    cross = np.cross(a0, a1)
-    sin_theta = float(np.linalg.norm(cross))
-    cos_theta = float(a0 @ a1)
-    theta = float(np.arctan2(sin_theta, cos_theta))
-    base = canonical_spinor(n0).vector
-    if sin_theta < 1e-15:
-        if cos_theta > 0.0:
-            return SpinorState(complex(base[0]), complex(base[1]))  # n == n0
-        # antipode: rotation axis must be perpendicular to n0; convention is
-        # +x projected perpendicular, falling back to +y when n0 is along x
-        raw = np.array([1.0, 0.0, 0.0])
-        if abs(raw @ a0) > 1.0 - 1e-12:
-            raw = np.array([0.0, 1.0, 0.0])
-        perp = raw - (raw @ a0) * a0
-        axis = perp / np.linalg.norm(perp)
-    else:
-        axis = cross / sin_theta
-    sigma_a = axis[0] * _PAULI_X + axis[1] * _PAULI_Y + axis[2] * _PAULI_Z
-    rot = np.cos(theta / 2.0) * np.eye(2) - 1j * np.sin(theta / 2.0) * sigma_a
-    out = rot @ base
-    return SpinorState(complex(out[0]), complex(out[1]))
 
 
 def spherical_triangle_area(n1: UnitVector, n2: UnitVector, n3: UnitVector) -> float:

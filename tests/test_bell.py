@@ -113,18 +113,6 @@ class TestCorrelations:
         up_up = TwoQubitState.of(1.0, 0.0, 0.0, 0.0)
         assert correlation_matrix(up_up)[2, 2] == pytest.approx(1.0, abs=1e-12)
 
-    def test_density_input_validation(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            correlation_matrix(np.diag([1.0, 0.0, 0.0, 0.0]) + 0.1j * np.eye(4))
-        with pytest.raises(ValueError, match="trace"):
-            correlation_matrix(np.eye(4))
-        with pytest.raises(ValueError, match="4x4"):
-            correlation_matrix(np.eye(3) / 3.0)
-
-    def test_maximally_mixed_has_no_correlations(self):
-        t = correlation_matrix(np.eye(4) / 4.0)
-        assert np.max(np.abs(t)) < 1e-14
-
 
 class TestChshValue:
     def test_coplanar_singlet_settings(self):
@@ -200,10 +188,6 @@ class TestChshMaximize:
         _, s = chsh_maximize(TwoQubitState.of(1.0, 0.0, 0.0, 0.0))
         assert s == 2.0
 
-    def test_maximally_mixed_scores_zero(self):
-        _, s = chsh_maximize(np.eye(4) / 4.0)
-        assert s == 0.0
-
     def test_returned_settings_reproduce_value(self):
         rng = np.random.default_rng(73)
         for _ in range(20):
@@ -211,19 +195,6 @@ class TestChshMaximize:
             settings_out, s = chsh_maximize(state)
             t = correlation_tensor(state.amplitudes)
             assert chsh_of(t, *(u.array for u in settings_out)) == pytest.approx(s, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "state",
-        [np.eye(4) / 4.0, np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2.0)],
-        ids=["maximally-mixed", "zero-tensor-product"],
-    )
-    def test_zero_tensor_scores_zero_at_unit_settings(self, state):
-        # the SVD of T = 0 still has unit columns, which become the settings
-        settings_out, s = chsh_maximize(state)
-        assert s == 0.0
-        for setting in settings_out:
-            assert np.all(np.isfinite(setting.array))
-            assert np.linalg.norm(setting.array) == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=8, max_size=8))

@@ -388,6 +388,18 @@ class TestValidation:
         assert entry(argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: {named}")
 
+    def test_latitude_next_to_south_pole(self, capsys, tmp_path):
+        # the schema admits every angle below pi, but within about 1.4e-6 of
+        # it the loop's +z fan meets an antipodal vertex pair: a configuration
+        # error naming the angle, not a numerical failure
+        argv = ["run", "spin-phase", "--out", str(tmp_path), "--set"]
+        assert entry(argv + ["latitude_theta=3.1415925"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: latitude_theta=3.1415924999999998 ")
+        assert "antipodal" in err and "Traceback" not in err
+        assert entry(argv + [f"latitude_theta={np.pi - 1.5e-6!r}"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "override",
         [
@@ -420,9 +432,18 @@ class TestValidation:
         ]
 
     def test_unparsable_value(self, capsys, tmp_path):
-        code = entry(["run", "spin-phase", "--out", str(tmp_path), "--set", "equator_segments=many"])
-        assert code == 2
-        assert "cannot parse" in capsys.readouterr().err
+        # the kind in the message is the type of the parameter's default
+        for experiment, item, kind in [
+            ("spin-phase", "equator_segments=many", "int"),
+            ("spin-phase", "latitude_theta=north", "float"),
+            ("commutator", "slice_indices=2,x", "ints"),
+            ("chsh-decay", "energies=0,1,2,e", "floats"),
+        ]:
+            code = entry(["run", experiment, "--out", str(tmp_path), "--set", item])
+            assert code == 2
+            key, _, text = item.partition("=")
+            expected = f"config error: parameter {key}: cannot parse {text!r} as {kind}\n"
+            assert capsys.readouterr().err == expected
 
     def test_malformed_override(self, capsys, tmp_path):
         code = entry(["run", "spin-phase", "--out", str(tmp_path), "--set", "equator_segments"])

@@ -27,7 +27,6 @@ from wickbell.spin_geometry import (
     SphericalPath,
     SpinorState,
     UnitVector,
-    canonical_spinor,
     coherent_overlap,
     coherent_state,
     equator_loop,
@@ -90,9 +89,9 @@ class TestSpinorState:
             SpinorState(1.0 + 0.0j, 1.0 + 0.0j)
 
     def test_canonical_chart_at_poles(self):
-        up = canonical_spinor(PLUS_Z)
+        up = coherent_state(PLUS_Z)
         assert abs(up.up - 1.0) < 1e-15 and abs(up.down) < 1e-15
-        down = canonical_spinor(UnitVector(0.0, 0.0, -1.0))
+        down = coherent_state(UnitVector(0.0, 0.0, -1.0))
         assert abs(down.up) < 1e-12 and abs(abs(down.down) - 1.0) < 1e-12
 
     def test_plus_x_state(self):
@@ -120,10 +119,8 @@ class TestSpinorState:
 
     def test_antipode_of_reference_is_orthogonal(self):
         minus_z = UnitVector(0.0, 0.0, -1.0)
-        s = coherent_state(minus_z, PLUS_Z)
+        s = coherent_state(minus_z)
         assert abs(s.up) < 1e-14
-        s2 = coherent_state(UnitVector(-1.0, 0.0, 0.0), PLUS_X)
-        assert abs(coherent_state(PLUS_X, PLUS_X).overlap_with(s2)) < 1e-14
 
 
 class TestTriangleArea:
