@@ -113,6 +113,24 @@ class TestCorrelations:
         up_up = TwoQubitState.of(1.0, 0.0, 0.0, 0.0)
         assert correlation_matrix(up_up)[2, 2] == pytest.approx(1.0, abs=1e-12)
 
+    def test_matches_pauli_trace_oracle(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            state = TwoQubitState.of(*(rng.normal(size=4) + 1j * rng.normal(size=4)))
+            got = correlation_matrix(state)
+            assert np.max(np.abs(got - correlation_tensor(state.amplitudes))) < 1e-13
+
+    def test_pure_state_tensor_is_never_zero(self):
+        # ||T||_F^2 = 1 + 2 C^2 with concurrence C = 2 |ad - bc|: a pure
+        # state always carries correlations, at least those of a product state
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            state = TwoQubitState.of(*(rng.normal(size=4) + 1j * rng.normal(size=4)))
+            a, b, c, d = state.amplitudes
+            concurrence = 2.0 * abs(a * d - b * c)
+            norm2 = float(np.sum(correlation_matrix(state) ** 2))
+            assert norm2 == pytest.approx(1.0 + 2.0 * concurrence**2, abs=1e-12)
+
 
 class TestChshValue:
     def test_coplanar_singlet_settings(self):

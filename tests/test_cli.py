@@ -445,6 +445,22 @@ class TestValidation:
             expected = f"config error: parameter {key}: cannot parse {text!r} as {kind}\n"
             assert capsys.readouterr().err == expected
 
+    def test_every_default_fixes_its_parse_type(self):
+        # the parser converts text with the default's type, so every default
+        # must be an int, float or str, or a non-empty tuple of one of int and
+        # float; the text of each default parses back to it
+        for name, exp in EXPERIMENTS.items():
+            raw = {}
+            for key, spec in exp.schema.items():
+                default = spec.default
+                items = default if isinstance(default, tuple) else (default,)
+                assert items and len({type(v) for v in items}) == 1, (name, key)
+                allowed = (int, float) if isinstance(default, tuple) else (int, float, str)
+                assert type(items[0]) in allowed, (name, key)
+                assert spec.kind in ("int", "float", "str", "ints", "floats"), (name, key)
+                raw[key] = ",".join(repr(v) if isinstance(v, float) else str(v) for v in items)
+            assert build_config(name, raw).parameters == build_config(name, {}).parameters, name
+
     def test_malformed_override(self, capsys, tmp_path):
         code = entry(["run", "spin-phase", "--out", str(tmp_path), "--set", "equator_segments"])
         assert code == 2

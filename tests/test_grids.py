@@ -123,6 +123,15 @@ class TestWaveFunction:
         with pytest.raises(ValueError, match="parity"):
             cat_state(g, PHYS, separation=3.0, parity="mixed")
 
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    def test_cat_state_is_real(self, parity):
+        # two real Gaussians: the amplitudes stay float64, so evolution and
+        # the Wigner transform of a cat start from real arithmetic
+        g = Grid1D(-16.0, 16.0, 256)
+        cat = cat_state(g, PHYS, separation=3.0, parity=parity)
+        assert cat.amplitudes.dtype == np.float64
+        assert cat.norm_squared() == pytest.approx(1.0, abs=1e-13)
+
     def test_displaced_pair_overlap(self):
         # unit-norm packets at +-a with amplitude width w overlap at
         # exp(-a^2/w^2); frozen from the Gaussian-integral oracle for a=1.5

@@ -99,6 +99,15 @@ class TestSpinorState:
         assert st_x.up == pytest.approx(np.cos(np.pi / 4.0), abs=1e-14)
         assert st_x.down == pytest.approx(np.sin(np.pi / 4.0), abs=1e-14)
 
+    def test_chart_in_polar_angles(self):
+        # the gauge is fixed: up is real and non-negative, down carries e^{i phi}
+        for theta in np.linspace(0.05, np.pi - 0.05, 7):
+            for phi in np.linspace(-np.pi + 0.1, np.pi - 0.1, 9):
+                n = UnitVector.of(np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
+                s = coherent_state(n)
+                assert abs(s.up - np.cos(theta / 2.0)) < 1e-14
+                assert abs(s.down - np.exp(1j * phi) * np.sin(theta / 2.0)) < 1e-14
+
     def test_matches_matrix_exponential(self):
         rng = np.random.default_rng(11)
         for n in random_unit_vectors(rng, 25):
