@@ -50,11 +50,13 @@ def layers(n: int) -> dict:
     psi = gaussian_wavepacket(wide, PHYS)
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
     # T = 0.4 keeps the real-time alias shift 2 pi hbar T/(m dx) past the
-    # 23-wide box from n = 256 on
+    # 23-wide box from n = 256 on. The symmetric box makes every pair
+    # centrosymmetric (half the rows per pass); the skewed one does not
     box = Grid1D(-11.5, 11.5, n)
     pair = epr_initial_pair(box, CorrelationWidth(0.3), 1.0, PHYS)  # float64
     complex_pair = PairWaveFunction(box, pair.amplitudes.astype(np.complex128), PHYS)
     evolved = evolve_pair(pair, 0.4, MINKOWSKI)
+    general = epr_initial_pair(Grid1D(-11.5, 11.75, n), CorrelationWidth(0.3), 1.0, PHYS)
     trap = harmonic_potential(1.0, PHYS)
     return {
         "wigner_transform": lambda: wigner_transform(psi),
@@ -71,6 +73,11 @@ def layers(n: int) -> dict:
         # the density of the evolved pair, evolved block by block inside it
         "evolved density minkowski": lambda: joint_momentum_distribution(pair, 0.4, MINKOWSKI),
         "evolved density euclidean": lambda: joint_momentum_distribution(pair, 0.4, EUCLIDEAN),
+        # the same calls on the general path, all n rows per pass
+        "evolve_pair minkowski general": lambda: evolve_pair(general, 0.4, MINKOWSKI),
+        "joint_momentum real general": lambda: joint_momentum_distribution(general),
+        "evolved density mink general": lambda: joint_momentum_distribution(general, 0.4, MINKOWSKI),
+        "evolved density eucl general": lambda: joint_momentum_distribution(general, 0.4, EUCLIDEAN),
         "sliced_kernel": lambda: sliced_kernel(
             wide, free_potential(), SlicingPlan(16, 1.0, EUCLIDEAN), PHYS
         ),

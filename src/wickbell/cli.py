@@ -264,8 +264,8 @@ def _run_commutator(p: dict, outdir: str) -> list:
         for j in p["slice_indices"]:
             try:
                 val = commutator_expectation(plan, phys, j, p["boundary_width"])
-            except ValueError as exc:  # each names the slice index or parameter at fault
-                raise ConfigError(str(exc)) from None
+            except ValueError as exc:  # the schema has checked boundary_width
+                raise ConfigError(f"parameter slice_indices: {exc}") from None
             rows.append((regime, j, val.real, val.imag))
     out = os.path.join(outdir, "commutator.csv")
     write_csv(out, ("regime", "j", "re", "im"), rows)
@@ -290,7 +290,9 @@ def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParam
 #   32 bytes per cell: the minkowski arm's complex intermediate and density,
 #   or the euclidean arm's float64 first pass and half-spectrum rows beside
 #   the minkowski density. Convolution blocks and a first call's numpy.fft
-#   import stay under 2432 B per point.
+#   import stay under 2432 B per point. That is the general path, which any
+#   box with x_min != -x_max takes; a centrosymmetric pair's intermediates
+#   have half the rows, about 29 bytes per cell, within the same estimate.
 # - wigner: wigner_transform's folded lag correlation (n x (n//2 + 1)
 #   complex) with a product temporary of its size, or with the real W and
 #   its shifted copy: about 25 bytes per cell. The CSV rows and the first
@@ -311,9 +313,10 @@ _PEAK_BYTES = {
     ("kernel-check", "n_points"): ("points", lambda n: 32 * n * n + 2**17),
     # the path solve's right-hand side and its running sum
     ("commutator", "n_slices"): ("slices", lambda n: 16 * n),
-    # 16 floats a segment: the path, its roll, and np.cross's output, input copies and row temporary
-    ("spin-phase", "equator_segments"): ("segments", lambda n: 128 * n),
-    ("spin-phase", "latitude_segments"): ("segments", lambda n: 128 * n),
+    # 12 floats a segment: the path, its roll, the triple product, the three
+    # pair dots and two row temporaries
+    ("spin-phase", "equator_segments"): ("segments", lambda n: 96 * n),
+    ("spin-phase", "latitude_segments"): ("segments", lambda n: 96 * n),
     ("chsh-decay", "n_samples"): ("samples", lambda n: 432 * n),  # both curves
     ("negativity-decay", "n_samples"): ("samples", lambda n: 224 * n),
 }
@@ -648,13 +651,27 @@ def build_config(experiment: str, raw_values: dict) -> ExperimentConfig:
 
 
 def run(config: ExperimentConfig, outdir: str) -> list:
-    """Execute one experiment; returns the list of files written."""
+    """Execute one experiment; returns the list of files written. A
+    ConfigError from the runner's own checks removes the directories this
+    call created for `outdir` again, as far as they are still empty."""
     exp = EXPERIMENTS[config.experiment]
+    created = []  # outdir and its missing parents, deepest first
+    path = os.path.abspath(outdir)
+    while not os.path.exists(path):
+        created.append(path)
+        path = os.path.dirname(path)
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {outdir!r}: {exc}") from None
-    written = exp.runner(config.parameters, outdir)
+    try:
+        written = exp.runner(config.parameters, outdir)
+    except ConfigError:
+        for path in created:
+            if os.listdir(path):
+                break
+            os.rmdir(path)
+        raise
     written.append(_manifest(outdir, config.experiment, config.parameters))
     return written
 

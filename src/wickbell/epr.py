@@ -13,6 +13,14 @@ Normalization is enforced where an operation needs it rather than on the
 container: imaginary-time evolution damps the raw weight, and the weight
 ratio against the real-time result is itself a measured quantity, so the
 container must be able to carry non-normalized amplitudes.
+
+On a box with x_min = -x_max the pair is centrosymmetric bit for bit,
+psi(-x, -y) = psi(x, y), and the free kernel, a symmetric Toeplitz matrix,
+commutes with the reflection J (Cantoni and Butler, Linear Algebra Appl.
+13, 275 (1976)). Evolution and momentum density check A == J A J exactly;
+a pair that passes transforms only its first ceil(n/2) rows in each pass,
+and the other rows are read from the reflection. Any other pair, complex or
+real, takes the passes over all n rows.
 """
 
 from __future__ import annotations
@@ -68,24 +76,42 @@ def epr_initial_pair(
         raise ValueError(
             f"correlation width {s} must be smaller than envelope {envelope_width}"
         )
-    # x - y = (i - j) dx and x + y = 2 x_min + (i + j) dx: an even Toeplitz
-    # factor times a Hankel one, each a sliding window over 2n - 1 samples
+    # x - y = (i - j) dx and x + y = (x_min + x_max) + (i + j - (n - 1)) dx:
+    # an even Toeplitz factor times a Hankel one, each a sliding window over
+    # 2n - 1 samples; both are even about k = n - 1 when x_min = -x_max
     n, dx = grid.n_points, grid.dx
-    k = np.arange(2 * n - 1)
-    rel = np.exp(-(((k - (n - 1)) * dx) ** 2) / (4.0 * s**2))
-    com = np.exp(-((2.0 * grid.x_min + k * dx) ** 2) / (16.0 * envelope_width**2))
+    lag = (np.arange(2 * n - 1) - (n - 1)) * dx
+    rel = np.exp(-(lag**2) / (4.0 * s**2))
+    com = np.exp(-(((grid.x_min + grid.x_max) + lag) ** 2) / (16.0 * envelope_width**2))
     windows = np.lib.stride_tricks.sliding_window_view
     return PairWaveFunction(grid, windows(rel, n)[::-1] * windows(com, n), params).normalized()
 
 
+def _kept_rows(amps: np.ndarray) -> int:
+    """Rows of `amps` a pass transforms: the first ceil(n/2) when it is
+    centrosymmetric, amps[n-1-x, n-1-y] == amps[x, y] exactly, whose other
+    rows are their reflection; all n otherwise."""
+    n = len(amps)
+    return n - n // 2 if np.array_equal(amps, amps[::-1, ::-1]) else n
+
+
 def _blocked_pass(transform, src: np.ndarray, dtype=np.complex128) -> np.ndarray:
-    """transform(src).T for a `transform` along the last axis, taken over
+    """The first len(src) rows of T = transform(A).T, for a `transform` along
+    the last axis of an n x n A whose first rows `src` holds, taken over
     blocks of _BLOCK_ROWS rows: each block's result is written transposed
-    into one preallocated array."""
-    out = np.empty(src.shape[::-1], dtype=dtype)
-    for start in range(0, src.shape[0], _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        out[:, rows] = transform(src[rows]).T
+    into one preallocated array. Fewer than n rows stand for a
+    centrosymmetric A, so T is one too: the columns x >= len(src) are read
+    from the reflection T[y, n-1-x] = T[n-1-y, x] of computed ones."""
+    m, n = src.shape
+    out = np.empty((m, n), dtype=dtype)
+    reflected = out[:, ::-1]
+    for start in range(0, m, _BLOCK_ROWS):
+        rows = slice(start, min(start + _BLOCK_ROWS, m))
+        block = transform(src[rows]).T
+        out[:, rows] = block[:m]
+        mirrored = min(rows.stop, n - m) - start  # none when m = n
+        if mirrored > 0:
+            reflected[:, start : start + mirrored] = block[::-1][:m, :mirrored]
     return out
 
 
@@ -98,13 +124,16 @@ def _mirrored_fft(block: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-def _evolved_rows(pair: PairWaveFunction, time_extent: float, regime: str, transform, out=None):
+def _evolved_rows(pair: PairWaveFunction, time_extent: float, regime: str, transform, width=None):
     """Free evolution E = K A K dx^2, made and consumed one block of E^T's
     rows (index y, then x) at a time: transform(block) goes into the same
-    rows of `out` (default: in place over the first pass's result).
+    rows of a complex array `width` columns wide (default: in place over the
+    first pass's result). A centrosymmetric pair makes only E^T's first
+    ceil(n/2) rows, the rest being E^T[n-1-y, n-1-x] = E^T[y, x].
 
-    Returns `out` and E's border/peak ratio, folded blockwise from E^T's
-    columns 0 and n-1 and its first and last rows; raises GridEscapeError
+    Returns those rows and E's border/peak ratio, folded blockwise from E^T's
+    columns 0 and n-1 and its first and last rows (the last row of a
+    centrosymmetric E^T is its first reversed); raises GridEscapeError
     when the ratio exceeds _ESCAPE_THRESHOLD. The real Euclidean kernel
     keeps a float64 pair float64 (real-input FFTs); in real time a float64
     pair's first pass mirrors a real-input FFT.
@@ -131,16 +160,19 @@ def _evolved_rows(pair: PairWaveFunction, time_extent: float, regime: str, trans
         return ifft(padded, 2 * n)[:, :n]
 
     # K A K = ((A K)^T K)^T: the first pass writes (A K)^T, and each of its
-    # row blocks convolved along x is a block of E^T's rows
-    half = _blocked_pass(lambda block: convolve(block, spectrum, first), pair.amplitudes, dtype)
+    # row blocks convolved along x is a block of E^T's rows; K commutes with
+    # the reflection, so a centrosymmetric A gives centrosymmetric A K and E
+    amps = pair.amplitudes
+    m = _kept_rows(amps)
+    half = _blocked_pass(lambda block: convolve(block, spectrum, first), amps[:m], dtype)
     scaled = dx * dx * spectrum
-    out = half if out is None else out
+    out = half if width is None else np.empty((m, width), np.complex128)
     border = peak = 0.0
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
+    for start in range(0, m, _BLOCK_ROWS):
+        rows = slice(start, min(start + _BLOCK_ROWS, m))
         block = convolve(half[rows], scaled)
         mag = np.abs(block)
-        last = start + _BLOCK_ROWS >= n
+        last = rows.stop == n
         rims = (mag[:, [0, -1]], mag[0] if start == 0 else 0.0, mag[-1] if last else 0.0)
         border = max(border, *(float(np.max(rim)) for rim in rims))
         peak = max(peak, float(np.max(mag)))
@@ -170,6 +202,9 @@ def evolve_pair(pair: PairWaveFunction, time_extent: float, regime: str) -> Pair
     contamination when it does not.
     """
     evolved_t = _evolved_rows(pair, time_extent, regime, lambda block: block)[0]
+    m, n = evolved_t.shape
+    if m < n:  # E^T[n-1-y, n-1-x] = E^T[y, x]
+        evolved_t = np.concatenate((evolved_t, evolved_t[: n - m][::-1, ::-1]))
     return PairWaveFunction(pair.grid, evolved_t.T, pair.params)
 
 
@@ -182,34 +217,66 @@ def joint_momentum_distribution(
     phi is the dft_matrix map along both indices: an FFT along each, times
     dx / sqrt(2 pi hbar) and a grid-offset phase per index. The phase has
     unit modulus and cancels in |phi|^2, so the density is |FFT A|^2
-    (dx^2 / 2 pi hbar)^2, shifted once into the dual grid's order. The
+    (dx^2 / 2 pi hbar)^2, written in the dual grid's order. The
     first FFT runs along A's rows, or on each block of the evolved pair as
     _evolved_rows makes it, so that pair never exists whole; the second runs
     on column blocks, each block's |.|^2 written transposed into the density.
     A pair that stays real transforms the first index's n//2 + 1
     non-negative frequencies and fills the rest from |phi(-p)| = |phi(p)|.
+    A centrosymmetric pair has |phi(-p)| = |phi(p)| too: its first FFT runs
+    on the first ceil(n/2) rows, the second on the columns of the n//2 + 1
+    non-negative frequencies, each column rebuilding its other rows from
+    the reflection (_columns).
     """
     amps, grid = pair.amplitudes, pair.grid
     n = grid.n_points
     real = not np.iscomplexobj(amps) and (time_extent == 0.0 or regime == EUCLIDEAN)
     fft = np.fft.rfft if real else np.fft.fft
     if time_extent == 0.0:  # A's rows are x: the density comes out transposed
-        rows = fft(amps)
-    else:
-        rows = np.empty((n, n // 2 + 1), np.complex128) if real else None  # else in place
-        rows = _evolved_rows(pair, time_extent, regime, fft, rows)[0]
-    kept = rows.shape[1]
+        rows = fft(amps[: _kept_rows(amps)])
+    else:  # in place over the complex intermediate unless real
+        rows = _evolved_rows(pair, time_extent, regime, fft, n // 2 + 1 if real else None)[0]
+    half = n // 2
+    kept = rows.shape[1] if len(rows) == n else half + 1
+    # written in the dual grid's order: frequency k goes to row and column
+    # at[k], where np.fft.fftshift would put it
+    at = (np.arange(n) + half) % n
+    scale = (grid.dx**2 / (2.0 * np.pi * pair.params.hbar)) ** 2
     prob = np.empty((n, n))
     for start in range(0, kept, _BLOCK_ROWS):
         cols = slice(start, min(start + _BLOCK_ROWS, kept))
-        prob[cols] = (np.abs(np.fft.fft(rows[:, cols], axis=0)) ** 2).T
+        block = np.abs(np.fft.fft(_columns(rows, cols, n), axis=0)) ** 2
+        prob[at[cols]] = np.roll(block.T * scale, half, axis=1)
     del rows
-    # rows k > n/2 of a real pair are rows n - k with the other index reversed
-    # mod n (no rows remain when all n were transformed)
-    prob[kept:, 0] = prob[n - kept : 0 : -1, 0]
-    prob[kept:, 1:] = prob[n - kept : 0 : -1, :0:-1]
-    prob *= (grid.dx**2 / (2.0 * np.pi * pair.params.hbar)) ** 2
-    return dual_grid(grid, pair.params), np.fft.fftshift(prob.T if time_extent == 0.0 else prob)
+    if kept < n:
+        # frequencies k > n/2 of a real or centrosymmetric pair are -k with
+        # the other index negated too: row i < n//2 is row 2(n//2) - i with
+        # the columns mirrored the same way (column 0 of an even n holds
+        # -n/2, its own negative)
+        lo = 1 - n % 2
+        mirror = prob[n - 1 : half : -1]
+        prob[lo:half, :lo] = mirror[:, :lo]
+        prob[lo:half, lo:] = mirror[:, ::-1][:, : n - lo]
+    return dual_grid(grid, pair.params), prob.T if time_extent == 0.0 else prob
+
+
+def _columns(rows: np.ndarray, cols: slice, n: int) -> np.ndarray:
+    """The columns `cols` of the row FFT R of an n x n array whose first
+    rows `rows` holds. Fewer than n rows stand for a centrosymmetric array,
+    whose reversed row n-1-y has R[n-1-y, k] = e^{2 pi i k/n} R[y, -k mod n];
+    a real row's half spectrum gives R[y, -k mod n] = conj(R[y, k])."""
+    m = len(rows)
+    if m == n:
+        return rows[:, cols]
+    out = np.empty((n, cols.stop - cols.start), np.complex128)
+    out[:m] = rows[:, cols]
+    source, k = rows[: n - m][::-1], np.arange(cols.start, cols.stop)
+    if rows.shape[1] == n:
+        out[m:] = source[:, -k % n]
+    else:
+        np.conjugate(source[:, cols], out=out[m:])
+    out[m:] *= np.exp(2j * np.pi * k / n)
+    return out
 
 
 def momentum_anticorrelation(pgrid: Grid1D, prob: np.ndarray) -> float:

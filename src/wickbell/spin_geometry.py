@@ -84,7 +84,9 @@ def _fan_areas(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     2 atan2(r.(a x b), 1 + r.a + a.b + b.r) (Van Oosterom and Strackee,
     IEEE Trans. Biomed. Eng. 30, 125 (1983)). A flat triangle gives +-0; a
     triangle with an antipodal vertex pair is rejected."""
-    triple = _rowdot(r, np.cross(a, b))  # np.cross copies a and b: before the dots
+    # r.(a x b) from column views: np.cross would copy both inputs
+    (rx, ry, rz), (ax, ay, az), (bx, by, bz) = (np.moveaxis(v, -1, 0) for v in (r, a, b))
+    triple = rx * (ay * bz - az * by) + ry * (az * bx - ax * bz) + rz * (ax * by - ay * bx)
     ra, ab, br = _rowdot(r, a), _rowdot(a, b), _rowdot(b, r)
     if np.any(np.minimum(np.minimum(ra, ab), br) <= -1.0 + 1e-12):
         raise ValueError("triangle has an antipodal vertex pair; area is ambiguous")

@@ -64,11 +64,16 @@ class TestCatalog:
 class TestMemoryBudget:
     def test_epr_estimate_bounds_traced_peak(self, tmp_path):
         # 256 points clear both guards with s = 0.3 resolved by dx = 0.09 and
-        # a real-time alias shift 2 pi hbar T/(m dx) = 28 past the 23-wide box
-        config = build_config("epr", {"n_points": "256", "s": "0.3", "time": "0.4"})
+        # a real-time alias shift 2 pi hbar T/(m dx) = 28 past the 23-wide box.
+        # The estimate is the general path's, which an asymmetric box takes;
+        # the default symmetric box's centrosymmetric pair holds less
+        overrides = {"n_points": "256", "s": "0.3", "time": "0.4"}
         estimate = _PEAK_BYTES["epr", "n_points"][1](256)
+        config = build_config("epr", {**overrides, "x_min": "-11.5", "x_max": "11.75"})
         peak = traced_peak(lambda: run(config, str(tmp_path)))[1]
         assert 0.9 * estimate <= peak <= estimate
+        config = build_config("epr", overrides)
+        assert traced_peak(lambda: run(config, str(tmp_path)))[1] <= estimate
 
     @pytest.mark.parametrize(
         "experiment, overrides",
@@ -343,7 +348,7 @@ class TestValidation:
         [
             ("kernel-check", ["slice_counts=16,1"], "parameter slice_counts: slice_counts must"),
             ("spin-phase", ["latitude_theta=4"], "parameter latitude_theta: latitude_theta must"),
-            ("commutator", ["slice_indices=0"], "slice index j must satisfy 1 <= j <= 7, got 0"),
+            ("commutator", ["slice_indices=0"], "parameter slice_indices: slice index j must"),
             # the kernel prefactor sqrt(m / 2 pi hbar t) overflows
             ("epr", ["time=5e-324"], "minkowski kernel (time=4.9406564584124654e-324)"),
             ("wigner", ["x_min=-1e308", "x_max=1e308"], "grid: x_max - x_min overflows"),
@@ -353,7 +358,7 @@ class TestValidation:
             ("spin-phase", ["latitude_segments=100000000000000"], "parameter latitude_segments:"),
             ("chsh-decay", ["n_samples=100000000000000"], "parameter n_samples:"),
             ("negativity-decay", ["n_samples=100000000000000"], "parameter n_samples:"),
-            ("spin-phase", ["equator_segments=10000000"], "parameter equator_segments: 10000000 segments would hold"),
+            ("spin-phase", ["equator_segments=20000000"], "parameter equator_segments: 20000000 segments would hold"),
             ("wigner", ["state=bogus"], "parameter state: state must be one of gaussian, cat-odd"),
             ("negativity-decay", ["regime=thermal"], "parameter regime: regime must be one of euclidean"),
             ("chsh", ["=1"], "--set needs a parameter name, got '=1'"),
@@ -387,6 +392,40 @@ class TestValidation:
             argv += ["--set", item]
         assert entry(argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: {named}")
+
+    def test_slice_index_error_names_the_key(self, capsys, tmp_path):
+        argv = ["run", "commutator", "--out", str(tmp_path), "--set", "slice_indices=2,8"]
+        assert entry(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: parameter slice_indices: "
+            "slice index j must satisfy 1 <= j <= 7, got 8\n"
+        )
+
+    @pytest.mark.parametrize(
+        "experiment, override",
+        [
+            ("commutator", "slice_indices=0"),
+            ("kernel-check", "margin=1e308"),
+            ("spin-phase", "latitude_theta=3.1415925"),
+        ],
+    )
+    def test_config_error_inside_run_leaves_no_directory(
+        self, capsys, tmp_path, experiment, override
+    ):
+        # each value passes the schema and fails the runner's own check after
+        # --out exists: the directory and the parent this run made go again
+        out = tmp_path / "made" / "out"
+        assert entry(["run", experiment, "--out", str(out), "--set", override]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert list(tmp_path.iterdir()) == []
+        # a directory that was there before the run stays, empty or not
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "kept" / "note.txt").write_text("kept\n")
+        out = tmp_path / "kept" / "out"
+        out.mkdir()
+        assert entry(["run", experiment, "--out", str(out), "--set", override]) == 2
+        assert out.is_dir() and list(out.iterdir()) == []
+        assert (tmp_path / "kept" / "note.txt").read_text() == "kept\n"
 
     def test_latitude_next_to_south_pole(self, capsys, tmp_path):
         # the schema admits every angle below pi, but within about 1.4e-6 of

@@ -13,6 +13,7 @@ from wickbell.epr import (
     CorrelationWidth,
     PairWaveFunction,
     _evolved_rows,
+    _kept_rows,
     condition_on_momentum_window,
     epr_initial_pair,
     evolve_pair,
@@ -88,6 +89,37 @@ def dense_evolved_density(pair: PairWaveFunction, t: float, regime: str) -> np.n
     k = builder(pair.grid, t, PHYS).entries
     fwd = dft_matrix(pair.grid, PHYS)[1]
     return np.abs(fwd @ (pair.grid.dx**2 * (k @ pair.amplitudes @ k)) @ fwd.T) ** 2
+
+
+# sizes whose ceil(n/2) computed rows of a centrosymmetric pair fall inside
+# one FFT row block (14, 16, 17), span two (51) or make four exactly (128)
+CENTROSYMMETRIC_SIZES = [28, 32, 33, 101, 255, 256]
+
+
+def centrosymmetric_pair(grid: Grid1D, real: bool, s: float = 0.4, envelope: float = 0.5):
+    """An EPR pair on a symmetric box, centrosymmetric bit for bit: real, or
+    under the focusing chirp exp(-i (x^2 + 1.25 y^2)), which keeps it off the
+    8-wide box's border at the real time T = 0.4 and breaks its symmetry
+    under exchange."""
+    pair = epr_initial_pair(grid, CorrelationWidth(s), envelope, PHYS)
+    if real:
+        return pair
+    x = (grid.x - grid.x[::-1]) / 2.0  # x[n-1-i] == -x[i] exactly
+    chirp = np.exp(-1j * (x[:, None] ** 2 + 1.25 * x[None, :] ** 2))
+    return PairWaveFunction(grid, pair.amplitudes * chirp, PHYS)
+
+
+def assert_matches_dense_oracles(pair: PairWaveFunction, t: float, regime: str) -> None:
+    """evolve_pair against the dense kernel product, and the pair's momentum
+    density before and after evolution against the dense DFT."""
+    builder = free_kernel_minkowski if regime == MINKOWSKI else free_kernel_euclidean
+    assert_matches_dense_kernels(pair, t, regime, builder)
+    prob = joint_momentum_distribution(pair, t, regime)[1]
+    ref = dense_evolved_density(pair, t, regime)
+    assert np.max(np.abs(prob - ref)) < 1e-12 * ref.max()
+    fwd = dft_matrix(pair.grid, PHYS)[1]
+    ref = np.abs(fwd @ pair.amplitudes @ fwd.T) ** 2
+    assert np.max(np.abs(joint_momentum_distribution(pair)[1] - ref)) < 1e-12 * ref.max()
 
 
 @pytest.fixture(scope="module")
@@ -425,6 +457,76 @@ class TestEvolvePair:
         pair = epr_initial_pair(grid, CorrelationWidth(0.5), 1.2, PHYS)
         with pytest.raises(ValueError, match="regime"):
             evolve_pair(pair, 0.1, "thermal")
+
+
+class TestCentrosymmetricPair:
+    """A pair with A[n-1-x, n-1-y] == A[x, y] transforms ceil(n/2) rows per
+    pass and reads the rest from the reflection."""
+
+    @pytest.mark.parametrize(
+        "regime, t, real, n_points",
+        [(EUCLIDEAN, 0.1, real, n) for real in (True, False) for n in CENTROSYMMETRIC_SIZES]
+        + [(MINKOWSKI, 0.4, False, n) for n in CENTROSYMMETRIC_SIZES]
+        # the real pair spreads onto the 8-wide box's border by T = 0.4, the
+        # time whose alias shift 2 pi hbar T/(m dx) clears the box below 101
+        # points; T = 0.15 clears it from 101 points on
+        + [(MINKOWSKI, 0.15, True, n) for n in CENTROSYMMETRIC_SIZES if n >= 101],
+    )
+    def test_matches_dense_oracles(self, regime, t, real, n_points):
+        grid = Grid1D(-4.0, 4.0, n_points)
+        pair = centrosymmetric_pair(grid, real)
+        assert _kept_rows(pair.amplitudes) == n_points - n_points // 2
+        assert_matches_dense_oracles(pair, t, regime)
+
+    @pytest.mark.parametrize(
+        "regime, t, real",
+        [(EUCLIDEAN, 0.1, True), (EUCLIDEAN, 0.1, False), (MINKOWSKI, 0.4, False), (MINKOWSKI, 0.15, True)],
+    )
+    def test_one_ulp_off_takes_the_general_path(self, regime, t, real):
+        grid = Grid1D(-4.0, 4.0, 101)
+        amps = centrosymmetric_pair(grid, real).amplitudes.copy()
+        amps.real[47, 52] = np.nextafter(amps.real[47, 52], np.inf)
+        pair = PairWaveFunction(grid, amps, PHYS)
+        assert _kept_rows(pair.amplitudes) == 101
+        assert_matches_dense_oracles(pair, t, regime)
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize(
+        "regime, t, s, envelope, n_points",
+        # widths that put the border at 1e-6 to 1e-4 of the peak; the alias
+        # shift of T = 0.2 clears the box from 101 points on
+        [(EUCLIDEAN, 0.1, 0.45, 0.5, n) for n in CENTROSYMMETRIC_SIZES]
+        + [(MINKOWSKI, 0.2, 0.3, 0.4, n) for n in CENTROSYMMETRIC_SIZES if n >= 101],
+    )
+    def test_guard_ratio_matches_whole_array(self, regime, t, s, envelope, n_points, real):
+        grid = Grid1D(-4.0, 4.0, n_points)
+        pair = epr_initial_pair(grid, CorrelationWidth(s), envelope, PHYS)
+        if not real:
+            pair = PairWaveFunction(grid, pair.amplitudes * np.exp(0.3j), PHYS)
+        assert _kept_rows(pair.amplitudes) == n_points - n_points // 2
+        ratio = _evolved_rows(pair, t, regime, lambda block: block)[1]
+        assert ratio == border_escape(evolve_pair(pair, t, regime).amplitudes)
+        assert 1e-6 < ratio < 1e-4
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("regime, t", [(MINKOWSKI, 0.4), (EUCLIDEAN, 0.1)])
+    def test_density_memory(self, regime, t, real):
+        # each intermediate holds ceil(n/2) rows: at most half an n x n
+        # complex array beside the float result, where the general path
+        # holds a whole one (1.6 arrays traced)
+        grid = Grid1D(-8.0, 8.0, MEMORY_N)
+        pair = centrosymmetric_pair(grid, real, s=0.6, envelope=0.9)
+        peak = traced_peak(lambda: joint_momentum_distribution(pair, t, regime))[1]
+        assert peak <= 1.25 * ARRAY_BYTES
+
+    def test_symmetric_box_pair_is_exactly_centrosymmetric(self, tight_pair):
+        amps = tight_pair.amplitudes
+        assert np.array_equal(amps, amps[::-1, ::-1])
+        assert _kept_rows(amps) == 768
+        grid = Grid1D(-11.5, 11.75, 1536)
+        amps = epr_initial_pair(grid, CorrelationWidth(S_TIGHT), ENVELOPE, PHYS).amplitudes
+        assert not np.array_equal(amps, amps[::-1, ::-1])
+        assert _kept_rows(amps) == 1536
 
 
 class TestValidationAndCsv:
