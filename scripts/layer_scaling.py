@@ -11,6 +11,11 @@ slope of log(time) against log(n): about 2 for the O(n^2) and O(n^2 log n)
 transforms, 3 for a dense eigendecomposition or matrix power. An exponent
 near 3 on a layer meant to be a transform shows an O(n^3) path left in it.
 The largest size holds a few hundred MiB in `wigner_of_density`.
+
+`wigner_to_csv` writes an n x n file (about 145 MB at n = 1536) into a
+temporary directory; from 2^15 cells on, with two CPUs, a forked child
+formats half its rows. The `fork + waitpid` row is the bare cost of one such
+fork at each size, for a child that exits at once.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads its BLAS
 
 import resource
+import tempfile
 import time
 
 import numpy as np
@@ -36,18 +42,27 @@ from wickbell.epr import (
 from wickbell.evolution import hamiltonian
 from wickbell.grids import gaussian_wavepacket
 from wickbell.kernels import SlicingPlan, free_potential, harmonic_potential, sliced_kernel
-from wickbell.phase_space import wigner_of_density, wigner_transform
+from wickbell.phase_space import wigner_of_density, wigner_to_csv, wigner_transform
 
 PHYS = PhysParams()
 SIZES = (256, 512, 1536)
 REPEATS = 3
 
 
-def layers(n: int) -> dict:
-    """Zero-argument calls of each layer at n points, inputs prebuilt."""
+def fork_and_wait() -> None:
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0)
+    os.waitpid(pid, 0)
+
+
+def layers(n: int, directory: str) -> dict:
+    """Zero-argument calls of each layer at n points, inputs prebuilt;
+    files go into `directory`."""
     # 1/16 slices of T = 1 keep hbar eps / (m dx^2) >= 1 from n = 256 on
     wide = Grid1D(-16.0, 16.0, n)
     psi = gaussian_wavepacket(wide, PHYS)
+    wig = wigner_transform(psi)
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
     # T = 0.4 keeps the real-time alias shift 2 pi hbar T/(m dx) past the
     # 23-wide box from n = 256 on. The symmetric box makes every pair
@@ -81,6 +96,8 @@ def layers(n: int) -> dict:
         "sliced_kernel": lambda: sliced_kernel(
             wide, free_potential(), SlicingPlan(16, 1.0, EUCLIDEAN), PHYS
         ),
+        "wigner_to_csv": lambda: wigner_to_csv(wig, os.path.join(directory, "wigner.csv")),
+        "fork + waitpid": fork_and_wait,
     }
 
 
@@ -103,12 +120,13 @@ def best_of(call) -> tuple[float, int]:
 def main() -> int:
     times: dict[str, list[float]] = {}
     faults: dict[str, list[int]] = {}
-    for n in SIZES:
-        for name, call in layers(n).items():
-            call()  # first call: lazy imports and FFT plans
-            secs, count = best_of(call)
-            times.setdefault(name, []).append(secs)
-            faults.setdefault(name, []).append(count)
+    with tempfile.TemporaryDirectory() as directory:
+        for n in SIZES:
+            for name, call in layers(n, directory).items():
+                call()  # first call: lazy imports and FFT plans
+                secs, count = best_of(call)
+                times.setdefault(name, []).append(secs)
+                faults.setdefault(name, []).append(count)
 
     print(f"{'layer':28s}" + "".join(f"{f'n={n} (s)':>14s}" for n in SIZES) + f"{'exponent':>10s}")
     for name, secs in times.items():

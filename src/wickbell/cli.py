@@ -652,8 +652,10 @@ def build_config(experiment: str, raw_values: dict) -> ExperimentConfig:
 
 def run(config: ExperimentConfig, outdir: str) -> list:
     """Execute one experiment; returns the list of files written. A
-    ConfigError from the runner's own checks removes the directories this
-    call created for `outdir` again, as far as they are still empty."""
+    ConfigError from the runner's own checks, or an OSError writing its
+    outputs (raised as a ConfigError naming the file), removes the
+    directories this call created for `outdir` again, as far as they are
+    still empty."""
     exp = EXPERIMENTS[config.experiment]
     created = []  # outdir and its missing parents, deepest first
     path = os.path.abspath(outdir)
@@ -666,13 +668,16 @@ def run(config: ExperimentConfig, outdir: str) -> list:
         raise ConfigError(f"cannot create output directory {outdir!r}: {exc}") from None
     try:
         written = exp.runner(config.parameters, outdir)
-    except ConfigError:
+        written.append(_manifest(outdir, config.experiment, config.parameters))
+    except (ConfigError, OSError) as exc:
         for path in created:
             if os.listdir(path):
                 break
             os.rmdir(path)
+        if isinstance(exc, OSError):
+            target = exc.filename if exc.filename is not None else outdir
+            raise ConfigError(f"cannot write output {target}: {exc.strerror or exc}") from None
         raise
-    written.append(_manifest(outdir, config.experiment, config.parameters))
     return written
 
 

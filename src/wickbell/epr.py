@@ -171,6 +171,8 @@ def _evolved_rows(pair: PairWaveFunction, time_extent: float, regime: str, trans
     for start in range(0, m, _BLOCK_ROWS):
         rows = slice(start, min(start + _BLOCK_ROWS, m))
         block = convolve(half[rows], scaled)
+        if rows.stop == m < n and n % 2:  # the middle row, its own reflection
+            block[-1, m:] = block[-1, : n - m][::-1]
         mag = np.abs(block)
         last = rows.stop == n
         rims = (mag[:, [0, -1]], mag[0] if start == 0 else 0.0, mag[-1] if last else 0.0)

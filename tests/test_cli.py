@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import read_csv, traced_peak, weight_ratio_error_full_grid
+from wickbell import csvio
 from wickbell.cli import (
     _PEAK_BYTES,
     _angles_line,
@@ -426,6 +427,32 @@ class TestValidation:
         assert entry(["run", experiment, "--out", str(out), "--set", override]) == 2
         assert out.is_dir() and list(out.iterdir()) == []
         assert (tmp_path / "kept" / "note.txt").read_text() == "kept\n"
+
+    def test_failed_grid_writer_leaves_no_directory(self, capsys, tmp_path, monkeypatch):
+        # the forked child writing the second half of wigner.csv fails: a
+        # config error naming the file, not a traceback, and the directories
+        # the run made go again
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        parent, write_rows = os.getpid(), csvio._write_rows
+
+        def fails_in_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("the child's rows fail")
+            write_rows(*args)
+
+        monkeypatch.setattr(csvio, "_write_rows", fails_in_child)
+        out = tmp_path / "made" / "out"
+        assert entry(["run", "wigner", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output {out / 'wigner.csv'}: the forked ")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_output_is_a_config_error(self, capsys, tmp_path):
+        (tmp_path / "kernel_check.csv").mkdir()
+        assert entry(["run", "kernel-check", "--out", str(tmp_path)]) == 2
+        target = tmp_path / "kernel_check.csv"
+        assert capsys.readouterr().err == f"config error: cannot write output {target}: Is a directory\n"
 
     def test_latitude_next_to_south_pole(self, capsys, tmp_path):
         # the schema admits every angle below pi, but within about 1.4e-6 of

@@ -478,6 +478,18 @@ class TestCentrosymmetricPair:
         assert _kept_rows(pair.amplitudes) == n_points - n_points // 2
         assert_matches_dense_oracles(pair, t, regime)
 
+    @pytest.mark.parametrize("n_points", [33, 101])
+    def test_odd_evolved_pair_stays_centrosymmetric(self, n_points):
+        # the evolved pair's middle column is mirrored, not computed on both
+        # sides, so its own passes take ceil(n/2) rows too
+        pair = epr_initial_pair(Grid1D(-12.0, 12.0, n_points), CorrelationWidth(0.5), 1.2, PHYS)
+        evolved = evolve_pair(pair, 0.1, EUCLIDEAN)
+        amps = evolved.amplitudes
+        assert np.array_equal(amps, amps[::-1, ::-1])
+        assert _kept_rows(amps) == n_points - n_points // 2
+        assert_matches_dense_oracles(pair, 0.1, EUCLIDEAN)
+        assert_matches_dense_oracles(evolved, 0.1, EUCLIDEAN)
+
     @pytest.mark.parametrize(
         "regime, t, real",
         [(EUCLIDEAN, 0.1, True), (EUCLIDEAN, 0.1, False), (MINKOWSKI, 0.4, False), (MINKOWSKI, 0.15, True)],
