@@ -16,6 +16,12 @@ The largest size holds a few hundred MiB in `wigner_of_density`.
 temporary directory; from 2^15 cells on, with two CPUs, a forked child
 formats half its rows. The `fork + waitpid` row is the bare cost of one such
 fork at each size, for a child that exits at once.
+
+The two evolved-density rows run twice: pinned to one CPU
+(os.sched_setaffinity), where epr's FFT blocks run in the calling thread,
+and on the CPUs the process was given, where with two or more a helper
+thread takes every other block. The `thread start + join` row is the bare
+cost of one such helper, for a thread that returns at once.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import resource
 import tempfile
+import threading
 import time
 
 import numpy as np
@@ -56,6 +63,26 @@ def fork_and_wait() -> None:
     os.waitpid(pid, 0)
 
 
+def thread_start_and_join() -> None:
+    thread = threading.Thread(target=int)
+    thread.start()
+    thread.join()
+
+
+def on_one_cpu(call):
+    """call, pinned to the first CPU this process may run on while it runs."""
+
+    def pinned():
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            return call()
+        finally:
+            os.sched_setaffinity(0, cpus)
+
+    return pinned
+
+
 def layers(n: int, directory: str) -> dict:
     """Zero-argument calls of each layer at n points, inputs prebuilt;
     files go into `directory`."""
@@ -73,6 +100,13 @@ def layers(n: int, directory: str) -> dict:
     evolved = evolve_pair(pair, 0.4, MINKOWSKI)
     general = epr_initial_pair(Grid1D(-11.5, 11.75, n), CorrelationWidth(0.3), 1.0, PHYS)
     trap = harmonic_potential(1.0, PHYS)
+
+    def minkowski_density():
+        return joint_momentum_distribution(pair, 0.4, MINKOWSKI)
+
+    def euclidean_density():
+        return joint_momentum_distribution(pair, 0.4, EUCLIDEAN)
+
     return {
         "wigner_transform": lambda: wigner_transform(psi),
         "wigner_of_density": lambda: wigner_of_density(rho, wide, PHYS),
@@ -85,9 +119,12 @@ def layers(n: int, directory: str) -> dict:
         "evolve_pair euclidean": lambda: evolve_pair(pair, 0.4, EUCLIDEAN),
         "joint_momentum real": lambda: joint_momentum_distribution(pair),
         "joint_momentum complex": lambda: joint_momentum_distribution(evolved),
-        # the density of the evolved pair, evolved block by block inside it
-        "evolved density minkowski": lambda: joint_momentum_distribution(pair, 0.4, MINKOWSKI),
-        "evolved density euclidean": lambda: joint_momentum_distribution(pair, 0.4, EUCLIDEAN),
+        # the density of the evolved pair, evolved block by block inside it,
+        # on one CPU and on all the process may use
+        "evolved density mink 1 CPU": on_one_cpu(minkowski_density),
+        "evolved density minkowski": minkowski_density,
+        "evolved density eucl 1 CPU": on_one_cpu(euclidean_density),
+        "evolved density euclidean": euclidean_density,
         # the same calls on the general path, all n rows per pass
         "evolve_pair minkowski general": lambda: evolve_pair(general, 0.4, MINKOWSKI),
         "joint_momentum real general": lambda: joint_momentum_distribution(general),
@@ -98,6 +135,7 @@ def layers(n: int, directory: str) -> dict:
         ),
         "wigner_to_csv": lambda: wigner_to_csv(wig, os.path.join(directory, "wigner.csv")),
         "fork + waitpid": fork_and_wait,
+        "thread start + join": thread_start_and_join,
     }
 
 

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, NumericalGuardError
+from .errors import ConfigError, GridEscapeError, NumericalGuardError
 from .csvio import format_float, write_csv
 from .grids import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams, cat_state, dual_grid, gaussian_wavepacket
 from .kernels import (
@@ -289,10 +289,12 @@ def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParam
 # - epr: the float64 initial pair beside one evolved density's arrays, about
 #   32 bytes per cell: the minkowski arm's complex intermediate and density,
 #   or the euclidean arm's float64 first pass and half-spectrum rows beside
-#   the minkowski density. Convolution blocks and a first call's numpy.fft
-#   import stay under 2432 B per point. That is the general path, which any
-#   box with x_min != -x_max takes; a centrosymmetric pair's intermediates
-#   have half the rows, about 29 bytes per cell, within the same estimate.
+#   the minkowski density. The FFT blocks, 16 rows in each of one or two
+#   threads, stay under 1408 B per point: traced beyond 32 n^2, 610-670 B
+#   in one thread and 920-1150 B in two, from 256 to 1536 points. That is
+#   the general path, which any box with x_min != -x_max takes; a
+#   centrosymmetric pair's intermediates have half the rows, about 29 bytes
+#   per cell, within the same estimate.
 # - wigner: wigner_transform's folded lag correlation (n x (n//2 + 1)
 #   complex) with a product temporary of its size, or with the real W and
 #   its shifted copy: about 25 bytes per cell. The CSV rows and the first
@@ -307,7 +309,7 @@ def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParam
 # 1e5 to 1e6 slices, from 2000 to 10000 segments or from 200 to 2000
 # samples, taken with the interpreter's free lists emptied, rounded up to 16 bytes.
 _PEAK_BYTES = {
-    ("epr", "n_points"): ("points", lambda n: 32 * n * n + 2432 * n),
+    ("epr", "n_points"): ("points", lambda n: 32 * n * n + 1408 * n),
     ("wigner", "n_points"): ("points", lambda n: 25 * n * n + 720 * n),
     ("negativity-decay", "n_points"): ("points", lambda n: 41 * n * n + 1024 * n),
     ("kernel-check", "n_points"): ("points", lambda n: 32 * n * n + 2**17),
@@ -406,7 +408,16 @@ def _run_negativity_decay(p: dict, outdir: str) -> list:
         # commensurate times: each step shifts every row by a whole cell count
         t_star = phys.mass * grid.n_points * grid.dx**2 / (2.0 * np.pi * phys.hbar)
         times = t_star * np.arange(p["n_samples"])
-        points = shear_negativity_trajectory(wig, times)
+        try:
+            points = shear_negativity_trajectory(wig, times)
+        except GridEscapeError as exc:
+            keys = ("n_samples", "n_points", "x_min", "x_max")
+            given = ", ".join(f"{key}={_canonical(p[key])}" for key in keys)
+            raise GridEscapeError(
+                f"minkowski-shear ({given}): {exc}; sample k moves momentum row j by "
+                "j*k cells, so take fewer n_samples or a finer spacing "
+                "(x_max - x_min)/(n_points - 1)"
+            ) from None
     trajectory_to_csv(points, out)
     return [out]
 

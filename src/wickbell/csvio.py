@@ -46,14 +46,18 @@ def _write_rows(fh, cells_b: list[str], axis_a, values) -> None:
         fh.write(format_float(a).join(cells_b) % tuple(row.tolist()))
 
 
+def _two_cpus() -> bool:
+    """Whether this process may run on 2 CPUs or more (its affinity mask);
+    False where the platform cannot tell."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
 def _child_start(values) -> int:
     """The first row a forked child writes: half the rows of a grid of at
     least _SPLIT_CELLS cells and 2 rows when this process can fork and may
     run on 2 CPUs; otherwise all of them, len(values), and no child."""
     n = len(values)
-    if values.size < _SPLIT_CELLS or n < 2 or not hasattr(os, "fork"):
-        return n
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+    if values.size < _SPLIT_CELLS or n < 2 or not hasattr(os, "fork") or not _two_cpus():
         return n
     return n // 2
 

@@ -21,15 +21,22 @@ commutes with the reflection J (Cantoni and Butler, Linear Algebra Appl.
 a pair that passes transforms only its first ceil(n/2) rows in each pass,
 and the other rows are read from the reflection. Any other pair, complex or
 real, takes the passes over all n rows.
+
+Every pass runs over blocks of rows (_each_block): when the process may run
+on 2 CPUs, a helper thread transforms every other block while the calling
+thread transforms the rest. Each block writes its own rows, so the bytes
+are the same on one thread or two.
 """
 
 from __future__ import annotations
 
+import contextvars
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import _write_grid
+from .csvio import _two_cpus, _write_grid
 from .errors import GridEscapeError
 from .grids import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams, _Amplitudes, dual_grid
 from .kernels import free_kernel_row
@@ -38,8 +45,9 @@ from .kernels import free_kernel_row
 # have run off the grid
 _ESCAPE_THRESHOLD = 1e-4
 
-# rows per FFT block: a pass holds one block's transforms besides its
-# n x n input and output, never a whole padded copy
+# rows in flight per pass, over the blocks of _BLOCK_ROWS // 2 rows that
+# each of _each_block's two threads holds: a pass holds their transforms
+# besides its n x n input and output, never a whole padded copy
 _BLOCK_ROWS = 32
 
 
@@ -87,6 +95,53 @@ def epr_initial_pair(
     return PairWaveFunction(grid, windows(rel, n)[::-1] * windows(com, n), params).normalized()
 
 
+def _each_block(m: int, work) -> list:
+    """[work(rows) for each block `rows` of _BLOCK_ROWS // 2 rows of range(m)],
+    in block order.
+
+    With two blocks or more, when this process may run on 2 CPUs, one helper
+    thread takes the odd blocks while the calling thread takes the even
+    ones: numpy's FFTs and ufuncs release the interpreter lock, so both
+    cores work. `work` writes only its own block's part of a shared array,
+    so nothing depends on which thread ran a block. The helper runs in a
+    copy of the caller's context (numpy's errstate with it) and is joined
+    before this returns; an exception it raises is raised here, and either
+    thread stops at its next block once the other has raised.
+    """
+    step = _BLOCK_ROWS // 2
+    blocks = [slice(start, min(start + step, m)) for start in range(0, m, step)]
+    if len(blocks) < 2 or not _two_cpus():
+        return [work(rows) for rows in blocks]
+    results = [None] * len(blocks)
+    stop, errors = threading.Event(), []
+
+    def run(first: int) -> None:
+        for i in range(first, len(blocks), 2):
+            if stop.is_set():
+                return
+            results[i] = work(blocks[i])
+
+    def helper() -> None:
+        try:
+            run(1)
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+            stop.set()
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+    thread.start()
+    try:
+        run(0)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def _kept_rows(amps: np.ndarray) -> int:
     """Rows of `amps` a pass transforms: the first ceil(n/2) when it is
     centrosymmetric, amps[n-1-x, n-1-y] == amps[x, y] exactly, whose other
@@ -98,20 +153,22 @@ def _kept_rows(amps: np.ndarray) -> int:
 def _blocked_pass(transform, src: np.ndarray, dtype=np.complex128) -> np.ndarray:
     """The first len(src) rows of T = transform(A).T, for a `transform` along
     the last axis of an n x n A whose first rows `src` holds, taken over
-    blocks of _BLOCK_ROWS rows: each block's result is written transposed
-    into one preallocated array. Fewer than n rows stand for a
+    _each_block's blocks: each block's result is written transposed into
+    one preallocated array. Fewer than n rows stand for a
     centrosymmetric A, so T is one too: the columns x >= len(src) are read
     from the reflection T[y, n-1-x] = T[n-1-y, x] of computed ones."""
     m, n = src.shape
     out = np.empty((m, n), dtype=dtype)
     reflected = out[:, ::-1]
-    for start in range(0, m, _BLOCK_ROWS):
-        rows = slice(start, min(start + _BLOCK_ROWS, m))
+
+    def work(rows: slice) -> None:
         block = transform(src[rows]).T
         out[:, rows] = block[:m]
-        mirrored = min(rows.stop, n - m) - start  # none when m = n
+        mirrored = min(rows.stop, n - m) - rows.start  # none when m = n
         if mirrored > 0:
-            reflected[:, start : start + mirrored] = block[::-1][:m, :mirrored]
+            reflected[:, rows.start : rows.start + mirrored] = block[::-1][:m, :mirrored]
+
+    _each_block(m, work)
     return out
 
 
@@ -167,18 +224,19 @@ def _evolved_rows(pair: PairWaveFunction, time_extent: float, regime: str, trans
     half = _blocked_pass(lambda block: convolve(block, spectrum, first), amps[:m], dtype)
     scaled = dx * dx * spectrum
     out = half if width is None else np.empty((m, width), np.complex128)
-    border = peak = 0.0
-    for start in range(0, m, _BLOCK_ROWS):
-        rows = slice(start, min(start + _BLOCK_ROWS, m))
+
+    def work(rows: slice) -> tuple[float, float]:
         block = convolve(half[rows], scaled)
         if rows.stop == m < n and n % 2:  # the middle row, its own reflection
             block[-1, m:] = block[-1, : n - m][::-1]
         mag = np.abs(block)
-        last = rows.stop == n
-        rims = (mag[:, [0, -1]], mag[0] if start == 0 else 0.0, mag[-1] if last else 0.0)
-        border = max(border, *(float(np.max(rim)) for rim in rims))
-        peak = max(peak, float(np.max(mag)))
+        top, bottom = rows.start == 0, rows.stop == n
+        rims = (mag[:, [0, -1]], mag[0] if top else 0.0, mag[-1] if bottom else 0.0)
         out[rows] = transform(block)
+        return max(float(np.max(rim)) for rim in rims), float(np.max(mag))
+
+    borders, peaks = zip(*_each_block(m, work))
+    border, peak = max(borders), max(peaks)
     escape = border / peak if peak > 0.0 else 0.0
     if escape > _ESCAPE_THRESHOLD:
         raise GridEscapeError(
@@ -235,7 +293,9 @@ def joint_momentum_distribution(
     real = not np.iscomplexobj(amps) and (time_extent == 0.0 or regime == EUCLIDEAN)
     fft = np.fft.rfft if real else np.fft.fft
     if time_extent == 0.0:  # A's rows are x: the density comes out transposed
-        rows = fft(amps[: _kept_rows(amps)])
+        src = amps[: _kept_rows(amps)]
+        rows = np.empty((len(src), n // 2 + 1 if real else n), np.complex128)
+        _each_block(len(src), lambda r: np.copyto(rows[r], fft(src[r])))
     else:  # in place over the complex intermediate unless real
         rows = _evolved_rows(pair, time_extent, regime, fft, n // 2 + 1 if real else None)[0]
     half = n // 2
@@ -245,10 +305,12 @@ def joint_momentum_distribution(
     at = (np.arange(n) + half) % n
     scale = (grid.dx**2 / (2.0 * np.pi * pair.params.hbar)) ** 2
     prob = np.empty((n, n))
-    for start in range(0, kept, _BLOCK_ROWS):
-        cols = slice(start, min(start + _BLOCK_ROWS, kept))
+
+    def work(cols: slice) -> None:
         block = np.abs(np.fft.fft(_columns(rows, cols, n), axis=0)) ** 2
         prob[at[cols]] = np.roll(block.T * scale, half, axis=1)
+
+    _each_block(kept, work)
     del rows
     if kept < n:
         # frequencies k > n/2 of a real or centrosymmetric pair are -k with

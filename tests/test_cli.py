@@ -63,11 +63,14 @@ class TestCatalog:
 
 
 class TestMemoryBudget:
-    def test_epr_estimate_bounds_traced_peak(self, tmp_path):
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_epr_estimate_bounds_traced_peak(self, tmp_path, monkeypatch, cpus):
         # 256 points clear both guards with s = 0.3 resolved by dx = 0.09 and
         # a real-time alias shift 2 pi hbar T/(m dx) = 28 past the 23-wide box.
         # The estimate is the general path's, which an asymmetric box takes;
-        # the default symmetric box's centrosymmetric pair holds less
+        # the default symmetric box's centrosymmetric pair holds less. Two
+        # threads hold a block each where one thread holds one
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         overrides = {"n_points": "256", "s": "0.3", "time": "0.4"}
         estimate = _PEAK_BYTES["epr", "n_points"][1](256)
         config = build_config("epr", {**overrides, "x_min": "-11.5", "x_max": "11.75"})
@@ -649,6 +652,18 @@ class TestRunOutputs:
         assert (chosen / "spin_phases.csv").exists()
         assert not (tmp_path / "ignored").exists()
 
+    def test_epr_bytes_do_not_depend_on_the_cpu_count(self, capsys, tmp_path, monkeypatch):
+        # the default run, its FFT blocks on one thread and then on two
+        names = ("epr_momentum.csv", "epr_metrics.csv", "epr_manifest.txt")
+        outputs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            out = tmp_path / str(len(cpus))
+            assert entry(["run", "epr", "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in names])
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+
     def test_determinism(self, capsys, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for d in (d1, d2):
@@ -831,6 +846,22 @@ class TestRunOutputs:
         assert code == 3
         err = capsys.readouterr().err
         assert "numerical guard GridEscapeError" in err
+
+    def test_shear_escape_names_the_grid_and_samples(self, capsys, tmp_path):
+        # the defaults fit the euclidean regime: 32 samples of the free shear
+        # carry populated momentum rows past the 96-wide box
+        argv = ["run", "negativity-decay", "--out", str(tmp_path), "--set", "regime=minkowski-shear"]
+        assert entry(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "numerical guard GridEscapeError: minkowski-shear "
+            "(n_samples=32, n_points=512, x_min=-48, x_max=48): shear displacement 105 "
+        )
+        assert "fewer n_samples or a finer spacing (x_max - x_min)/(n_points - 1)" in err
+        # the README's grid for the shear regime
+        for item in ("x_min=-12", "x_max=11.90625", "n_points=256", "n_samples=6"):
+            argv += ["--set", item]
+        assert entry(argv) == 0
 
     def test_coarse_grid_trips_slice_guard(self, capsys, tmp_path):
         # dx^2 past the float range reads as an infinitely coarse grid

@@ -139,6 +139,17 @@ def test_child_start(monkeypatch, shape, cpus, child_start):
     assert csvio._child_start(np.empty(shape)) == child_start
 
 
+@pytest.mark.parametrize("cpus, two", [({0}, False), ({0, 1}, True), ({3, 5, 7}, True), (None, False)])
+def test_two_cpus(monkeypatch, cpus, two):
+    # the one predicate behind the forked writer and epr's helper thread;
+    # None stands for a platform without os.sched_getaffinity
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    assert csvio._two_cpus() is two
+
+
 def test_failed_child_leaves_no_file(tmp_path, two_cpus, monkeypatch):
     parent = os.getpid()
     write_rows = csvio._write_rows

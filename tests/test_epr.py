@@ -3,6 +3,11 @@ regime contrast (unitary evolution preserves the correlation; the real
 non-negative weight reweights the joint momentum distribution pointwise).
 """
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,7 @@ from wickbell.epr import (
     _BLOCK_ROWS,
     CorrelationWidth,
     PairWaveFunction,
+    _each_block,
     _evolved_rows,
     _kept_rows,
     condition_on_momentum_window,
@@ -539,6 +545,138 @@ class TestCentrosymmetricPair:
         amps = epr_initial_pair(grid, CorrelationWidth(S_TIGHT), ENVELOPE, PHYS).amplitudes
         assert not np.array_equal(amps, amps[::-1, ::-1])
         assert _kept_rows(amps) == 1536
+
+
+# _each_block's rows per block, and pair sizes whose passes (n rows of a
+# general pair, ceil(n/2) of a centrosymmetric one) end one row before, at
+# and one row after a block edge, or span several blocks at an odd size
+STEP = _BLOCK_ROWS // 2
+THREAD_SIZES = [2 * STEP - 1, 2 * STEP, 2 * STEP + 1, 4 * STEP + 1, 101]
+
+
+def outputs_on(monkeypatch, cpus: set, pair: PairWaveFunction) -> tuple[dict, int]:
+    """evolve_pair in both regimes and the three joint_momentum_distribution
+    call forms (a tripped guard stands as its message), with `cpus` as the
+    process's affinity; and the helper threads started meanwhile."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(threading, "Thread", Counted)
+    calls = {
+        "evolve minkowski": lambda: evolve_pair(pair, 0.4, MINKOWSKI).amplitudes,
+        "evolve euclidean": lambda: evolve_pair(pair, 0.1, EUCLIDEAN).amplitudes,
+        "density": lambda: joint_momentum_distribution(pair)[1],
+        "density minkowski": lambda: joint_momentum_distribution(pair, 0.4, MINKOWSKI)[1],
+        "density euclidean": lambda: joint_momentum_distribution(pair, 0.1, EUCLIDEAN)[1],
+    }
+    out = {}
+    for name, call in calls.items():
+        try:
+            out[name] = call()
+        except GridEscapeError as exc:
+            out[name] = str(exc)
+    return out, len(started)
+
+
+class TestTwoThreadBlocks:
+    """With two CPUs the calling thread transforms the even blocks of each
+    pass and one helper thread the odd ones; the bytes are those of one."""
+
+    @pytest.mark.parametrize("n_points", THREAD_SIZES)
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("centrosymmetric", [False, True], ids=["general", "centrosymmetric"])
+    def test_two_threads_match_one_cpu(self, monkeypatch, n_points, real, centrosymmetric):
+        grid = Grid1D(-4.0, 4.0, n_points)
+        pair = centrosymmetric_pair(grid, real) if centrosymmetric else packet_pair(grid, real)
+        kept = (n_points + 1) // 2 if centrosymmetric else n_points
+        assert _kept_rows(pair.amplitudes) == kept
+        one, helpers = outputs_on(monkeypatch, {0}, pair)
+        assert helpers == 0
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads' bytecode interleaves finely
+        try:
+            two, helpers = outputs_on(monkeypatch, {0, 1}, pair)
+        finally:
+            sys.setswitchinterval(switch)
+        # one block per pass (ceil(n/2) rows, n//2 + 1 columns) runs in-line
+        assert helpers > 0 or max(kept, n_points // 2 + 1) <= STEP
+        assert one.keys() == two.keys()
+        for name, value in one.items():
+            if isinstance(value, str):
+                assert two[name] == value, name
+            else:
+                assert two[name].dtype == value.dtype and np.array_equal(two[name], value), name
+        assert any(not isinstance(value, str) for value in one.values())
+
+    @pytest.mark.parametrize(
+        "m, cpus, helped",
+        [(STEP, {0, 1}, False), (STEP + 1, {0, 1}, True), (5 * STEP + 1, {0, 1}, True), (5 * STEP + 1, {0}, False)],
+    )
+    def test_block_order_and_threads(self, monkeypatch, m, cpus, helped):
+        # one block, or one CPU, runs in the calling thread; otherwise the
+        # odd blocks run in the helper, and results come in block order
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        caller = threading.get_ident()
+        results = _each_block(m, lambda rows: (rows, threading.get_ident()))
+        assert [rows for rows, _ in results] == [
+            slice(start, min(start + STEP, m)) for start in range(0, m, STEP)
+        ]
+        assert [ident != caller for _, ident in results] == [
+            helped and i % 2 == 1 for i in range(len(results))
+        ]
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        caller, failure = threading.get_ident(), RuntimeError("a helper block fails")
+
+        def work(rows):
+            if threading.get_ident() != caller:
+                raise failure
+
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            _each_block(4 * STEP, work)
+        assert info.value is failure
+        assert threading.active_count() == threads
+        assert hooked == [] and capsys.readouterr().err == ""
+
+    def test_caller_exception_stops_the_helper(self, monkeypatch):
+        # the calling thread fails on its first block; the helper, slowed to
+        # 5 ms a block, ends at its next one and is joined
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        caller, failure, ran = threading.get_ident(), KeyError("block 0"), []
+
+        def work(rows):
+            if threading.get_ident() == caller:
+                raise failure
+            time.sleep(0.005)
+            ran.append(rows.start)
+
+        threads = threading.active_count()
+        with pytest.raises(KeyError) as info:
+            _each_block(64 * STEP, work)
+        assert info.value is failure
+        assert threading.active_count() == threads
+        assert len(ran) < 32
+
+    def test_helper_keeps_the_callers_errstate(self, monkeypatch):
+        # under numpy's default errstate the helper's division would warn
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        caller = threading.get_ident()
+
+        def work(rows):
+            if threading.get_ident() != caller:
+                return np.float64(1.0) / np.float64(0.0)
+
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            _each_block(2 * STEP, work)
 
 
 class TestValidationAndCsv:
