@@ -98,7 +98,8 @@ def wigner_transform(psi: WaveFunction) -> WignerGrid:
     rows = np.lib.stride_tricks.sliding_window_view(pad, 2 * n + 1)[: 2 * n : 2]
     corr = np.conj(rows[:, n : n + h]) * rows[:, n : n - h : -1]
     corr += np.conj(rows[:, :h]) * rows[:, 2 * n : 2 * n - h : -1]
-    w = np.fft.irfft(corr, n, axis=1) * (grid.dx * n / (2.0 * np.pi * psi.params.hbar))
+    w = np.fft.irfft(corr, n, axis=1)
+    w *= grid.dx * n / (2.0 * np.pi * psi.params.hbar)
     return WignerGrid(grid, dual_grid(grid, psi.params), np.fft.fftshift(w, axes=1), psi.params)
 
 
