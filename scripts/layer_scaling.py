@@ -13,9 +13,12 @@ near 3 on a layer meant to be a transform shows an O(n^3) path left in it.
 The largest size holds a few hundred MiB in `wigner_of_density`.
 
 `wigner_to_csv` writes an n x n file (about 145 MB at n = 1536) into a
-temporary directory; from 2^15 cells on, with two CPUs, a forked child
-formats half its rows. The `fork + waitpid` row is the bare cost of one such
-fork at each size, for a child that exits at once.
+temporary directory, once pinned to one CPU and once on the CPUs the process
+was given, where from csvio._SPLIT_CELLS cells on, with two CPUs, a forked
+child writes half its rows. The `fork + waitpid` row is the bare cost of one
+such fork at each size, for a child that exits at once. The split saves
+about half the one-CPU time of a file, so it pays from about 2 x (fork +
+waitpid) / (one-CPU seconds per cell) cells on.
 
 The two evolved-density rows run twice: pinned to one CPU
 (os.sched_setaffinity), where epr's FFT blocks run in the calling thread,
@@ -101,6 +104,9 @@ def layers(n: int, directory: str) -> dict:
     general = epr_initial_pair(Grid1D(-11.5, 11.75, n), CorrelationWidth(0.3), 1.0, PHYS)
     trap = harmonic_potential(1.0, PHYS)
 
+    def write_wigner():
+        wigner_to_csv(wig, os.path.join(directory, "wigner.csv"))
+
     def minkowski_density():
         return joint_momentum_distribution(pair, 0.4, MINKOWSKI)
 
@@ -133,7 +139,8 @@ def layers(n: int, directory: str) -> dict:
         "sliced_kernel": lambda: sliced_kernel(
             wide, free_potential(), SlicingPlan(16, 1.0, EUCLIDEAN), PHYS
         ),
-        "wigner_to_csv": lambda: wigner_to_csv(wig, os.path.join(directory, "wigner.csv")),
+        "wigner_to_csv 1 CPU": on_one_cpu(write_wigner),
+        "wigner_to_csv": write_wigner,
         "fork + waitpid": fork_and_wait,
         "thread start + join": thread_start_and_join,
     }

@@ -36,9 +36,11 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-# cells from which a grid file is split across two processes: a fork costs
-# about 5 ms, which formatting 2^15 cells on one core about pays back
-_SPLIT_CELLS = 2**15
+# cells from which a grid file is split across two processes. The fork
+# itself takes 2-3 ms, but the page faults after it and the copy of the
+# child's bytes take more: scripts/layer_scaling.py's one- and two-CPU
+# wigner_to_csv rows lose on the split at 256 and 512 points and gain at 1536
+_SPLIT_CELLS = 2**20
 
 # values per block of the grid row writer: a block's line array and the
 # kernel's temporaries stay within a few hundred kB

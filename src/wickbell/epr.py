@@ -23,8 +23,8 @@ and the other rows are read from the reflection. Any other pair, complex or
 real, takes the passes over all n rows.
 
 Every pass runs over blocks of rows (_each_block): when the process may run
-on 2 CPUs, a helper thread transforms every other block while the calling
-thread transforms the rest. Each block writes its own rows, so the bytes
+on 2 CPUs and a pass has _HELPER_BLOCKS blocks or more, a helper thread
+transforms every other block while the calling thread transforms the rest. Each block writes its own rows, so the bytes
 are the same on one thread or two.
 """
 
@@ -49,6 +49,12 @@ _ESCAPE_THRESHOLD = 1e-4
 # each of _each_block's two threads holds: a pass holds their transforms
 # besides its n x n input and output, never a whole padded copy
 _BLOCK_ROWS = 32
+
+# blocks of a pass from which _each_block starts its helper thread. Below it
+# one thread is faster: scripts/layer_scaling.py's one- and two-CPU rows of
+# the centrosymmetric densities, whose passes have 8 and 16 blocks at 256
+# and 512 points; the 48 blocks at 1536 points gain
+_HELPER_BLOCKS = 32
 
 
 @dataclass(frozen=True)
@@ -99,9 +105,9 @@ def _each_block(m: int, work) -> list:
     """[work(rows) for each block `rows` of _BLOCK_ROWS // 2 rows of range(m)],
     in block order.
 
-    With two blocks or more, when this process may run on 2 CPUs, one helper
-    thread takes the odd blocks while the calling thread takes the even
-    ones: numpy's FFTs and ufuncs release the interpreter lock, so both
+    With _HELPER_BLOCKS blocks or more, when this process may run on 2 CPUs,
+    one helper thread takes the odd blocks while the calling thread takes
+    the even ones: numpy's FFTs and ufuncs release the interpreter lock, so both
     cores work. `work` writes only its own block's part of a shared array,
     so nothing depends on which thread ran a block. The helper runs in a
     copy of the caller's context (numpy's errstate with it) and is joined
@@ -110,7 +116,7 @@ def _each_block(m: int, work) -> list:
     """
     step = _BLOCK_ROWS // 2
     blocks = [slice(start, min(start + step, m)) for start in range(0, m, step)]
-    if len(blocks) < 2 or not _two_cpus():
+    if len(blocks) < _HELPER_BLOCKS or not _two_cpus():
         return [work(rows) for rows in blocks]
     results = [None] * len(blocks)
     stop, errors = threading.Event(), []

@@ -436,6 +436,7 @@ class TestValidation:
         # config error naming the file, not a traceback, and the directories
         # the run made go again
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(csvio, "_SPLIT_CELLS", 2**15)  # the 2^16-cell default grid splits
         parent, write_rows = os.getpid(), csvio._write_rows
 
         def fails_in_child(*args):

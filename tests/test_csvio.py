@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import per_cell_grid_csv, traced_peak
 from wickbell import Grid1D, PhysParams, csvio
@@ -95,8 +97,10 @@ def test_writer_memory_stays_at_a_row(tmp_path):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """The split path wherever os.fork exists, whatever CPUs the host gives."""
+    """The split path wherever os.fork exists, whatever CPUs the host gives,
+    from 2^15 cells on: small grids run the same split as large ones."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(csvio, "_SPLIT_CELLS", 2**15)
 
 
 def _write_grid_file(path, shape) -> bytes:
@@ -127,11 +131,11 @@ def test_split_file_matches_per_cell_writer(tmp_path, two_cpus, shape, child_sta
 @pytest.mark.parametrize(
     "shape, cpus, child_start",
     [
-        ((2, 2**14), {0, 1}, 1),
-        ((2, 2**14 - 1), {0, 1}, 2),  # below 2^15 cells
-        ((128, 128), {0, 1}, 128),
-        ((1, 2**16), {0, 1}, 1),  # one row
-        ((512, 512), {0}, 512),  # one CPU
+        ((2, 2**19), {0, 1}, 1),
+        ((2, 2**19 - 1), {0, 1}, 2),  # below 2^20 cells
+        ((512, 512), {0, 1}, 512),
+        ((1, 2**21), {0, 1}, 1),  # one row
+        ((1024, 1024), {0}, 1024),  # one CPU
     ],
 )
 def test_child_start(monkeypatch, shape, cpus, child_start):
@@ -189,3 +193,69 @@ def test_row_loop_memory_stays_at_a_row(tmp_path, monkeypatch):
     peak = traced_peak(lambda: wigner_to_csv(w, tmp_path / "w.csv"))[1]
     assert peak < 2 * 2**20
     assert (tmp_path / "w.csv").stat().st_size > 8 * 2**20
+
+
+def _kernel_lines(values) -> tuple[bytes, np.ndarray]:
+    """The lines _format_values writes for values with every floating-point
+    error raised, NULs dropped, and the indices it left to format()."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.zeros((len(values), csvio._VALUE_WORDS), np.uint32)
+    with np.errstate(all="raise"):
+        exact = csvio._format_values(values, out)
+    return out.tobytes().replace(b"\0", b""), exact
+
+
+def _format_lines(values) -> bytes:
+    return "".join(format(float(v), ".17g") + "\n" for v in values).encode()
+
+
+POWERS_OF_TEN = np.array([10.0**k for k in range(-323, 309)])
+EDGES = np.concatenate(
+    [
+        [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
+        POWERS_OF_TEN,
+        np.nextafter(POWERS_OF_TEN, 0.0),
+        -POWERS_OF_TEN,
+        # exact decimal ties at the 17th digit (18 digits ending in 5), and
+        # the neighbours of one
+        [586020827481094.875, -586020827481094.875, 100000000000000.125],
+        [1000000000000000.25, 2251799813685247.75],
+        np.nextafter(586020827481094.875, [0.0, np.inf]),
+        # integers held as floats, with and without zeros at the end
+        [1.0, -3.0, 10.0, 1000.0, 1200.0, 12345.0, 2.0**53, 2.0**53 + 2, 1e16, 1e17],
+        [12345678901234567.0, 123456789012345678.0, 99999999999999999.0],
+        # the ends of fixed notation, 1e-4 <= |x| < 1e17
+        [1e-4, 9.9999999999999e-5, 0.00012345, 1.5, 10.5, 123.456, 9.87654321e15],
+        [np.inf, -np.inf, np.nan, -np.nan],
+    ]
+)
+
+
+def test_kernel_matches_format_on_edges():
+    text, _ = _kernel_lines(EDGES)
+    assert text == _format_lines(EDGES)
+
+
+def test_kernel_leaves_ties_and_non_finite_values_to_format():
+    # a tie's 17th digit rounds to even, and 10^17 sits on a decade's edge:
+    # both need an exact method. Zeros and plain values stay in the kernel
+    values = [586020827481094.875, 1.5, np.inf, 0.0, -np.nan, 0.3, -0.0, 1e17]
+    text, exact = _kernel_lines(values)
+    assert text == _format_lines(values)
+    assert exact.tolist() == [0, 2, 4, 7]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
+def test_kernel_matches_format_on_any_floats(values):
+    assert _kernel_lines(values)[0] == _format_lines(values)
+
+
+def test_kernel_matches_format_on_random_bit_patterns():
+    # every float64 bit pattern is equally likely: subnormals, both signs,
+    # the extremes, inf and nan among them
+    bits = np.random.default_rng(27).integers(0, 2**64, size=2**20, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    for start in range(0, len(values), 2**16):
+        chunk = values[start : start + 2**16]
+        assert _kernel_lines(chunk)[0] == _format_lines(chunk), start

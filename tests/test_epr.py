@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import border_escape, epr_moments, euclidean_weight_ratio, read_csv, traced_peak
-from wickbell import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams
+from wickbell import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams, epr
 from wickbell.epr import (
     _BLOCK_ROWS,
     CorrelationWidth,
@@ -585,7 +585,12 @@ def outputs_on(monkeypatch, cpus: set, pair: PairWaveFunction) -> tuple[dict, in
 
 class TestTwoThreadBlocks:
     """With two CPUs the calling thread transforms the even blocks of each
-    pass and one helper thread the odd ones; the bytes are those of one."""
+    pass and one helper thread the odd ones; the bytes are those of one.
+    The helper starts from two blocks here, so that small pairs run it."""
+
+    @pytest.fixture(autouse=True)
+    def helper_from_two_blocks(self, monkeypatch):
+        monkeypatch.setattr(epr, "_HELPER_BLOCKS", 2)
 
     @pytest.mark.parametrize("n_points", THREAD_SIZES)
     @pytest.mark.parametrize("real", [False, True])
@@ -677,6 +682,16 @@ class TestTwoThreadBlocks:
 
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
             _each_block(2 * STEP, work)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 31, 32, 48])
+def test_helper_starts_from_its_block_count(monkeypatch, blocks):
+    # a pass of fewer blocks, 16 at 512 points of a centrosymmetric pair,
+    # runs faster on one thread; the 48 at 1536 points take the helper
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    caller = threading.get_ident()
+    results = _each_block(blocks * STEP, lambda rows: threading.get_ident() != caller)
+    assert any(results) is (blocks >= 32)
 
 
 class TestValidationAndCsv:
