@@ -16,9 +16,11 @@ The largest size holds a few hundred MiB in `wigner_of_density`.
 temporary directory, once pinned to one CPU and once on the CPUs the process
 was given, where from csvio._SPLIT_CELLS cells on, with two CPUs, a forked
 child writes half its rows. The `fork + waitpid` row is the bare cost of one
-such fork at each size, for a child that exits at once. The split saves
-about half the one-CPU time of a file, so it pays from about 2 x (fork +
-waitpid) / (one-CPU seconds per cell) cells on.
+such fork at each size, for a child that exits at once. The split saves at
+most half the one-CPU time of a file, so it cannot pay below 2 x (fork +
+waitpid) / (one-CPU seconds per cell) cells; the page faults after the fork
+and the copy of the child's bytes move the point where it pays further up,
+as the two wigner_to_csv rows show.
 
 The two evolved-density rows run twice: pinned to one CPU
 (os.sched_setaffinity), where epr's FFT blocks run in the calling thread,

@@ -5,16 +5,16 @@ configuration are byte-identical: 17 significant digits round-trip any
 float64 exactly, and the formatting never depends on locale or line endings.
 
 write_csv formats its few rows one cell at a time (format_float). A grid file
-(`_write_grid`) formats its values in blocks of about _BLOCK with a numpy
-kernel (_format_values) that builds the same text without a Python call per
-value: |x| = m 2^e times a double-double 10^(16 - X) from a table of exact
-integers gives the 17-digit integer D (Steele and White, PLDI 1990; Gay,
-"Correctly rounded binary-decimal and decimal-binary conversions", 1990),
-whose digits come from a 4-digit lookup table and are laid out by the %g
-rules. A value within 1e-9 of a rounding tie or of a decade's edge, and ±0,
-inf and nan, go through format() itself, so every value is exact. A block's
-lines are laid out in one NUL-padded uint8 array; the NULs are dropped and
-the bytes written, so grid files are opened in binary mode.
+(`_write_grid`) formats its values in blocks of _BLOCK with a numpy kernel
+(_format_values) that builds the same text without a Python call per value:
+|x| = m 2^e times a double-double 10^(16 - X), from a table built of exact
+integers, gives the 17-digit integer D (Steele and White, PLDI 1990; Gay,
+"Correctly rounded binary-decimal and decimal-binary conversions", 1990).
+Its digits come from a 2-digit lookup table and are laid out by the %g
+rules. Values within 1e-9 of a rounding tie or of a decade's edge, and inf
+and nan, go through format() itself, so every value is exact. A block's
+lines are laid out in one NUL-padded buffer whose NULs are dropped before it
+is written, so grid files are opened in binary mode.
 
 A grid file of at least _SPLIT_CELLS cells and 2 rows is written by two
 processes when the machine can fork and gives this process two CPUs: one
@@ -22,8 +22,8 @@ fork per file, whose child writes the second half of the rows into an
 unnamed temporary file beside the output while this process writes the
 header and the first half; the kernel then appends the child's bytes
 (os.sendfile). Both run the same row writer, so the bytes are those of one
-process writing every row. Most of the row writer holds the interpreter
-lock, so threads would not overlap it.
+process writing every row. The row writer holds the interpreter lock for
+most of its time, so threads would not overlap it.
 """
 
 from __future__ import annotations
@@ -118,7 +118,9 @@ def _tables() -> _Tables:
         tail[r, 5] = ord("\n")
     split = hi * 134217729.0
     hi_big = split - (split - hi)
-    digits = [b"%02d" % v for v in range(100)]
+    pairs = [b"%02d" % v for v in range(100)]
+    pairs = [v + b"\0\0" for v in pairs] + [b"\0\0" + v for v in pairs]
+    leads = [b"\0\0%d" % v + point for point in (b"\0", b".") for v in range(10)]
     return _Tables(
         hi,
         hi_big,
@@ -128,8 +130,8 @@ def _tables() -> _Tables:
         point,
         head.reshape(-1, 8).view(np.uint32).T.copy(),
         tail.view(np.uint32).T.copy(),
-        np.frombuffer(b"".join(b"\0\0%d" % v + dot for dot in (b"\0", b".") for v in range(10)), np.uint32),
-        np.frombuffer(b"".join([v.ljust(4, b"\0") for v in digits] + [b"\0\0" + v.ljust(2, b"\0") for v in digits]), np.uint32).reshape(2, -1),
+        np.frombuffer(b"".join(leads), np.uint32),
+        np.frombuffer(b"".join(pairs), np.uint32).reshape(2, -1),
     )
 
 
@@ -183,12 +185,13 @@ def _format_values(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     point = t.point[row]
     lead, rest = _quotient(d, 10**16)
     dotted = (point == 0) & (rest != 0)  # exponent notation, or 1 <= |x| < 10
-    high, low = _quotient(rest, 10**8)
-    for j, group in enumerate([*_quotient(high, 10**4), *_quotient(low, 10**4)]):
-        first, second = _quotient(group, 100)
-        out[:, 2 + j] = t.pairs[0][first] | t.pairs[1][second]
-    # the trailing zeros of D's last 16 digits are dropped
-    zeros = np.nonzero(low % 10 == 0)[0]
+    # the other 16 digits: four words of two 2-digit pairs, whose trailing
+    # zeros are then dropped
+    halves = np.stack(_quotient(rest, 10**8))
+    groups = np.stack(_quotient(halves, 10**4), axis=1).reshape(4, -1)
+    first, second = _quotient(groups, 100)
+    out[:, 2:6] = (t.pairs[0][first] | t.pairs[1][second]).T
+    zeros = np.nonzero(second[3] % 10 == 0)[0]
     if len(zeros):
         digits = out[zeros, 2:6].view(np.uint8)
         digits *= np.logical_or.accumulate(digits[:, ::-1] != ord("0"), axis=1)[:, ::-1]
@@ -199,7 +202,7 @@ def _format_values(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     out[:, 6] = t.tail[0][row]
     out[:, 7] = t.tail[1][row]
     # fixed notation from 10 up: the point follows digit `point` where more
-    # digits are shown, and those move one byte on, into the empty tail; a
+    # digits are shown, and those move one byte on, into the empty tail. A
     # multiple of 10 needs the zeros of its integer digits back: format()
     wide = np.nonzero(point > 0)[0]
     if len(wide):

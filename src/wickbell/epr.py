@@ -24,8 +24,9 @@ real, takes the passes over all n rows.
 
 Every pass runs over blocks of rows (_each_block): when the process may run
 on 2 CPUs and a pass has _HELPER_BLOCKS blocks or more, a helper thread
-transforms every other block while the calling thread transforms the rest. Each block writes its own rows, so the bytes
-are the same on one thread or two.
+transforms every other block while the calling thread transforms the rest.
+Each block writes its own rows, so the bytes are the same on one thread or
+two.
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ def _each_block(m: int, work) -> list:
 
     With _HELPER_BLOCKS blocks or more, when this process may run on 2 CPUs,
     one helper thread takes the odd blocks while the calling thread takes
-    the even ones: numpy's FFTs and ufuncs release the interpreter lock, so both
-    cores work. `work` writes only its own block's part of a shared array,
+    the even ones: numpy's FFTs and ufuncs release the interpreter lock, so
+    both cores work. `work` writes only its own block's part of a shared array,
     so nothing depends on which thread ran a block. The helper runs in a
     copy of the caller's context (numpy's errstate with it) and is joined
     before this returns; an exception it raises is raised here, and either
