@@ -44,7 +44,7 @@ _SPLIT_CELLS = 2**20
 
 # values per block of the grid row writer: a block's line array and the
 # kernel's temporaries stay within a few hundred kB
-_BLOCK = 2048
+_BLOCK = 4096
 
 # decimal exponents of the finite nonzero float64 values
 _X_MIN, _X_MAX = -324, 308
@@ -85,13 +85,13 @@ class _Tables(NamedTuple):
     head: np.ndarray  # 2 words: the sign and "0.000"
     tail: np.ndarray  # 2 words: "e+XXX" and the newline
     lead: np.ndarray  # the leading digit, and from 10 on the point, in bytes 2-3 of a word
-    pairs: np.ndarray  # 2 digits, in bytes 0-1 (pairs[0]) or 2-3 (pairs[1])
+    quads: np.ndarray  # the 4 digits of 0 to 9999; from 10^4 on, trailing zeros dropped
 
 
 @functools.cache
 def _tables() -> _Tables:
     """Built from exact integers on the first grid write, not at import:
-    about 50 kB."""
+    about 120 kB."""
     rows = _X_MAX - _X_MIN + 1
     hi, lo = np.empty(rows), np.empty(rows)
     shift, point = np.empty(rows, np.int32), np.empty(rows, np.intp)
@@ -118,9 +118,13 @@ def _tables() -> _Tables:
         tail[r, 5] = ord("\n")
     split = hi * 134217729.0
     hi_big = split - (split - hi)
-    pairs = [b"%02d" % v for v in range(100)]
-    pairs = [v + b"\0\0" for v in pairs] + [b"\0\0" + v for v in pairs]
-    leads = [b"\0\0%d" % v + point for point in (b"\0", b".") for v in range(10)]
+    quads, numbers = np.empty((20000, 4), np.uint8), np.arange(10000, dtype=np.int16)
+    for k, place in enumerate((1000, 100, 10, 1)):
+        quads[:10000, k] = numbers // place % 10 + ord("0")
+        # the second half shows a digit that is not 0 or has one after it
+        shown = (numbers % place != 0) | (quads[:10000, k] != ord("0"))
+        quads[10000:, k] = quads[:10000, k] * shown
+    leads = [b"\0\0%d" % v + dot for dot in (b"\0", b".") for v in range(10)]
     return _Tables(
         hi,
         hi_big,
@@ -131,7 +135,7 @@ def _tables() -> _Tables:
         head.reshape(-1, 8).view(np.uint32).T.copy(),
         tail.view(np.uint32).T.copy(),
         np.frombuffer(b"".join(leads), np.uint32),
-        np.frombuffer(b"".join(pairs), np.uint32).reshape(2, -1),
+        quads.view(np.uint32).ravel(),
     )
 
 
@@ -154,24 +158,30 @@ def _decimal(x: np.ndarray, t: _Tables) -> tuple[np.ndarray, np.ndarray, np.ndar
     # |x| = m 2^e with m in [0.5, 1). log10 gives X = floor(log10 |x|) but
     # within about 1e-13 of a power of ten, where the decade test falls back
     m, e = np.frexp(a)
-    row = np.floor(np.log10(a)).astype(np.intp) - _X_MIN
+    row = np.floor(np.log10(a, out=a), out=a).astype(np.intp)
+    row -= _X_MIN
     # m hi exactly as p + err (Dekker), plus m lo; times 2^(e + shift) that
     # is |x| 10^(16 - X) = whole + part to about 1e-15, whole an integer
-    big, small = t.hi_big[row], t.hi_small[row]
     p = m * t.hi[row]
-    split = m * 134217729.0
-    m_big = split - (split - m)
+    m_big = np.multiply(m, 134217729.0, out=a)
+    m_big -= m_big - m
     m_small = m - m_big
-    err = ((m_big * big - p) + m_big * small + m_small * big) + m_small * small
+    big, small = t.hi_big[row], t.hi_small[row]
+    err = m_big * big - p
+    err += m_big * small
+    err += m_small * big
+    err += m_small * small
+    err += m * t.lo[row]
     s = e + t.shift[row]
-    whole = np.ldexp(p, s)
-    part = np.ldexp(err + m * t.lo[row], s)
+    whole, part = np.ldexp(p, s, out=p), np.ldexp(err, s, out=err)
     floor = np.floor(part)
     part -= floor
     # |part| < 32 is far inside the 1e7 margins of the decade test
     fallback = special | (np.abs(part - 0.5) < 1e-9)
     fallback |= (whole < 1e16 * (1 + 1e-9)) | (whole > 1e17 * (1 - 1e-9))
-    d = whole.astype(np.int64) + floor.astype(np.int64) + (part > 0.5)
+    d = whole.astype(np.int64)
+    d += floor.astype(np.int64)
+    d += part > 0.5
     d[zero | fallback] = 0
     row[zero | fallback] = -_X_MIN
     return row, d, fallback
@@ -186,17 +196,13 @@ def _format_values(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     point = t.point[row]
     lead, rest = _quotient(d, 10**16)
     dotted = (point == 0) & (rest != 0)  # exponent notation, or 1 <= |x| < 10
-    # the other 16 digits: four words of two 2-digit pairs, whose trailing
-    # zeros are then dropped
+    # the other 16 digits, four to a word: a group whose later groups are
+    # all 0 takes the table half with its trailing zeros dropped
     halves = np.stack(_quotient(rest, 10**8))
     groups = np.stack(_quotient(halves, 10**4), axis=1).reshape(4, -1)
-    first, second = _quotient(groups, 100)
-    out[:, 2:6] = (t.pairs[0][first] | t.pairs[1][second]).T
-    zeros = np.nonzero(second[3] % 10 == 0)[0]
-    if len(zeros):
-        digits = out[zeros, 2:6].view(np.uint8)
-        digits *= np.logical_or.accumulate(digits[:, ::-1] != ord("0"), axis=1)[:, ::-1]
-        out[zeros, 2:6] = digits.view(np.uint32)
+    groups[:3] += 10000 * np.logical_and.accumulate(groups[:0:-1] == 0)[::-1]
+    groups[3] += 10000
+    out[:, 2:6] = t.quads[groups].T
     head = 2 * row + np.signbit(x)
     out[:, 0] = t.head[0][head]
     out[:, 1] = t.head[1][head] | t.lead[lead + 10 * dotted]
