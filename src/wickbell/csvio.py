@@ -10,11 +10,12 @@ write_csv formats its few rows one cell at a time (format_float). A grid file
 |x| = m 2^e times a double-double 10^(16 - X), from a table built of exact
 integers, gives the 17-digit integer D (Steele and White, PLDI 1990; Gay,
 "Correctly rounded binary-decimal and decimal-binary conversions", 1990).
-Its digits come from a 2-digit lookup table and are laid out by the %g
-rules. Values within 1e-9 of a rounding tie or of a decade's edge, and inf
-and nan, go through format() itself, so every value is exact. A block's
-lines are laid out in one NUL-padded buffer whose NULs are dropped before it
-is written, so grid files are opened in binary mode.
+Its digits come from a 4-digit lookup table and are laid out by the %g
+rules. Values within 1e-9 of a rounding tie or of a decade's edge,
+integers from 10 up that end in 0, inf and nan go through format() itself,
+so every value is exact. A block's lines (axis_a cell, axis_b cell, value,
+newline) are laid out in one NUL-padded buffer whose NULs are dropped before
+it is written, so grid files are opened in binary mode.
 
 A grid file of at least _SPLIT_CELLS cells and 2 rows is written by two
 processes when the machine can fork and gives this process two CPUs: one
@@ -197,11 +198,13 @@ def _format_values(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     lead, rest = _quotient(d, 10**16)
     dotted = (point == 0) & (rest != 0)  # exponent notation, or 1 <= |x| < 10
     # the other 16 digits, four to a word: a group whose later groups are
-    # all 0 takes the table half with its trailing zeros dropped
+    # all 0 (the next one reads 10000 here) takes the table half with its
+    # trailing zeros dropped
     halves = np.stack(_quotient(rest, 10**8))
     groups = np.stack(_quotient(halves, 10**4), axis=1).reshape(4, -1)
-    groups[:3] += 10000 * np.logical_and.accumulate(groups[:0:-1] == 0)[::-1]
     groups[3] += 10000
+    for k in (2, 1, 0):
+        groups[k] += 10000 * (groups[k + 1] == 10000)
     out[:, 2:6] = t.quads[groups].T
     head = 2 * row + np.signbit(x)
     out[:, 0] = t.head[0][head]
