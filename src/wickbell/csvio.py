@@ -38,7 +38,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 # cells from which a grid file is split across two processes. The fork
-# itself takes 2-3 ms, but the page faults after it and the copy of the
+# itself takes 2-4 ms, but the page faults after it and the copy of the
 # child's bytes take more: scripts/layer_scaling.py's one- and two-CPU
 # wigner_to_csv rows lose on the split at 256 and 512 points and gain at 1536
 _SPLIT_CELLS = 2**20
