@@ -13,14 +13,7 @@ near 3 on a layer meant to be a transform shows an O(n^3) path left in it.
 The largest size holds a few hundred MiB in `wigner_of_density`.
 
 `wigner_to_csv` writes an n x n file (about 145 MB at n = 1536) into a
-temporary directory, once pinned to one CPU and once on the CPUs the process
-was given, where from csvio._SPLIT_CELLS cells on, with two CPUs, a forked
-child writes half its rows. The `fork + waitpid` row is the bare cost of one
-such fork at each size, for a child that exits at once. The split saves at
-most half the one-CPU time of a file, so it cannot pay below 2 x (fork +
-waitpid) / (one-CPU seconds per cell) cells; the page faults after the fork
-and the copy of the child's bytes move the point where it pays further up,
-as the two wigner_to_csv rows show.
+temporary directory.
 
 The two evolved-density rows run twice: pinned to one CPU
 (os.sched_setaffinity), where epr's FFT blocks run in the calling thread,
@@ -59,13 +52,6 @@ from wickbell.phase_space import wigner_of_density, wigner_to_csv, wigner_transf
 PHYS = PhysParams()
 SIZES = (256, 512, 1536)
 REPEATS = 3
-
-
-def fork_and_wait() -> None:
-    pid = os.fork()
-    if pid == 0:
-        os._exit(0)
-    os.waitpid(pid, 0)
 
 
 def thread_start_and_join() -> None:
@@ -141,9 +127,7 @@ def layers(n: int, directory: str) -> dict:
         "sliced_kernel": lambda: sliced_kernel(
             wide, free_potential(), SlicingPlan(16, 1.0, EUCLIDEAN), PHYS
         ),
-        "wigner_to_csv 1 CPU": on_one_cpu(write_wigner),
         "wigner_to_csv": write_wigner,
-        "fork + waitpid": fork_and_wait,
         "thread start + join": thread_start_and_join,
     }
 

@@ -17,31 +17,18 @@ so every value is exact. A block's lines (axis_a cell, axis_b cell, value,
 newline) are laid out in one NUL-padded buffer whose NULs are dropped before
 it is written, so grid files are opened in binary mode.
 
-A grid file of at least _SPLIT_CELLS cells and 2 rows is written by two
-processes when the machine can fork and gives this process two CPUs: one
-fork per file, whose child writes the second half of the rows into an
-unnamed temporary file beside the output while this process writes the
-header and the first half; the kernel then appends the child's bytes
-(os.sendfile). Both run the same row writer, so the bytes are those of one
-process writing every row. The row writer holds the interpreter lock for
-most of its time, so threads would not overlap it.
+A file that fails while it is being written is removed again, and the OSError
+names its path.
 """
 
 from __future__ import annotations
 
-import errno
+import contextlib
 import functools
 import os
-import tempfile
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-
-# cells from which a grid file is split across two processes. The fork
-# itself takes 2-4 ms, but the page faults after it and the copy of the
-# child's bytes take more: scripts/layer_scaling.py's one- and two-CPU
-# wigner_to_csv rows lose on the split at 256 and 512 points and gain at 1536
-_SPLIT_CELLS = 2**20
 
 # values per block of the grid row writer: a block's line array and the
 # kernel's temporaries stay within a few hundred kB
@@ -60,9 +47,25 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+@contextlib.contextmanager
+def _output(path: str | os.PathLike, mode: str, **kwargs):
+    """open(path, mode, **kwargs), closed on exit. Once it is open, a failure
+    removes the file again, and an OSError that names no file is given
+    path; a failed open removes nothing."""
+    fh = open(path, mode, **kwargs)
+    try:
+        with fh:
+            yield fh
+    except BaseException as exc:
+        os.remove(path)
+        if isinstance(exc, OSError) and exc.filename is None:
+            exc.filename = os.fspath(path)
+        raise
+
+
 def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write rows of str/float cells. Floats are formatted, strings passed through."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _output(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             cells = [c if isinstance(c, str) else format_float(c) for c in row]
@@ -261,70 +264,12 @@ def _write_rows(fh, cells_b: np.ndarray, axis_a, values) -> None:
             fh.write(text.translate(None, b"\0"))
 
 
-def _two_cpus() -> bool:
-    """Whether this process may run on 2 CPUs or more (its affinity mask);
-    False where the platform cannot tell."""
-    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-
-
-def _child_start(values) -> int:
-    """The first row a forked child writes: half the rows of a grid of at
-    least _SPLIT_CELLS cells and 2 rows when this process can fork and may
-    run on 2 CPUs; otherwise all of them, len(values), and no child."""
-    n = len(values)
-    if values.size < _SPLIT_CELLS or n < 2 or not hasattr(os, "fork") or not _two_cpus():
-        return n
-    return n // 2
-
-
 def _write_grid(path: str | os.PathLike, header: Sequence[str], axis_a, axis_b, values) -> None:
     """write_csv of the rows (axis_a[j], axis_b[k], values[j, k]), j-major. Axes are formatted
-    once; the rows go through _write_rows. A large grid's rows from _child_start on are
-    written by a forked child (_write_halves); if the child fails, the file is removed and
-    OSError names its path."""
+    once; the rows go through _write_rows."""
     if values.shape != (len(axis_a), len(axis_b)):
         raise ValueError(f"grid values {values.shape} do not match axes {len(axis_a), len(axis_b)}")
     cells_b = _cells(axis_b)
-    h = _child_start(values)
-    with open(path, "wb") as fh:
+    with _output(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        if h == len(values):
-            _write_rows(fh, cells_b, axis_a, values)
-            return
-        code = _write_halves(fh, h, cells_b, axis_a, values)
-    if code != 0:
-        os.remove(path)
-        reason = f"the forked writer of rows {h}..{len(values) - 1} exited with code {code}"
-        raise OSError(errno.EIO, reason, os.fspath(path))
-
-
-def _write_halves(fh, h: int, cells_b: np.ndarray, axis_a, values) -> int:
-    """Rows [0, h) into fh while a forked child writes rows [h, n) into an
-    unnamed file in fh's directory; the child's bytes are then appended to fh.
-    Returns the child's exit code, and appends nothing unless it is 0."""
-    directory = os.path.dirname(os.path.abspath(fh.name))
-    _tables()  # built once, before the fork, for both processes
-    with tempfile.TemporaryFile("w+b", dir=directory) as tail:
-        pid = os.fork()
-        if pid == 0:
-            # the child never returns or raises into the caller, and never
-            # flushes the stdio buffers or runs the exit handlers it inherited
-            code = 1
-            try:
-                _write_rows(tail, cells_b, axis_a[h:], values[h:])
-                tail.flush()
-                code = 0
-            finally:
-                os._exit(code)
-        try:
-            _write_rows(fh, cells_b, axis_a[:h], values[:h])
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code == 0:
-            # fh is not O_APPEND (sendfile would refuse it) and, once
-            # flushed, its offset is its end
-            fh.flush()
-            size, sent = os.fstat(tail.fileno()).st_size, 0
-            while sent < size:
-                sent += os.sendfile(fh.fileno(), tail.fileno(), sent, size - sent)
-    return code
+        _write_rows(fh, cells_b, axis_a, values)

@@ -32,12 +32,13 @@ two.
 from __future__ import annotations
 
 import contextvars
+import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import _two_cpus, _write_grid
+from .csvio import _write_grid
 from .errors import GridEscapeError
 from .grids import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams, _Amplitudes, dual_grid
 from .kernels import free_kernel_row
@@ -100,6 +101,12 @@ def epr_initial_pair(
     com = np.exp(-(((grid.x_min + grid.x_max) + lag) ** 2) / (16.0 * envelope_width**2))
     windows = np.lib.stride_tricks.sliding_window_view
     return PairWaveFunction(grid, windows(rel, n)[::-1] * windows(com, n), params).normalized()
+
+
+def _two_cpus() -> bool:
+    """Whether this process may run on 2 CPUs or more (its affinity mask);
+    False where the platform cannot tell."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
 def _each_block(m: int, work) -> list:

@@ -4,13 +4,16 @@ import ast
 import gc
 import os
 import re
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import read_csv, traced_peak, weight_ratio_error_full_grid
-from wickbell import csvio
+import wickbell
 from wickbell.cli import (
     _PEAK_BYTES,
     _angles_line,
@@ -25,6 +28,11 @@ from wickbell.errors import ConfigError
 from wickbell.epr import CorrelationWidth, epr_initial_pair, evolve_pair, joint_momentum_distribution
 from wickbell.grids import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams
 from wickbell.spin_geometry import UnitVector
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 ALL_EXPERIMENTS = (
     "wigner",
@@ -431,25 +439,25 @@ class TestValidation:
         assert out.is_dir() and list(out.iterdir()) == []
         assert (tmp_path / "kept" / "note.txt").read_text() == "kept\n"
 
-    def test_failed_grid_writer_leaves_no_directory(self, capsys, tmp_path, monkeypatch):
-        # the forked child writing the second half of wigner.csv fails: a
-        # config error naming the file, not a traceback, and the directories
-        # the run made go again
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(csvio, "_SPLIT_CELLS", 2**15)  # the 2^16-cell default grid splits
-        parent, write_rows = os.getpid(), csvio._write_rows
+    @pytest.mark.skipif(not hasattr(resource, "RLIMIT_FSIZE"), reason="no file size limit")
+    def test_failed_grid_writer_leaves_no_directory(self, tmp_path):
+        # wigner.csv runs into a 1 MiB file size limit set in the child alone:
+        # a config error naming the file, not a traceback, and neither the
+        # part-written file nor the directories the run made stay behind
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (2**20, 2**20))
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
 
-        def fails_in_child(*args):
-            if os.getpid() != parent:
-                raise RuntimeError("the child's rows fail")
-            write_rows(*args)
-
-        monkeypatch.setattr(csvio, "_write_rows", fails_in_child)
+        package_root = str(Path(wickbell.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
         out = tmp_path / "made" / "out"
-        assert entry(["run", "wigner", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: cannot write output {out / 'wigner.csv'}: the forked ")
-        assert "Traceback" not in err
+        argv = [sys.executable, "-m", "wickbell", "run", "wigner", "--out", str(out)]
+        result = subprocess.run(
+            argv, env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_file_size
+        )
+        assert result.returncode == 2
+        assert result.stderr == f"config error: cannot write output {out / 'wigner.csv'}: File too large\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_output_is_a_config_error(self, capsys, tmp_path):

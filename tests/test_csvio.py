@@ -1,7 +1,6 @@
 """Grid CSV files: the same bytes as the cell-by-cell writer, written in rows."""
 
-import os
-import re
+import errno
 import tracemalloc
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_cell_grid_csv, traced_peak
+from oracles import per_cell_grid_csv
 from wickbell import Grid1D, PhysParams, csvio
 from wickbell.epr import (
     CorrelationWidth,
@@ -79,6 +78,25 @@ def test_values_must_match_axes(tmp_path, shape):
         momentum_distribution_to_csv(pgrid, np.zeros(shape), tmp_path / "p.csv")
 
 
+def test_failed_write_removes_the_file(tmp_path):
+    # an OSError that names no file is given the path of the one written;
+    # a path the writer could not open is left as it was
+    def rows():
+        yield (1.0, 2.0)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    path = tmp_path / "rows.csv"
+    with pytest.raises(OSError) as failed:
+        csvio.write_csv(path, ("a", "b"), rows())
+    assert failed.value.filename == str(path)
+    assert str(failed.value) == f"[Errno {errno.ENOSPC}] No space left on device: '{path}'"
+    (tmp_path / "g.csv").mkdir()
+    with pytest.raises(IsADirectoryError):
+        csvio._write_grid(tmp_path / "g.csv", WIGNER_HEADER, [0.0], [0.0], np.zeros((1, 1)))
+    assert [p.name for p in tmp_path.iterdir()] == ["g.csv"]
+    assert (tmp_path / "g.csv").is_dir()
+
+
 def test_writer_memory_stays_at_a_row(tmp_path):
     # a 512 x 512 file is about 16 MiB of text and 262k floats: holding
     # either at once would dwarf the one row of strings the writer keeps
@@ -95,14 +113,6 @@ def test_writer_memory_stays_at_a_row(tmp_path):
     assert (tmp_path / "w.csv").stat().st_size > 8 * 2**20
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """The split path wherever os.fork exists, whatever CPUs the host gives,
-    from 2^15 cells on: small grids run the same split as large ones."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(csvio, "_SPLIT_CELLS", 2**15)
-
-
 def _write_grid_file(path, shape) -> bytes:
     """Write a grid of `shape` to path; return the per-cell writer's bytes for it."""
     n_a, n_b = shape
@@ -113,86 +123,12 @@ def _write_grid_file(path, shape) -> bytes:
     return per_cell_grid_csv(WIGNER_HEADER, axis_a, axis_b, values)
 
 
-@pytest.mark.parametrize(
-    "shape, child_start",
-    [((1, 40000), 1), ((2, 20000), 1), ((3, 20000), 1), ((257, 256), 128), ((512, 512), 256)],
-)
-def test_split_file_matches_per_cell_writer(tmp_path, two_cpus, shape, child_start):
-    # every grid here has 2^15 cells or more: all but the one-row grid split
-    assert csvio._child_start(np.empty(shape)) == child_start
+@pytest.mark.parametrize("shape", [(1, 40000), (2, 20000), (3, 20000), (257, 256), (512, 512)])
+def test_wide_grid_matches_per_cell_writer(tmp_path, shape):
+    # rows wider than csvio._BLOCK, and blocks that end inside a row
     path = tmp_path / "g.csv"
     expected = _write_grid_file(path, shape)
     assert path.read_bytes() == expected
-    assert os.listdir(tmp_path) == ["g.csv"]  # the child's unnamed file is gone
-    with pytest.raises(ChildProcessError):  # and so is the child
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize(
-    "shape, cpus, child_start",
-    [
-        ((2, 2**19), {0, 1}, 1),
-        ((2, 2**19 - 1), {0, 1}, 2),  # below 2^20 cells
-        ((512, 512), {0, 1}, 512),
-        ((1, 2**21), {0, 1}, 1),  # one row
-        ((1024, 1024), {0}, 1024),  # one CPU
-    ],
-)
-def test_child_start(monkeypatch, shape, cpus, child_start):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    assert csvio._child_start(np.empty(shape)) == child_start
-
-
-@pytest.mark.parametrize("cpus, two", [({0}, False), ({0, 1}, True), ({3, 5, 7}, True), (None, False)])
-def test_two_cpus(monkeypatch, cpus, two):
-    # the one predicate behind the forked writer and epr's helper thread;
-    # None stands for a platform without os.sched_getaffinity
-    if cpus is None:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    assert csvio._two_cpus() is two
-
-
-def test_failed_child_leaves_no_file(tmp_path, two_cpus, monkeypatch):
-    parent = os.getpid()
-    write_rows = csvio._write_rows
-
-    def fails_in_child(fh, cells_b, axis_a, values):
-        if os.getpid() != parent:
-            raise RuntimeError("the child's rows fail")
-        write_rows(fh, cells_b, axis_a, values)
-
-    monkeypatch.setattr(csvio, "_write_rows", fails_in_child)
-    path = tmp_path / "out" / "g.csv"
-    path.parent.mkdir()
-    try:
-        with pytest.raises(OSError, match=re.escape(str(path))):
-            _write_grid_file(path, (64, 1024))
-    finally:
-        # a child that came back from the writer, by return or by raise,
-        # passes here too, and goes no further into the test session
-        with open(tmp_path / "continued", "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        if os.getpid() != parent:
-            os._exit(0)
-    assert (tmp_path / "continued").read_text() == f"{parent}\n"
-    assert os.listdir(path.parent) == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_row_loop_memory_stays_at_a_row(tmp_path, monkeypatch):
-    # the split leaves half the rows to a child, out of this process's trace:
-    # on one CPU all 512 rows run through the same loop here, in the same bound
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    n = 512
-    x_axis = Grid1D(-16.0, 16.0, n)
-    w = WignerGrid(x_axis, dual_grid(x_axis, PHYS), _special_values(n, n), PHYS)
-    assert csvio._child_start(w.values) == n
-    peak = traced_peak(lambda: wigner_to_csv(w, tmp_path / "w.csv"))[1]
-    assert peak < 2 * 2**20
-    assert (tmp_path / "w.csv").stat().st_size > 8 * 2**20
 
 
 def _kernel_lines(values) -> tuple[bytes, np.ndarray]:

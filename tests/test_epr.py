@@ -694,6 +694,17 @@ def test_helper_starts_from_its_block_count(monkeypatch, blocks):
     assert any(results) is (blocks >= 32)
 
 
+@pytest.mark.parametrize("cpus, two", [({0}, False), ({0, 1}, True), ({3, 5, 7}, True), (None, False)])
+def test_two_cpus(monkeypatch, cpus, two):
+    # the predicate behind the helper thread; None stands for a platform
+    # without os.sched_getaffinity
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    assert epr._two_cpus() is two
+
+
 class TestValidationAndCsv:
     def test_statistics_ignore_the_density_weight(self):
         # doubling is exact in floating point, so both statistics of a
