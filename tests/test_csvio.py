@@ -1,6 +1,7 @@
 """Grid CSV files: the same bytes as the cell-by-cell writer, written in rows."""
 
 import errno
+import os
 import tracemalloc
 
 import numpy as np
@@ -95,6 +96,74 @@ def test_failed_write_removes_the_file(tmp_path):
         csvio._write_grid(tmp_path / "g.csv", WIGNER_HEADER, [0.0], [0.0], np.zeros((1, 1)))
     assert [p.name for p in tmp_path.iterdir()] == ["g.csv"]
     assert (tmp_path / "g.csv").is_dir()
+
+
+def _wigner_file(path):
+    x_axis = Grid1D(-4.0, 4.0, 64)
+    wigner_to_csv(WignerGrid(x_axis, dual_grid(x_axis, PHYS), _special_values(64, 64), PHYS), path)
+
+
+def _momentum_file(path):
+    momentum_distribution_to_csv(Grid1D(-1.0, 1.0, 64), _special_values(64, 64), path)
+
+
+@pytest.mark.parametrize("write", [_wigner_file, _momentum_file], ids=["wigner", "momentum"])
+@pytest.mark.parametrize("named", [True, False], ids=["oserror", "runtimeerror"])
+def test_failed_grid_write_removes_the_file(tmp_path, monkeypatch, write, named):
+    # the first row is written, then the rows fail: the part-written file
+    # goes, an OSError is given its path, any other error passes unchanged
+    write_rows = csvio._write_rows
+    error = OSError(errno.ENOSPC, "No space left on device") if named else RuntimeError("rows fail")
+
+    def fails_after_a_row(fh, cells_b, axis_a, values):
+        write_rows(fh, cells_b, axis_a[:1], values[:1])
+        fh.flush()
+        assert path.read_bytes().count(b"\n") == 1 + 64
+        raise error
+
+    monkeypatch.setattr(csvio, "_write_rows", fails_after_a_row)
+    path = tmp_path / "g.csv"
+    with pytest.raises(type(error)) as failed:
+        write(path)
+    assert failed.value is error
+    if named:
+        assert str(failed.value) == f"[Errno {errno.ENOSPC}] No space left on device: '{path}'"
+    else:
+        assert str(failed.value) == "rows fail"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_keeps_a_named_error(tmp_path):
+    # an OSError that already names a file is raised as it came
+    def rows():
+        yield (1.0, "a")
+        raise PermissionError(errno.EACCES, "Permission denied", "elsewhere.csv")
+
+    path = tmp_path / "rows.csv"
+    with pytest.raises(PermissionError) as failed:
+        csvio.write_csv(path, ("x", "label"), rows())
+    assert failed.value.filename == "elsewhere.csv"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("shape", [(2, 2**19), (1024, 1024)])
+def test_large_grid_is_written_in_process(tmp_path, monkeypatch, shape):
+    # 2^20 cells on two CPUs: the file is written by this process alone,
+    # with no child and no other file beside it
+    def no_fork():
+        raise AssertionError("the grid writer forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    n_a, n_b = shape
+    path = tmp_path / "g.csv"
+    axis_a, axis_b = np.arange(n_a, dtype=float), np.arange(n_b, dtype=float)
+    csvio._write_grid(path, WIGNER_HEADER, axis_a, axis_b, np.zeros(shape))
+    expected = b"".join(b"%d,%d,0\n" % (a, b) for a in range(n_a) for b in range(n_b))
+    assert path.read_bytes() == b"x,p,w\n" + expected
+    assert os.listdir(tmp_path) == ["g.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_writer_memory_stays_at_a_row(tmp_path):
