@@ -8,7 +8,10 @@ configuration are byte-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical guard tripped
 (the guard class is named on stderr) or any other ValueError raised while
-the experiment runs (the experiment is named).
+the experiment runs (the experiment is named). Every rejection names the
+parameters that decide it: the schema names the key it checks, and a runner
+step that depends on its parameters runs inside `_naming`, whose message
+reads `<label> (<key>=<value>, ...): <cause>`.
 """
 
 from __future__ import annotations
@@ -16,14 +19,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, GridEscapeError, NumericalGuardError
+from .errors import ConfigError, NumericalGuardError
 from .csvio import format_float, write_csv
 from .grids import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams, cat_state, dual_grid, gaussian_wavepacket
 from .kernels import (
@@ -155,37 +158,48 @@ def _state_params(state: str = "cat-odd", state_help: str = "initial state kind"
     }
 
 
-def _make_grid(p: dict) -> Grid1D:
-    try:
-        return Grid1D(p["x_min"], p["x_max"], p["n_points"])
-    except ValueError as exc:  # edges out of order, or a span past the float range
-        raise ConfigError(f"grid: {exc}") from None
+_GRID = ("x_min", "x_max", "n_points")
 
 
-def _guarded(label: str, p: dict, keys: tuple, grid: Grid1D, build: Callable):
-    """build() with numpy overflow, division by zero and invalid values raised;
-    an arithmetic or value error is a ConfigError naming the parameters in
-    `keys`. Underflow stays silent: Gaussian tails underflow on every valid
+@contextmanager
+def _naming(label: str, p: dict, *keys: str, hint: str = ""):
+    """Run the block with numpy overflow, division by zero and invalid values
+    raised, and name `keys` in what it raises: a ValueError or an arithmetic
+    error becomes a ConfigError (exit 2), a NumericalGuardError keeps its
+    class (exit 3), and either reads `label (key=value, ...): cause` plus
+    `hint`. Underflow stays silent: Gaussian tails underflow on every valid
     grid."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return build()
-    except (ValueError, ArithmeticError) as exc:
+            yield
+    except (ValueError, ArithmeticError, NumericalGuardError) as exc:
         given = ", ".join(f"{key}={_canonical(p[key])}" for key in keys)
-        raise ConfigError(f"{label} ({given}) on {grid}: {exc}") from None
+        kind = type(exc) if isinstance(exc, NumericalGuardError) else ConfigError
+        raise kind(f"{label} ({given}): {exc}{hint}") from None
+
+
+def _make_grid(p: dict) -> Grid1D:
+    with _naming("grid", p, *_GRID):  # edges out of order, or a span past the float range
+        return Grid1D(p["x_min"], p["x_max"], p["n_points"])
 
 
 def _make_state(grid: Grid1D, phys: PhysParams, p: dict):
     kind = p["state"]
     keys = ("center", "width", "momentum") if kind == "gaussian" else ("separation", "width")
     args = [p[key] for key in keys]
-
-    def build():
+    with _naming(f"state {kind}", p, *keys, *_GRID):
         if kind == "gaussian":
             return gaussian_wavepacket(grid, phys, *args)
         return cat_state(grid, phys, *args, kind.removeprefix("cat-"))
 
-    return _guarded(f"state {kind}", p, keys, grid, build)
+
+def _schedule(p: dict) -> np.ndarray:
+    """n_samples imaginary times from 0 to tau_max, strictly increasing."""
+    with _naming("schedule", p, "tau_max", "n_samples"):
+        taus = np.linspace(0.0, p["tau_max"], p["n_samples"])
+        if np.any(np.diff(taus) <= 0.0):
+            raise ValueError("the samples from 0 to tau_max repeat values")
+    return taus
 
 
 def _manifest(outdir: str, experiment: str, p: dict) -> str:
@@ -236,10 +250,11 @@ def _run_kernel_check(p: dict, outdir: str) -> list:
     grid = _make_grid(p)
     phys = PhysParams()
     t = p["total_time"]
-    margin = p["margin"] * np.sqrt(phys.hbar * t / phys.mass)
-    inside = (grid.x >= grid.x_min + margin) & (grid.x <= grid.x_max - margin)
-    if not np.any(inside):
-        raise ConfigError(f"margin {p['margin']} leaves no interior grid points")
+    with _naming("interior", p, "margin", "total_time", "x_min", "x_max"):
+        margin = p["margin"] * np.sqrt(phys.hbar * t / phys.mass)
+        inside = (grid.x >= grid.x_min + margin) & (grid.x <= grid.x_max - margin)
+        if not np.any(inside):
+            raise ValueError(f"margin * sqrt(hbar total_time / m) = {margin:.3g} leaves no grid point")
     box = np.ix_(inside, inside)
 
     def deviation(n_slices: int) -> float:
@@ -250,7 +265,8 @@ def _run_kernel_check(p: dict, outdir: str) -> list:
         exact = free_kernel_euclidean(grid, t, phys).entries[box]
         return float(np.max(np.abs(approx - exact)))
 
-    rows = [(n_slices, deviation(n_slices)) for n_slices in p["slice_counts"]]
+    with _naming("sliced kernel", p, "total_time", "slice_counts", *_GRID):
+        rows = [(n_slices, deviation(n_slices)) for n_slices in p["slice_counts"]]
     out = os.path.join(outdir, "kernel_check.csv")
     write_csv(out, ("n_slices", "max_abs_deviation"), rows)
     return [out]
@@ -259,14 +275,12 @@ def _run_kernel_check(p: dict, outdir: str) -> list:
 def _run_commutator(p: dict, outdir: str) -> list:
     phys = PhysParams()
     rows = []
-    for regime in (MINKOWSKI, EUCLIDEAN):
-        plan = SlicingPlan(p["n_slices"], p["total_time"], regime)
-        for j in p["slice_indices"]:
-            try:
+    with _naming("commutator", p, "slice_indices", "n_slices"):  # the schema checks the rest
+        for regime in (MINKOWSKI, EUCLIDEAN):
+            plan = SlicingPlan(p["n_slices"], p["total_time"], regime)
+            for j in p["slice_indices"]:
                 val = commutator_expectation(plan, phys, j, p["boundary_width"])
-            except ValueError as exc:  # the schema has checked boundary_width
-                raise ConfigError(f"parameter slice_indices: {exc}") from None
-            rows.append((regime, j, val.real, val.imag))
+                rows.append((regime, j, val.real, val.imag))
     out = os.path.join(outdir, "commutator.csv")
     write_csv(out, ("regime", "j", "re", "im"), rows)
     return [out]
@@ -276,6 +290,8 @@ def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParam
     """Largest deviation of the raw-weight ratio prob_e / prob_m from the
     analytic damping factor, evaluated only where prob_m holds more than
     1e-12 of its peak."""
+    if not (prob_m.any() and prob_e.any()):
+        raise ValueError("an evolved momentum density has no weight")
     kx, ky = np.nonzero(prob_m > 1e-12 * prob_m.max())
     predicted = np.exp(-(pgrid.x[kx] ** 2 + pgrid.x[ky] ** 2) * t / (phys.hbar * phys.mass))
     return float(np.max(np.abs(prob_e[kx, ky] / prob_m[kx, ky] - predicted)))
@@ -337,33 +353,28 @@ def _run_epr(p: dict, outdir: str) -> list:
     grid = _make_grid(p)
     phys = PhysParams()
     # both momentum windows are checked on the dual grid before the pair exists
-    pgrid = dual_grid(grid, phys)
-    center, half = p["condition_momentum"], 2.0 * pgrid.dx
-    lo, hi = center - half, center + half
-    if not np.any((pgrid.x >= lo) & (pgrid.x <= hi)):
-        raise ConfigError(f"condition_momentum {center} has no momentum sample within {half:.3g}")
-    window = np.abs(pgrid.x) <= p["p_window"]
-    if window.sum() < 8:
-        raise ConfigError(
-            f"p_window {p['p_window']} keeps {window.sum()} momentum samples; the CSV grid needs 8"
-        )
-    # a vanishing time overflows the kernel rows' prefactor
+    with _naming("condition window", p, "condition_momentum", *_GRID):
+        pgrid = dual_grid(grid, phys)
+        center, half = p["condition_momentum"], 2.0 * pgrid.dx
+        lo, hi = center - half, center + half
+        if not np.any((pgrid.x >= lo) & (pgrid.x <= hi)):
+            raise ValueError(f"no momentum sample lies within {half:.3g}")
+    with _naming("momentum box", p, "p_window", *_GRID):
+        window = np.abs(pgrid.x) <= p["p_window"]
+        if window.sum() < 8:
+            raise ValueError(f"the box holds {window.sum()} momentum samples; the CSV grid needs 8")
     t = p["time"]
-    for regime in (MINKOWSKI, EUCLIDEAN):
-        _guarded(f"{regime} kernel", p, ("time",), grid, partial(free_kernel_row, grid, t, phys, regime))
-    pair = _guarded(
-        "pair",
-        p,
-        ("s", "envelope"),
-        grid,
-        lambda: epr_initial_pair(grid, CorrelationWidth(p["s"]), p["envelope"], phys),
-    )
-    pearson_initial = momentum_anticorrelation(*joint_momentum_distribution(pair))
-    # each evolved pair exists only block by block, inside its momentum density
-    prob_m = joint_momentum_distribution(pair, t, MINKOWSKI)[1]
-    ratio_err = _weight_ratio_error(
-        pgrid, prob_m, joint_momentum_distribution(pair, t, EUCLIDEAN)[1], t, phys
-    )
+    with _naming("momentum densities", p, *_GRID, "s", "envelope", "time"):
+        # a vanishing time overflows the kernel rows' prefactor
+        for regime in (MINKOWSKI, EUCLIDEAN):
+            free_kernel_row(grid, t, phys, regime)
+        pair = epr_initial_pair(grid, CorrelationWidth(p["s"]), p["envelope"], phys)
+        pearson_initial = momentum_anticorrelation(*joint_momentum_distribution(pair))
+        # each evolved pair exists only block by block, inside its momentum density
+        prob_m = joint_momentum_distribution(pair, t, MINKOWSKI)[1]
+        ratio_err = _weight_ratio_error(
+            pgrid, prob_m, joint_momentum_distribution(pair, t, EUCLIDEAN)[1], t, phys
+        )
 
     # both statistics take a density of any weight: the raw prob_m serves as it is
     cond_grid, cond = condition_on_momentum_window(pgrid, prob_m, lo, hi)
@@ -394,48 +405,35 @@ def _run_negativity_decay(p: dict, outdir: str) -> list:
     psi = _make_state(grid, phys, p)
     out = os.path.join(outdir, "negativity_decay.csv")
     if p["regime"] == "euclidean":
-        h = _guarded(
-            "trap",
-            p,
-            ("omega",),
-            grid,
-            lambda: hamiltonian(grid, phys, harmonic_potential(p["omega"], phys)),
-        )
-        taus = np.linspace(0.0, p["tau_max"], p["n_samples"])
-        points = negativity_trajectory(psi, h, taus, EUCLIDEAN)
+        with _naming("trap", p, "omega", *_GRID):
+            h = hamiltonian(grid, phys, harmonic_potential(p["omega"], phys))
+        points = negativity_trajectory(psi, h, _schedule(p), EUCLIDEAN)
     else:  # minkowski-shear
         wig = wigner_transform(psi)
         # commensurate times: each step shifts every row by a whole cell count
         t_star = phys.mass * grid.n_points * grid.dx**2 / (2.0 * np.pi * phys.hbar)
         times = t_star * np.arange(p["n_samples"])
-        try:
+        hint = (
+            "; sample k moves momentum row j by j*k cells, so take fewer n_samples "
+            "or a finer spacing (x_max - x_min)/(n_points - 1)"
+        )
+        with _naming("minkowski-shear", p, "n_samples", "n_points", "x_min", "x_max", hint=hint):
             points = shear_negativity_trajectory(wig, times)
-        except GridEscapeError as exc:
-            keys = ("n_samples", "n_points", "x_min", "x_max")
-            given = ", ".join(f"{key}={_canonical(p[key])}" for key in keys)
-            raise GridEscapeError(
-                f"minkowski-shear ({given}): {exc}; sample k moves momentum row j by "
-                "j*k cells, so take fewer n_samples or a finer spacing "
-                "(x_max - x_min)/(n_points - 1)"
-            ) from None
     trajectory_to_csv(points, out)
     return [out]
 
 
 def _run_spin_phase(p: dict, outdir: str) -> list:
-    loops = [
-        ("equator", equator_loop(p["equator_segments"])),
-        ("octant", octant_loop()),
-        ("latitude", latitude_loop(p["latitude_theta"], p["latitude_segments"])),
+    # of the three loops, only the latitude loop can reach -z, where its fan
+    # from +z meets an antipodal vertex pair
+    with _naming("latitude loop", p, "latitude_theta"):
+        latitude = wz_phase_closed_path(latitude_loop(p["latitude_theta"], p["latitude_segments"]))
+    phases = [
+        ("equator", wz_phase_closed_path(equator_loop(p["equator_segments"]))),
+        ("octant", wz_phase_closed_path(octant_loop())),
+        ("latitude", latitude),
     ]
-    rows = []
-    for loop_id, loop in loops:
-        try:
-            phase = wz_phase_closed_path(loop)
-        except ValueError as exc:  # of the three, only a latitude loop can reach -z
-            theta = _canonical(p["latitude_theta"])
-            raise ConfigError(f"latitude_theta={theta} puts the loop too near -z: {exc}") from None
-        rows.append((loop_id, 2.0 * phase, phase))
+    rows = [(loop_id, 2.0 * phase, phase) for loop_id, phase in phases]
     out = os.path.join(outdir, "spin_phases.csv")
     phases_to_csv(rows, out)
     return [out]
@@ -469,16 +467,14 @@ def _run_chsh(p: dict, outdir: str) -> list:
 
 
 def _run_chsh_decay(p: dict, outdir: str) -> list:
-    taus = np.linspace(0.0, p["tau_max"], p["n_samples"])
+    taus = _schedule(p)
     energies = p["energies"]
     # bounds the decay's exponents (E - floor) tau and the control's phases
     # E tau; Python floats round an overflow to inf without a warning
-    exponent = 2.0 * float(np.max(np.abs(energies))) * p["tau_max"]
-    if not np.isfinite(exponent):
-        raise ConfigError(
-            f"energies ({_canonical(energies)}) and tau_max ({_canonical(p['tau_max'])}) "
-            f"leave a non-finite kernel exponent: 2 max|E| tau_max = {exponent}"
-        )
+    with _naming("kernel exponent", p, "energies", "tau_max"):
+        exponent = 2.0 * float(np.max(np.abs(energies))) * p["tau_max"]
+        if not np.isfinite(exponent):
+            raise ValueError(f"2 max|E| tau_max = {exponent} is not finite")
     state0 = singlet()
     decay = euclidean_chsh_decay(state0, energies, taus)
     control = minkowski_chsh_control(state0, energies, taus)

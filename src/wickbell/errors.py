@@ -2,7 +2,9 @@
 
 The CLI maps ConfigError to exit code 2, and NumericalGuardError (or any
 subclass) and any other ValueError raised inside an experiment run to exit
-code 3.
+code 3. Every rejection names the parameters that decide it: a step of a
+run reports a guard as it is, and any other error as a ConfigError, reading
+`<step> (<key>=<value>, ...): <cause>`.
 """
 
 

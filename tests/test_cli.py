@@ -7,6 +7,7 @@ import re
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -219,10 +220,27 @@ class TestMemoryBudget:
         "override, named",
         [
             # the conditioning window lies past the momentum grid's edge
-            ("condition_momentum=1000", "condition_momentum 1000"),
-            ("condition_momentum=nan", "condition_momentum nan"),
+            (
+                "condition_momentum=1000",
+                "condition window (condition_momentum=1000, x_min=-11.5, x_max=11.5, "
+                "n_points=1536): no momentum sample lies within 0.546",
+            ),
+            (
+                "condition_momentum=nan",
+                "condition window (condition_momentum=nan, x_min=-11.5, x_max=11.5, "
+                "n_points=1536): no momentum sample lies within 0.546",
+            ),
             # a 0.1 half-width keeps one momentum sample of spacing 0.27
-            ("p_window=0.1", "p_window 0.1 keeps 1 momentum samples"),
+            (
+                "p_window=0.1",
+                "momentum box (p_window=0.10000000000000001, x_min=-11.5, x_max=11.5, "
+                "n_points=1536): the box holds 1 momentum samples; the CSV grid needs 8",
+            ),
+        ],
+        ids=[
+            "condition_momentum=1000-condition_momentum 1000",
+            "condition_momentum=nan-condition_momentum nan",
+            "p_window=0.1-p_window 0.1 keeps 1 momentum samples",
         ],
     )
     def test_epr_momentum_window_rejected_before_pair(self, capsys, tmp_path, override, named):
@@ -301,16 +319,21 @@ class TestValidation:
         assert code == 2
         assert f"config error: parameter {key}: {key} must be >= {bound}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override", ["center=100", "width=0.001"])
-    def test_state_vanishing_on_grid(self, capsys, tmp_path, override):
+    @pytest.mark.parametrize(
+        "override, given",
+        [("center=100", "center=100, width=1"), ("width=0.001", "center=0, width=0.001")],
+        ids=["center=100", "width=0.001"],
+    )
+    def test_state_vanishing_on_grid(self, capsys, tmp_path, override, given):
         code = entry(
             ["run", "wigner", "--out", str(tmp_path)]
             + ["--set", "state=gaussian", "--set", override]
         )
         assert code == 2
-        err = capsys.readouterr().err
-        assert "config error: state gaussian (center=" in err
-        assert override in err and "Grid1D(x_min=-16.0, x_max=16.0, n_points=256)" in err
+        assert capsys.readouterr().err == (
+            f"config error: state gaussian ({given}, momentum=0, x_min=-16, x_max=16, "
+            "n_points=256): cannot normalize a zero WaveFunction\n"
+        )
 
     @pytest.mark.parametrize(
         "experiment, overrides, named",
@@ -339,8 +362,8 @@ class TestValidation:
     @pytest.mark.parametrize(
         "overrides, named",
         [
-            (["energies=1e308,0,0,0"], "energies (1e+308,0,0,0) and tau_max (8)"),
-            (["tau_max=1e308", "n_samples=3"], "energies (0,1,2,3) and tau_max (1e+308)"),
+            (["energies=1e308,0,0,0"], "kernel exponent (energies=1e+308,0,0,0, tau_max=8): "),
+            (["tau_max=1e308", "n_samples=3"], "kernel exponent (energies=0,1,2,3, tau_max=1e+308): "),
         ],
         ids=["energies", "tau_max"],
     )
@@ -352,19 +375,36 @@ class TestValidation:
             args += ["--set", item]
         assert entry(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and named in err
-        assert "non-finite kernel exponent" in err
+        assert err == f"config error: {named}2 max|E| tau_max = inf is not finite\n"
 
     @pytest.mark.parametrize(
         "experiment, overrides, named",
         [
             ("kernel-check", ["slice_counts=16,1"], "parameter slice_counts: slice_counts must"),
             ("spin-phase", ["latitude_theta=4"], "parameter latitude_theta: latitude_theta must"),
-            ("commutator", ["slice_indices=0"], "parameter slice_indices: slice index j must"),
+            (
+                "commutator",
+                ["slice_indices=0"],
+                "commutator (slice_indices=0, n_slices=8): slice index j must",
+            ),
             # the kernel prefactor sqrt(m / 2 pi hbar t) overflows
-            ("epr", ["time=5e-324"], "minkowski kernel (time=4.9406564584124654e-324)"),
-            ("wigner", ["x_min=-1e308", "x_max=1e308"], "grid: x_max - x_min overflows"),
-            ("wigner", ["x_min=3", "x_max=-3"], "grid: x_max must exceed x_min"),
+            (
+                "epr",
+                ["time=5e-324"],
+                "momentum densities (x_min=-11.5, x_max=11.5, n_points=1536, "
+                "s=0.050000000000000003, envelope=1, time=4.9406564584124654e-324): "
+                "overflow encountered in divide",
+            ),
+            (
+                "wigner",
+                ["x_min=-1e308", "x_max=1e308"],
+                "grid (x_min=-1e+308, x_max=1e+308, n_points=256): x_max - x_min overflows",
+            ),
+            (
+                "wigner",
+                ["x_min=3", "x_max=-3"],
+                "grid (x_min=3, x_max=-3, n_points=256): x_max must exceed x_min",
+            ),
             # counts whose lists or schedules would outgrow the memory budget
             ("spin-phase", ["equator_segments=100000000000000"], "parameter equator_segments:"),
             ("spin-phase", ["latitude_segments=100000000000000"], "parameter latitude_segments:"),
@@ -374,7 +414,27 @@ class TestValidation:
             ("wigner", ["state=bogus"], "parameter state: state must be one of gaussian, cat-odd"),
             ("negativity-decay", ["regime=thermal"], "parameter regime: regime must be one of euclidean"),
             ("chsh", ["=1"], "--set needs a parameter name, got '=1'"),
-            ("kernel-check", ["margin=1e308"], "margin 1e+308 leaves no interior grid points"),
+            # the kernel rows' prefactor leaves both evolved densities exactly 0
+            (
+                "epr",
+                ["time=1e308"],
+                "momentum densities (x_min=-11.5, x_max=11.5, n_points=1536, "
+                "s=0.050000000000000003, envelope=1, time=1e+308): "
+                "an evolved momentum density has no weight",
+            ),
+            # a subnormal tau_max makes linspace repeat values
+            (
+                "chsh-decay",
+                ["tau_max=5e-324"],
+                "schedule (tau_max=4.9406564584124654e-324, n_samples=33): "
+                "the samples from 0 to tau_max repeat values",
+            ),
+            (
+                "kernel-check",
+                ["margin=1e308"],
+                "interior (margin=1e+308, total_time=1, x_min=-16, x_max=16): "
+                "margin * sqrt(hbar total_time / m) = 1e+308 leaves no grid point",
+            ),
         ],
         ids=[
             "slice_counts",
@@ -391,6 +451,8 @@ class TestValidation:
             "state-choice",
             "regime-choice",
             "empty-name",
+            "weightless-density",
+            "repeated-schedule",
             "margin",
         ],
     )
@@ -409,7 +471,7 @@ class TestValidation:
         argv = ["run", "commutator", "--out", str(tmp_path), "--set", "slice_indices=2,8"]
         assert entry(argv) == 2
         assert capsys.readouterr().err == (
-            "config error: parameter slice_indices: "
+            "config error: commutator (slice_indices=2,8, n_slices=8): "
             "slice index j must satisfy 1 <= j <= 7, got 8\n"
         )
 
@@ -473,7 +535,7 @@ class TestValidation:
         argv = ["run", "spin-phase", "--out", str(tmp_path), "--set"]
         assert entry(argv + ["latitude_theta=3.1415925"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: latitude_theta=3.1415924999999998 ")
+        assert err.startswith("config error: latitude loop (latitude_theta=3.1415924999999998): ")
         assert "antipodal" in err and "Traceback" not in err
         assert entry(argv + [f"latitude_theta={np.pi - 1.5e-6!r}"]) == 0
         assert capsys.readouterr().err == ""
@@ -543,6 +605,45 @@ class TestValidation:
         code = entry(["run", "spin-phase", "--out", str(tmp_path), "--set", "equator_segments"])
         assert code == 2
         assert "KEY=VALUE" in capsys.readouterr().err
+
+
+# Every numeric schema key takes each of these values in turn, the others
+# keeping their defaults. An int key takes 0, -1, 2, 1 and 10^14 instead of
+# 0, -1, nan, 5e-324 and 1e308; a tuple key takes the value as its first entry.
+SWEEP_FLOATS = ("0", "-1", "nan", "5e-324", "1e308")
+SWEEP_INTS = ("0", "-1", "2", "1", str(10**14))
+
+
+def _sweep_text(spec, value: str) -> str:
+    if isinstance(spec.default, tuple):
+        return ",".join([value, *map(str, spec.default[1:])])
+    return value
+
+
+SWEEP = [
+    (name, key, _sweep_text(spec, value))
+    for name, exp in EXPERIMENTS.items()
+    for key, spec in exp.schema.items()
+    if spec.kind != "str"
+    for value in (SWEEP_INTS if spec.kind.startswith("int") else SWEEP_FLOATS)
+]
+
+
+@pytest.mark.parametrize("experiment, key, value", SWEEP, ids=[f"{e}-{k}={v}" for e, k, v in SWEEP])
+def test_sweep_runs_or_names_the_key(capsys, tmp_path, experiment, key, value):
+    # one key at a time: the run succeeds, or it is rejected (exit 2) or a
+    # guard trips (exit 3) with a message naming the key, never a traceback
+    # or a warning
+    argv = ["run", experiment, "--out", str(tmp_path / "out"), "--set", f"{key}={value}"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = entry(argv)
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err and "Warning" not in err
+    if code:
+        assert re.search(rf"\b{key}\b", err), err
 
 
 class TestConfigFile:
@@ -853,8 +954,10 @@ class TestRunOutputs:
             ]
         )
         assert code == 3
-        err = capsys.readouterr().err
-        assert "numerical guard GridEscapeError" in err
+        assert capsys.readouterr().err.startswith(
+            "numerical guard GridEscapeError: momentum densities (x_min=-6, x_max=6, "
+            "n_points=128, s=0.5, envelope=1.5, time=5): evolved pair reaches the grid border"
+        )
 
     def test_shear_escape_names_the_grid_and_samples(self, capsys, tmp_path):
         # the defaults fit the euclidean regime: 32 samples of the free shear
@@ -878,7 +981,11 @@ class TestRunOutputs:
         for item in ("n_points=64", "x_max=1e300"):
             argv += ["--set", item]
         assert entry(argv) == 3
-        assert "slice duration too short for this grid" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "numerical guard NumericalGuardError: sliced kernel (total_time=1, "
+            "slice_counts=16,32,64,128, x_min=-16, x_max=1.0000000000000001e+300, n_points=64): "
+            "slice duration too short for this grid"
+        )
 
 
 def test_cli_imports_no_private_name():
