@@ -311,12 +311,16 @@ def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParam
 #   the general path, which any box with x_min != -x_max takes; a
 #   centrosymmetric pair's intermediates have half the rows, about 29 bytes
 #   per cell, within the same estimate.
-# - wigner: wigner_transform's folded lag correlation (n x (n//2 + 1)
-#   complex) with a product temporary of its size, or with the real W and
-#   its shifted copy: about 25 bytes per cell. The CSV rows and the first
-#   call's numpy.fft import stay under 720 bytes per point from n = 256 on.
-# - negativity-decay: the real trap Hamiltonian and its eigenvectors (n^2
-#   float each) besides one wigner_transform; the shear regime holds less.
+# - wigner: W and the absolute values negativity_ratio sums, n^2 floats
+#   each: 16 bytes per cell. wigner_transform's row blocks (about 768
+#   bytes per point), the CSV rows and the first call's numpy.fft import
+#   stay under 1536 bytes per point from n = 256 on: traced 1.38 MB at 256
+#   points, 16.0 n^2 + 24 n + 5.5 kB from 512 on.
+# - negativity-decay: the real trap Hamiltonian and its eigenvectors beside
+#   one sample's W and its absolute values, n^2 floats each: 32 bytes per
+#   cell, plus 640 bytes per point; traced 2.15 MB at 256 points on either
+#   box. The parity split holds about 20 bytes per cell beside H, and only
+#   before the first sample; the shear regime holds less.
 # - kernel-check: one sliced_kernel build, about 32 bytes per cell; no
 #   kernel outlives its slice count. numpy's index buffers and the CSV stay
 #   under 128 KiB.
@@ -326,8 +330,8 @@ def _weight_ratio_error(pgrid: Grid1D, prob_m, prob_e, t: float, phys: PhysParam
 # samples, taken with the interpreter's free lists emptied, rounded up to 16 bytes.
 _PEAK_BYTES = {
     ("epr", "n_points"): ("points", lambda n: 32 * n * n + 1408 * n),
-    ("wigner", "n_points"): ("points", lambda n: 25 * n * n + 720 * n),
-    ("negativity-decay", "n_points"): ("points", lambda n: 41 * n * n + 1024 * n),
+    ("wigner", "n_points"): ("points", lambda n: 16 * n * n + 1536 * n),
+    ("negativity-decay", "n_points"): ("points", lambda n: 32 * n * n + 640 * n),
     ("kernel-check", "n_points"): ("points", lambda n: 32 * n * n + 2**17),
     # the path solve's right-hand side and its running sum
     ("commutator", "n_slices"): ("slices", lambda n: 16 * n),

@@ -40,7 +40,7 @@ import numpy as np
 
 from .csvio import _write_grid
 from .errors import GridEscapeError
-from .grids import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams, _Amplitudes, dual_grid
+from .grids import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams, _Amplitudes, _check_gaussian, dual_grid
 from .kernels import free_kernel_row
 
 # relative border amplitude above which an evolved pair is considered to
@@ -96,6 +96,9 @@ def epr_initial_pair(
     # an even Toeplitz factor times a Hankel one, each a sliding window over
     # 2n - 1 samples; both are even about k = n - 1 when x_min = -x_max
     n, dx = grid.n_points, grid.dx
+    _check_gaussian((n - 1) * dx, 4.0 * s**2, "x - y", "4 s^2")
+    reach = abs(grid.x_min + grid.x_max) + (n - 1) * dx
+    _check_gaussian(reach, 16.0 * envelope_width**2, "x + y", "16 envelope^2")
     lag = (np.arange(2 * n - 1) - (n - 1)) * dx
     rel = np.exp(-(lag**2) / (4.0 * s**2))
     com = np.exp(-(((grid.x_min + grid.x_max) + lag) ** 2) / (16.0 * envelope_width**2))

@@ -7,10 +7,14 @@ down. The damped state's projector is the symmetric damping
 exp(-H tau/hbar) rho exp(-H tau/hbar) of the initial density, renormalized.
 
 One eigendecomposition of H per trajectory feeds one spectral step per
-sample, which turns the eigenvalues into per-level factors. Grids here are
-small enough (<= 512) that dense eigh is the fast path, and a real H (the
-spectral trap) takes the real symmetric solver. Free real-time motion is
-also applied in phase space, as the exact shear of a Wigner function.
+sample, which turns the eigenvalues into per-level factors. A real H that
+is exactly centrosymmetric, H[i, j] == H[n-1-i, n-1-j], splits into an even
+and an odd block of half the size, each one dense real eigh (`_eigh`): a
+parity-symmetric trap on a box with x_min == -x_max, whose potential
+`hamiltonian` samples on the exactly antisymmetric abscissa. Any other H
+takes one dense eigh, the real symmetric solver for a real H. Free
+real-time motion is also applied in phase space, as the exact shear of a
+Wigner function.
 """
 
 from __future__ import annotations
@@ -67,12 +71,54 @@ def hamiltonian(grid: Grid1D, params: PhysParams, potential: Potential | None = 
     and even (row[d] = row[n - d]), so the circulant is the exactly symmetric
     Toeplitz matrix row[|f - i|]. The spectral kinetic term keeps eigenvalue
     errors at rounding level instead of the O(dx^2) of finite differences.
+
+    On a box with x_min == -x_max, V is sampled at (x - x[::-1]) / 2, within
+    an ulp of x and exactly antisymmetric, so an even V gives an exactly
+    centrosymmetric H, which `_eigh` splits by parity.
     """
     kin = np.fft.ifftshift(dual_grid(grid, params).x ** 2 / (2.0 * params.mass))
     ent = _toeplitz(np.fft.ifft(kin).real)
     if potential is not None:
-        ent = ent + np.diag(potential(grid.x))
+        x = grid.x
+        if grid.x_min == -grid.x_max:
+            x = (x - x[::-1]) / 2.0
+        ent = ent + np.diag(potential(x))
     return Hamiltonian(grid, ent, params)
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w and orthonormal eigenvectors V (columns) of the Hermitian h.
+
+    A real h equal to h[::-1, ::-1] bit for bit splits by parity (Cantoni &
+    Butler, Linear Algebra Appl. 13, 275 (1976)). With m = n // 2, A = h[:m, :m]
+    and BJ = h[:m, ::-1][:, :m], the even block is A + BJ, for odd n bordered
+    by the middle point (coupling sqrt(2) h[m, :m]), and the odd block A - BJ.
+    Their eigenvectors u give the columns [u; Ju] / sqrt(2) and
+    [u; -Ju] / sqrt(2), the middle point of an even column being its own
+    entry of u: every column is exactly even or odd. w lists the even
+    levels, then the odd ones, each block ascending. Any other h takes one
+    full eigh.
+    """
+    n = h.shape[0]
+    if np.iscomplexobj(h) or not np.array_equal(h, h[::-1, ::-1]):
+        return np.linalg.eigh(h)
+    m, k = n // 2, n - n // 2  # odd and even block sizes
+    top, flip = h[:m, :m], h[:m, ::-1][:, :m]
+    even = np.empty((k, k))
+    even[:m, :m] = top + flip
+    if n % 2:
+        even[m, :m] = even[:m, m] = np.sqrt(2.0) * h[m, :m]
+        even[m, m] = h[m, m]
+    w_even, u_even = np.linalg.eigh(even)
+    w_odd, u_odd = np.linalg.eigh(top - flip)
+    half_even, half_odd = u_even[:m] / np.sqrt(2.0), u_odd / np.sqrt(2.0)
+    v = np.empty((n, n))
+    v[:m, :k], v[k:, :k] = half_even, half_even[::-1]
+    v[:m, k:], v[k:, k:] = half_odd, -half_odd[::-1]
+    if n % 2:
+        v[m, :k] = u_even[m]
+        v[m, k:] = 0.0
+    return np.concatenate((w_even, w_odd)), v
 
 
 def _check_operands(state, h: Hamiltonian) -> None:
@@ -148,15 +194,16 @@ def negativity_trajectory(
 ) -> list[TrajectoryPoint]:
     """Evolve psi0, Wigner-transform and score the negativity ratio at each sample.
 
-    One eigh of H; per sample psi(tau) = V (f * c) / sqrt(trace) with
-    c = V^H psi0: the pure state whose projector is the damped density.
+    One eigendecomposition of H (`_eigh`); per sample
+    psi(tau) = V (f * c) / sqrt(trace) with c = V^H psi0: the pure state
+    whose projector is the damped density.
     """
     if regime not in (MINKOWSKI, EUCLIDEAN):
         raise ValueError(f"unknown regime {regime!r}")
     _check_operands(psi0, h)
     taus = _check_schedule(tau_samples, nonnegative=regime == EUCLIDEAN)
     psi0 = psi0.normalized()
-    w, v = np.linalg.eigh(h.entries)
+    w, v = _eigh(h.entries)
     c = v.conj().T @ psi0.amplitudes
     populations = np.abs(c) ** 2
     points: list[TrajectoryPoint] = []

@@ -179,6 +179,19 @@ def _check_schedule(samples, nonnegative: bool = False) -> np.ndarray:
     return taus
 
 
+def _check_gaussian(reach: float, spread: float, distance: str, spread_name: str) -> None:
+    """Reject a factor exp(-d^2 / spread) that numpy cannot evaluate on the
+    grid: `spread` rounded to 0, or d^2 / spread past the float range at the
+    largest |d| on the grid, `reach`. As Python floats an overflow rounds to
+    inf and an underflow to 0 here, instead of warning inside numpy."""
+    if not spread > 0.0:
+        raise ValueError(f"{spread_name} rounds to 0")
+    if not np.isfinite(reach * reach / spread):
+        raise ValueError(
+            f"({distance})^2 / ({spread_name}) overflows at |{distance}| = {reach:.3g}"
+        )
+
+
 def gaussian_wavepacket(
     grid: Grid1D,
     params: PhysParams,
@@ -193,6 +206,12 @@ def gaussian_wavepacket(
     if width <= 0.0:
         raise ValueError(f"width must be positive, got {width}")
     x = grid.x
+    reach = max(abs(float(x[0]) - center), abs(float(x[-1]) - center))
+    _check_gaussian(reach, 2.0 * width**2, "x - center", "2 width^2")
+    if not np.isfinite(abs(momentum) * reach / params.hbar):
+        raise ValueError(
+            f"the phase momentum (x - center) / hbar overflows at |x - center| = {reach:.3g}"
+        )
     amps = np.exp(
         -((x - center) ** 2) / (2.0 * width**2)
         + 1j * momentum * (x - center) / params.hbar
@@ -216,6 +235,8 @@ def cat_state(
     if parity not in ("odd", "even"):
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
     x = grid.x
+    reach = max(abs(float(x[0])), abs(float(x[-1]))) + abs(separation)
+    _check_gaussian(reach, 2.0 * width**2, "x -+ separation", "2 width^2")
     right = np.exp(-((x - separation) ** 2) / (2.0 * width**2))
     left = np.exp(-((x + separation) ** 2) / (2.0 * width**2))
     amps = right - left if parity == "odd" else right + left

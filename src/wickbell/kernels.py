@@ -106,14 +106,19 @@ def free_kernel_row(grid: Grid1D, time_extent: float, params: PhysParams, regime
     if not (time_extent > 0.0):
         raise ValueError(f"time_extent must be positive, got {time_extent}")
     m, hbar = params.mass, params.hbar
+    # the prefactor and the exponent at the longest lag as Python floats: past
+    # the float range they round to inf here instead of warning inside numpy
+    ht, reach = hbar * time_extent, grid.dx * (grid.n_points - 1)
+    if not (ht > 0.0 and np.isfinite(m / (2.0 * np.pi * hbar * time_extent))):
+        raise ValueError(f"the prefactor m / (2 pi hbar t) overflows at t = {time_extent}")
+    if not np.isfinite(0.5 * m * (reach * reach) / ht):
+        raise ValueError(f"the exponent m d^2 / (2 hbar t) overflows at the lag d = {reach:.3g}")
     lag = grid.dx * np.arange(grid.n_points)
     pref = np.sqrt(m / (2.0 * np.pi * hbar * time_extent))
     if regime == MINKOWSKI:
         row = pref * np.exp(-0.25j * np.pi) * np.exp(0.5j * m * lag**2 / (hbar * time_extent))
     else:
         row = pref * np.exp(-0.5 * m * lag**2 / (hbar * time_extent))
-    if not np.all(np.isfinite(row)):
-        raise ValueError("kernel entries must be finite")
     _check_kernel_values(row, regime)
     return row
 

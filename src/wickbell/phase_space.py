@@ -13,7 +13,11 @@ the p-marginal of W equals |psi(x_j)|^2 to rounding, not to quadrature.
 On the Nyquist-complete dual grid exp(i p y / hbar) repeats every n lags, so
 lags m and m - n fold onto one column. A pure state's folded correlation is
 Hermitian in the lag term by term: half of it and a real inverse FFT give W.
-A density's takes a complex inverse FFT and a guard on the imaginary part.
+That runs over a fixed block of rows at a time, each block written scaled
+and shifted straight into the one preallocated W, so the per-call
+temporaries stay a few hundred KiB instead of several n^2 arrays that
+glibc may map and fault in afresh on every call. A density's takes a
+complex inverse FFT and a guard on the imaginary part.
 """
 
 from __future__ import annotations
@@ -42,6 +46,11 @@ class WignerGrid:
     def cell_area(self) -> float:
         return self.x_axis.dx * self.p_axis.dx
 
+# rows of a pure-state W computed together: a block's two complex buffers and
+# its inverse-FFT output hold about 24 n bytes a row, 384 KiB at n = 512
+_ROWS = 32
+
+
 def _upsample2(amps: np.ndarray) -> np.ndarray:
     """Exact FFT interpolation onto the half-spacing grid (length doubles).
 
@@ -53,7 +62,7 @@ def _upsample2(amps: np.ndarray) -> np.ndarray:
     out = np.zeros(amps.shape[:-1] + (2 * n,), dtype=np.complex128)
     h = n // 2
     out[..., : h + 1] = spec[..., : h + 1]
-    out[..., h + 1 - n :] = spec[..., h + 1 :]
+    out[..., n + h + 1 :] = spec[..., h + 1 :]
     if n % 2 == 0:
         out[..., h] *= 0.5
         out[..., -h] = out[..., h]
@@ -88,19 +97,42 @@ def _wigner_from_folded(corr: np.ndarray, grid: Grid1D, params: PhysParams) -> "
     return WignerGrid(grid, dual_grid(grid, params), np.ascontiguousarray(w.real), params)
 
 
+def _pure_wigner(amps: np.ndarray, scale: float) -> np.ndarray:
+    """scale times W[j, k] of the pure state `amps`, p in dual-grid order,
+    computed _ROWS rows at a time straight into one n x n array: each block's
+    folded correlation goes through a real inverse FFT into one reused
+    buffer, and the scale and the shift to dual-grid order write it into W."""
+    n, h, s = len(amps), len(amps) // 2 + 1, len(amps) // 2
+    pad = np.pad(_upsample2(amps), (n, n + 1))
+    # rows[j, n + l] is the half-grid sample at x_j + l dx / 2, zero outside
+    # the box; conj_rows the same of its conjugate, taken once for every row
+    windows = np.lib.stride_tricks.sliding_window_view
+    rows = windows(pad, 2 * n + 1)[: 2 * n : 2]
+    conj_rows = windows(np.conjugate(pad), 2 * n + 1)[: 2 * n : 2]
+    w = np.empty((n, n))
+    b = min(n, _ROWS)
+    corr, term = np.empty((b, h), np.complex128), np.empty((b, h), np.complex128)
+    line = np.empty((b, n))
+    for j in range(0, n, b):
+        r, c = rows[j : j + b], conj_rows[j : j + b]
+        k = len(r)
+        np.multiply(c[:, n : n + h], r[:, n : n - h : -1], out=corr[:k])
+        np.multiply(c[:, :h], r[:, 2 * n : 2 * n - h : -1], out=term[:k])
+        corr[:k] += term[:k]
+        np.fft.irfft(corr[:k], n, axis=1, out=line[:k])
+        np.multiply(line[:k, : n - s], scale, out=w[j : j + k, s:])
+        np.multiply(line[:k, n - s :], scale, out=w[j : j + k, :s])
+    return w
+
+
 def wigner_transform(psi: WaveFunction) -> WignerGrid:
     """Wigner function of a normalized pure state."""
     if abs(psi.norm_squared() - 1.0) > 1e-8:
         raise ValueError("wigner_transform expects a normalized wavefunction")
-    grid, n, h = psi.grid, psi.grid.n_points, psi.grid.n_points // 2 + 1
-    pad = np.pad(_upsample2(psi.amplitudes), (n, n + 1))
-    # rows[j, n + l] is the half-grid sample at x_j + l dx / 2, zero outside the box
-    rows = np.lib.stride_tricks.sliding_window_view(pad, 2 * n + 1)[: 2 * n : 2]
-    corr = np.conj(rows[:, n : n + h]) * rows[:, n : n - h : -1]
-    corr += np.conj(rows[:, :h]) * rows[:, 2 * n : 2 * n - h : -1]
-    w = np.fft.irfft(corr, n, axis=1)
-    w *= grid.dx * n / (2.0 * np.pi * psi.params.hbar)
-    return WignerGrid(grid, dual_grid(grid, psi.params), np.fft.fftshift(w, axes=1), psi.params)
+    grid, n = psi.grid, psi.grid.n_points
+    scale = grid.dx * n / (2.0 * np.pi * psi.params.hbar)
+    values = _pure_wigner(psi.amplitudes, scale)
+    return WignerGrid(grid, dual_grid(grid, psi.params), values, psi.params)
 
 
 def wigner_of_density(rho_entries: np.ndarray, grid: Grid1D, params: PhysParams) -> WignerGrid:

@@ -297,6 +297,24 @@ def dense_wigner_of_density(rho, dx, hbar=1.0) -> np.ndarray:
     return (dx / (2.0 * np.pi * hbar)) * (corr @ phases)
 
 
+def one_pass_pure_wigner(half: np.ndarray, scale: float) -> np.ndarray:
+    """scale times the pure-state W[j, k], p in dual-grid order, from the 2n
+    half-grid samples `half` of n amplitudes, every row at once: the whole
+    n x (n//2 + 1) folded lag correlation, one real inverse FFT over it, the
+    scale and an fftshift copy. The package's blocked transform must give
+    the same bytes."""
+    n = len(half) // 2
+    h = n // 2 + 1
+    pad = np.pad(half, (n, n + 1))
+    # rows[j, n + l] is the half-grid sample at x_j + l dx / 2, zero outside the box
+    rows = np.lib.stride_tricks.sliding_window_view(pad, 2 * n + 1)[: 2 * n : 2]
+    corr = np.conj(rows[:, n : n + h]) * rows[:, n : n - h : -1]
+    corr += np.conj(rows[:, :h]) * rows[:, 2 * n : 2 * n - h : -1]
+    w = np.fft.irfft(corr, n, axis=1)
+    w *= scale
+    return np.fft.fftshift(w, axes=1)
+
+
 def per_cell_grid_csv(header, axis_a, axis_b, values) -> bytes:
     """The bytes of a grid CSV written one cell at a time: a header line, then
     the rows (axis_a[j], axis_b[k], values[j, k]), j-major, with every cell

@@ -393,7 +393,29 @@ class TestValidation:
                 ["time=5e-324"],
                 "momentum densities (x_min=-11.5, x_max=11.5, n_points=1536, "
                 "s=0.050000000000000003, envelope=1, time=4.9406564584124654e-324): "
-                "overflow encountered in divide",
+                "the prefactor m / (2 pi hbar t) overflows at t = 5e-324\n",
+            ),
+            # the pair's relative-coordinate spread 4 s^2 rounds to 0
+            (
+                "epr",
+                ["s=5e-324"],
+                "momentum densities (x_min=-11.5, x_max=11.5, n_points=1536, "
+                "s=4.9406564584124654e-324, envelope=1, time=0.059999999999999998): "
+                "4 s^2 rounds to 0\n",
+            ),
+            # a cat's exponent: its spread rounds to 0, or the box is too wide
+            (
+                "wigner",
+                ["width=5e-324"],
+                "state cat-odd (separation=3, width=4.9406564584124654e-324, x_min=-16, "
+                "x_max=16, n_points=256): 2 width^2 rounds to 0\n",
+            ),
+            (
+                "negativity-decay",
+                ["x_max=1e308"],
+                "state cat-even (separation=3, width=1, x_min=-48, x_max=1e+308, "
+                "n_points=512): (x -+ separation)^2 / (2 width^2) overflows at "
+                "|x -+ separation| = 1e+308\n",
             ),
             (
                 "wigner",
@@ -441,6 +463,9 @@ class TestValidation:
             "latitude_theta",
             "slice-index",
             "time-underflow",
+            "s-underflow",
+            "width-underflow",
+            "box-overflow",
             "span-overflow",
             "edges-reversed",
             "equator-segments",
@@ -632,8 +657,8 @@ SWEEP = [
 @pytest.mark.parametrize("experiment, key, value", SWEEP, ids=[f"{e}-{k}={v}" for e, k, v in SWEEP])
 def test_sweep_runs_or_names_the_key(capsys, tmp_path, experiment, key, value):
     # one key at a time: the run succeeds, or it is rejected (exit 2) or a
-    # guard trips (exit 3) with a message naming the key, never a traceback
-    # or a warning
+    # guard trips (exit 3) with a message naming the key, never a traceback,
+    # a warning or a leaked numpy message
     argv = ["run", experiment, "--out", str(tmp_path / "out"), "--set", f"{key}={value}"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -642,6 +667,8 @@ def test_sweep_runs_or_names_the_key(capsys, tmp_path, experiment, key, value):
     assert [str(w.message) for w in caught] == []
     assert code in (0, 2, 3)
     assert "Traceback" not in err and "Warning" not in err
+    # nor numpy's own text: the cause is checked before numpy meets it
+    assert "encountered in" not in err
     if code:
         assert re.search(rf"\b{key}\b", err), err
 

@@ -170,6 +170,23 @@ class TestInitialPair:
         ref = np.exp(-(s**2) * (px - py) ** 2 / 2.0 - 2.0 * env**2 * (px + py) ** 2)
         assert np.max(np.abs(prob / prob.max() - ref / ref.max())) < 1e-10
 
+    @pytest.mark.parametrize(
+        "s, env, box, message",
+        [
+            (5e-324, 1.0, (-11.5, 11.5), r"4 s\^2 rounds to 0"),
+            (1e-160, 1.0, (-11.5, 11.5), r"\(x - y\)\^2 / \(4 s\^2\) overflows at \|x - y\| = 23"),
+            (0.05, 1.0, (-11.5, 1e308), r"\(x - y\)\^2 / \(4 s\^2\) overflows"),
+            # a box far off the origin: x + y reaches 2.1e152, x - y only 1e151
+            (1e-3, 2e-3, (1e152, 1.1e152), r"\(x \+ y\)\^2 / \(16 envelope\^2\) overflows"),
+        ],
+        ids=["s-rounds-to-0", "relative-overflow", "box-overflow", "envelope-overflow"],
+    )
+    def test_exponent_past_the_float_range_rejected(self, s, env, box, message):
+        # checked as Python floats before numpy evaluates either factor
+        grid = Grid1D(*box, 64)
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
+            epr_initial_pair(grid, CorrelationWidth(s), env, PHYS)
+
     def test_joint_momentum_matches_dense_dft_on_odd_grid(self):
         assert_matches_dense_dft(Grid1D(-6.0, 7.0, 63), seed=11)
 

@@ -14,6 +14,7 @@ from wickbell import EUCLIDEAN, MINKOWSKI, Grid1D, PhysParams, WaveFunction
 from wickbell.errors import GridEscapeError, TraceCollapseError
 from wickbell.evolution import (
     Hamiltonian,
+    _eigh,
     density_from_wavefunction,
     free_wigner_shear,
     hamiltonian,
@@ -109,6 +110,81 @@ class TestHamiltonian:
         bad[4, 4] = np.inf
         with pytest.raises(ValueError, match="finite"):
             Hamiltonian(GRID, bad.T, PHYS)
+
+
+def symmetric_trap(n: int) -> Hamiltonian:
+    return hamiltonian(Grid1D(-12.0, 12.0, n), PHYS, harmonic_potential(1.0, PHYS))
+
+
+class TestParitySplit:
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_symmetric_box_gives_a_centrosymmetric_trap(self, n):
+        # the potential is sampled on the exactly antisymmetric abscissa,
+        # within an ulp of x_max of the grid's own
+        h = symmetric_trap(n)
+        assert np.array_equal(h.entries, h.entries[::-1, ::-1])
+        x = h.grid.x
+        sym = (x - x[::-1]) / 2.0
+        assert np.array_equal(sym, -sym[::-1])
+        assert np.max(np.abs(sym - x)) <= np.spacing(h.grid.x_max)
+        pot = harmonic_potential(1.0, PHYS)
+        free = hamiltonian(h.grid, PHYS).entries
+        assert np.array_equal(h.entries, free + np.diag(pot(sym)))
+        # an offset box samples the potential on the grid itself
+        offset = hamiltonian(GRID, PHYS).entries + np.diag(pot(GRID.x))
+        assert np.array_equal(HARMONIC.entries, offset)
+
+    @pytest.mark.parametrize("n", [8, 9, 256, 257])
+    def test_split_decomposes_the_trap(self, n):
+        h = symmetric_trap(n).entries
+        w, v = _eigh(h)
+        scale = np.max(np.abs(h))
+        assert np.max(np.abs(v.T @ v - np.eye(n))) < 1e-13
+        # every column is exactly even or exactly odd
+        for col in v.T:
+            assert np.array_equal(col, col[::-1]) or np.array_equal(col, -col[::-1])
+        assert np.max(np.abs((v * w) @ v.T - h)) < 1e-13 * scale
+        assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(h))) < 1e-12 * scale
+        if n > 200:  # a box that holds the low oscillator levels
+            assert np.max(np.abs(np.sort(w)[:10] - (np.arange(10) + 0.5))) < 1e-9
+
+    @pytest.mark.parametrize("n", [256, 257])
+    @pytest.mark.parametrize(
+        "regime, taus",
+        [(MINKOWSKI, [-0.7, 0.0, 0.4, 1.9]), (EUCLIDEAN, [0.0, 0.3, 1.2, 5.0])],
+        ids=["minkowski", "euclidean"],
+    )
+    def test_mixed_parity_state_matches_expm(self, monkeypatch, n, regime, taus):
+        # an off-centre packet has weight in both blocks
+        h = symmetric_trap(n)
+        psi0 = gaussian_wavepacket(h.grid, PHYS, center=1.5, width=1.0, momentum=0.5)
+        pts, seen = captured_trajectory(monkeypatch, psi0, h, taus, regime)
+        unit = 1j if regime == MINKOWSKI else 1.0
+        for tau, amps, p in zip(taus, seen, pts):
+            ref = expm(-unit * h.entries * tau / PHYS.hbar) @ psi0.amplitudes
+            ref /= np.sqrt(np.sum(np.abs(ref) ** 2) * h.grid.dx)
+            assert np.max(np.abs(amps - ref)) < 1e-12
+            assert p.purity == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_two_half_size_eighs_on_a_symmetric_box(self, monkeypatch, n):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        h = symmetric_trap(n)
+        psi0 = cat_state(h.grid, PHYS, 3.0, 1.0, "even")
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        negativity_trajectory(psi0, h, [0.0, 0.5], EUCLIDEAN)
+        assert calls == [((n + 1) // 2,) * 2, (n // 2,) * 2]
+        # a complex-typed H takes one full eigh, centrosymmetric or not
+        calls.clear()
+        complex_h = Hamiltonian(h.grid, h.entries.astype(np.complex128), PHYS)
+        negativity_trajectory(psi0, complex_h, [0.5])
+        assert calls == [(n, n)]
 
 
 class TestDensityMatrix:

@@ -123,6 +123,32 @@ class TestWaveFunction:
         with pytest.raises(ValueError, match="parity"):
             cat_state(g, PHYS, separation=3.0, parity="mixed")
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda g: gaussian_wavepacket(g, PHYS, width=5e-324), r"2 width\^2 rounds to 0"),
+            (lambda g: gaussian_wavepacket(g, PHYS, center=1e308), r"\|x - center\| = 1e\+308"),
+            (lambda g: gaussian_wavepacket(g, PHYS, momentum=1e308), "phase momentum"),
+            (lambda g: cat_state(g, PHYS, separation=3.0, width=5e-324), r"2 width\^2 rounds to 0"),
+            (lambda g: cat_state(g, PHYS, separation=1e308), r"\|x -\+ separation\| = 1e\+308"),
+            (lambda g: cat_state(g, PHYS, separation=3.0, width=1e-160), "overflows at"),
+        ],
+        ids=[
+            "gauss-width",
+            "gauss-center",
+            "gauss-momentum",
+            "cat-width",
+            "cat-separation",
+            "cat-narrow",
+        ],
+    )
+    def test_exponent_past_the_float_range_rejected(self, build, message):
+        # checked as Python floats before numpy evaluates the exponent, so
+        # numpy meets no overflow or division by zero
+        g = Grid1D(-16.0, 16.0, 64)
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=message):
+            build(g)
+
     @pytest.mark.parametrize("parity", ["odd", "even"])
     def test_cat_state_is_real(self, parity):
         # two real Gaussians: the amplitudes stay float64, so evolution and

@@ -108,8 +108,12 @@ class TestFreeKernels:
     def test_lag_row_runs_the_kernel_entry_checks(self):
         g = Grid1D(-8.0, 8.0, 128)
         heavy = PhysParams(mass=1e308)  # prefactor sqrt(m / 2 pi hbar T) overflows
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="prefactor"):
             free_kernel_row(g, 1e-10, heavy, EUCLIDEAN)
+        # at T = 1e-307 the exponent m d^2 / (2 hbar T) at the longest lag
+        # overflows while the prefactor is still finite
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="exponent"):
+            free_kernel_row(g, 1e-307, PHYS, MINKOWSKI)
         with pytest.raises(ValueError, match="regime"):
             free_kernel_row(g, 0.5, PHYS, "thermal")
         with pytest.raises(ValueError, match="time_extent"):

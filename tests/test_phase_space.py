@@ -18,6 +18,7 @@ from oracles import (
     dense_wigner_of_density,
     excited_state_negativity,
     gaussian_wigner_point,
+    one_pass_pure_wigner,
     read_csv,
 )
 from wickbell import Grid1D, PhysParams
@@ -28,7 +29,10 @@ from wickbell.grids import (
     momentum_representation,
 )
 from wickbell.phase_space import (
+    _ROWS,
     WignerGrid,
+    _pure_wigner,
+    _upsample2,
     negativity_ratio,
     wigner_of_density,
     wigner_to_csv,
@@ -282,8 +286,8 @@ class TestDenseOracle:
         assert np.max(np.abs(wigner_transform(psi).values - ref)) < 1e-13 * np.max(np.abs(ref))
 
     def test_pure_transform_memory_is_bounded(self):
-        # the folded correlation (n x (n//2 + 1) complex, 8 bytes per cell)
-        # and its products, then the real W and its shifted copy
+        # W itself (8 bytes per cell) and the row blocks' buffers, which
+        # every block reuses (about 0.8 KiB per grid point): no other n^2 array
         g = offset_grid(12.0, 512)
         psi = gaussian_wavepacket(g, PHYS)
         wigner_transform(psi)  # numpy.fft is imported on first use
@@ -293,7 +297,7 @@ class TestDenseOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 512**2
+        assert peak <= 8 * 512**2 + 2048 * 512
 
     @pytest.mark.parametrize("n", [64, 65])
     def test_both_transforms_match_dense_lag_sum(self, n):
@@ -325,6 +329,30 @@ class TestDenseOracle:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestBlockedTransform:
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, _ROWS - 1, _ROWS, _ROWS + 1, 255, 256, 257, 513]
+    )
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_same_bytes_as_one_pass(self, n, kind):
+        # the blocks, the last one short or not, reproduce the transform over
+        # all rows at once bit for bit, for float64 and complex amplitudes
+        rng = np.random.default_rng(n)
+        amps = rng.normal(size=n)
+        if kind == "complex":
+            amps = amps + 1j * rng.normal(size=n)
+        scale = 0.37 * n
+        reference = one_pass_pure_wigner(_upsample2(amps), scale)
+        assert _pure_wigner(amps, scale).tobytes() == reference.tobytes()
+
+    def test_transform_keeps_the_one_pass_bytes(self):
+        g = Grid1D(-12.0, 12.0, 257)
+        psi = cat_state(g, PHYS, separation=3.0, width=1.0, parity="odd")
+        scale = g.dx * g.n_points / (2.0 * np.pi * PHYS.hbar)
+        reference = one_pass_pure_wigner(_upsample2(psi.amplitudes), scale)
+        assert wigner_transform(psi).values.tobytes() == reference.tobytes()
 
 
 class TestCsv:
